@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test check lint lint-sarif chaos soak soak-legacy soak-mono bench bench-json bench-check repro repro-full examples clean
+.PHONY: all build vet test check lint lint-sarif chaos soak soak-legacy soak-mono bench bench-json bench-check perfbench-check repro repro-full examples clean
 
 all: build vet test
 
@@ -97,6 +97,19 @@ CHECK_BENCHTIME ?= 1000x
 bench-check:
 	go test -bench=. -benchmem -benchtime=$(CHECK_BENCHTIME) -run='^$$' ./... 2>&1 | tee bench_check_output.txt
 	go run ./cmd/benchjson -in bench_check_output.txt -check BENCH_core.json
+
+# perfbench-check compiles the end-to-end benchmark, a nested module
+# (geoserp/perfbench) that imports this one through a replace directive
+# and that no other target builds: vet, tests and geoserplint, then a
+# 2-second traced run of each workload, which fails unless its JSON result
+# line reports "correct":true (every check passed, every page was right).
+perfbench-check:
+	cd perfbench && go vet ./... && go test ./... && go run geoserp/cmd/geoserplint ./...
+	@for w in mono-local cluster-news campaign; do \
+		out="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 | tail -n 1)"; \
+		echo "$$w: $$out"; \
+		case "$$out" in *'"correct":true'*) ;; *) echo "perfbench $$w: not correct"; exit 1;; esac; \
+	done
 
 repro:
 	go run ./cmd/repro

@@ -708,7 +708,7 @@ func (e *Engine) pastDeadline(deadline time.Time) bool {
 // location-sensitive — area.
 func (e *Engine) placeCandidates(loc geo.Point, kind string, placeMult float64, jitter func(float64) float64) []candidate {
 	radius := e.cfg.PlaceRadiusKm
-	var businesses []webcorpus.Business
+	var businesses []webcorpus.Nearby
 	for {
 		businesses = e.places.Near(loc, kind, radius)
 		if len(businesses) >= e.cfg.MinPlaces || radius >= e.cfg.PlaceRadiusMaxKm {
@@ -722,17 +722,15 @@ func (e *Engine) placeCandidates(loc geo.Point, kind string, placeMult float64, 
 	// Proximity is normalized to the nearest candidate: the closest
 	// establishment of a kind is the canonical answer whether it is 500m
 	// away (coffee) or 20km away (airport). This keeps sparse kinds on
-	// the page while preserving distance-ordered ranking.
-	dmin := math.Inf(1)
-	for _, b := range businesses {
-		if d := geo.DistanceKm(loc, b.Point); d < dmin {
-			dmin = d
-		}
+	// the page while preserving distance-ordered ranking. Near sorts by
+	// distance, so the nearest is the first.
+	var dmin float64
+	if len(businesses) > 0 {
+		dmin = businesses[0].DistKm
 	}
 	out := make([]candidate, 0, len(businesses))
 	for _, b := range businesses {
-		d := geo.DistanceKm(loc, b.Point)
-		proximity := math.Exp(-math.Ln2 * (d - dmin) / e.cfg.ProximityHalfKm)
+		proximity := math.Exp(-math.Ln2 * (b.DistKm - dmin) / e.cfg.ProximityHalfKm)
 		s := e.cfg.PlaceWeight*placeMult*proximity + e.cfg.PopWeight*b.Popularity + jitter(e.cfg.PlaceJitterSigma)
 		out = append(out, candidate{
 			res:   serp.Result{URL: b.URL, Title: b.Name},

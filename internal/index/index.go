@@ -6,7 +6,9 @@
 package index
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -167,6 +169,10 @@ func (ix *Index) Len() int {
 
 // Search returns the top-k documents for the query by TF-IDF cosine score.
 // Ties are broken by URL so results are deterministic.
+//
+// Scores accumulate into pooled dense per-document arrays, in query-token
+// order; the matching (document, score) pairs are sorted in MergeHits's
+// order and only the top k become Hits.
 func (ix *Index) Search(query string, k int) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -183,8 +189,8 @@ func (ix *Index) Search(query string, k int) []Hit {
 		return nil
 	}
 	n := float64(ix.numDocs())
-	scores := make(map[int32]float64)
-	matched := make(map[int32]int)
+	acc := getAccumulator(len(ix.docs))
+	defer putAccumulator(acc)
 	for _, t := range qTokens {
 		plist := ix.postings[t]
 		docFreq := ix.docFreq(t, len(plist))
@@ -193,18 +199,21 @@ func (ix *Index) Search(query string, k int) []Hit {
 		}
 		idf := math.Log(1 + n/float64(docFreq))
 		for _, p := range plist {
-			scores[p.docID] += idf * float64(p.weight)
-			matched[p.docID]++
+			if acc.matched[p.docID] == 0 {
+				acc.touched = append(acc.touched, p.docID)
+			}
+			acc.scores[p.docID] += idf * float64(p.weight)
+			acc.matched[p.docID]++
 		}
 	}
-	if len(scores) == 0 {
+	if len(acc.touched) == 0 {
 		return nil
 	}
-	hits := make([]Hit, 0, len(scores))
-	for id, s := range scores {
+	for _, id := range acc.touched {
+		m := int(acc.matched[id])
 		// Require at least half the query tokens to match; a one-token
 		// graze against a multi-word query is noise, not relevance.
-		if matched[id]*2 < len(qTokens) {
+		if m*2 < len(qTokens) {
 			continue
 		}
 		norm := ix.docNorm[id]
@@ -213,14 +222,64 @@ func (ix *Index) Search(query string, k int) []Hit {
 		}
 		// Coverage bonus: documents matching every query token beat
 		// partial matches even when the partial match is term-dense.
-		coverage := float64(matched[id]) / float64(len(qTokens))
-		//lint:allow maporder MergeHits totally orders hits by score then URL before returning
-		hits = append(hits, Hit{
-			Doc:   ix.docs[id],
-			Score: (s / norm) * (0.5 + 0.5*coverage) * coverage,
+		coverage := float64(m) / float64(len(qTokens))
+		acc.ranked = append(acc.ranked, scoredDoc{
+			id:    id,
+			score: (acc.scores[id] / norm) * (0.5 + 0.5*coverage) * coverage,
 		})
 	}
-	return MergeHits(hits, k)
+	slices.SortFunc(acc.ranked, func(a, b scoredDoc) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return strings.Compare(ix.docs[a.id].URL, ix.docs[b.id].URL)
+	})
+	top := acc.ranked[:min(k, len(acc.ranked))]
+	hits := make([]Hit, len(top))
+	for i, sd := range top {
+		hits[i] = Hit{Doc: ix.docs[sd.id], Score: sd.score}
+	}
+	return hits
+}
+
+// scoredDoc is one document's final score in Search, before the top k are
+// materialized as Hits.
+type scoredDoc struct {
+	id    int32
+	score float64
+}
+
+// accumulator is Search's per-query scratch space, sized to the document
+// table and reused through accPool. Only the entries listed in touched
+// are non-zero, and putAccumulator zeroes exactly those.
+type accumulator struct {
+	scores  []float64 // per document: sum of idf × posting weight
+	matched []int32   // per document: distinct query tokens matched
+	touched []int32   // documents with matched > 0, in first-match order
+	ranked  []scoredDoc
+}
+
+var accPool = sync.Pool{New: func() any { return new(accumulator) }}
+
+// getAccumulator returns a zeroed accumulator covering nDocs documents.
+func getAccumulator(nDocs int) *accumulator {
+	acc := accPool.Get().(*accumulator)
+	if len(acc.scores) < nDocs {
+		acc.scores = make([]float64, nDocs)
+		acc.matched = make([]int32, nDocs)
+	}
+	return acc
+}
+
+// putAccumulator zeroes the entries acc's query touched and pools it.
+func putAccumulator(acc *accumulator) {
+	for _, id := range acc.touched {
+		acc.scores[id] = 0
+		acc.matched[id] = 0
+	}
+	acc.touched = acc.touched[:0]
+	acc.ranked = acc.ranked[:0]
+	accPool.Put(acc)
 }
 
 // distinct removes duplicate tokens, preserving first-occurrence order (so

@@ -120,3 +120,16 @@ func TestShardRequiresFreeze(t *testing.T) {
 	}()
 	New().Shard(func(webcorpus.Doc) bool { return true })
 }
+
+var searchSink []Hit
+
+// BenchmarkIndexSearch measures one Search on the full study index with
+// the engine's k = 48, cycling through all 240 study terms.
+func BenchmarkIndexSearch(b *testing.B) {
+	ix := BuildFromWeb(webcorpus.NewWeb(1, queries.StudyCorpus(), webcorpus.DefaultRegions()))
+	terms := queries.StudyCorpus().All()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		searchSink = ix.Search(terms[i%len(terms)].Term, 48)
+	}
+}

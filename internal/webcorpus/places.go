@@ -1,9 +1,12 @@
 package webcorpus
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"geoserp/internal/detrand"
@@ -122,9 +125,15 @@ var neighborhoodNames = []string{
 // Ohio latitudes). Nearby coordinates therefore share almost all of their
 // candidate businesses, coordinates ~100 miles apart share none — the
 // geometric root of the paper's "personalization grows with distance".
+//
+// Cells are generated lazily, on the first Near that visits them, and
+// memoized per (kind, cell). Near visits only the cells of its scan
+// rectangle whose great-circle lower bound (see cellBound) is within the
+// radius, so a query generates and probes about half the rectangle.
 type Places struct {
 	seed       uint64
-	kinds      map[string]PlaceKind
+	kinds      map[string]int // kind key -> index into kindList
+	kindList   []PlaceKind
 	cellLatDeg float64
 	cellLonDeg float64
 
@@ -132,12 +141,13 @@ type Places struct {
 	// points tens of thousands of times, and generation is deterministic,
 	// so the cache is a pure win. Guarded by mu.
 	mu    sync.RWMutex
-	cache map[cellKindKey][]Business
+	cache map[cellKey][]Business
 }
 
-type cellKindKey struct {
+// cellKey identifies one kind's establishments in one grid cell.
+type cellKey struct {
+	kind int // index into Places.kindList
 	c    cell
-	kind string
 }
 
 // NewPlaces creates the Places vertical with the given root seed and the
@@ -149,14 +159,15 @@ func NewPlaces(seed uint64) *Places {
 // NewPlacesCustom creates a Places vertical with caller-supplied kinds —
 // the extension point for studies of other countries or term sets. Kinds
 // with empty keys or non-positive densities are skipped; a non-brand kind
-// without name suffixes gets a generic one.
+// without name suffixes gets a generic one. A repeated key replaces the
+// earlier kind.
 func NewPlacesCustom(seed uint64, kinds []PlaceKind) *Places {
 	p := &Places{
 		seed:       seed,
-		kinds:      make(map[string]PlaceKind, len(kinds)),
+		kinds:      make(map[string]int, len(kinds)),
 		cellLatDeg: 0.030,
 		cellLonDeg: 0.038,
-		cache:      make(map[cellKindKey][]Business),
+		cache:      make(map[cellKey][]Business),
 	}
 	for _, k := range kinds {
 		if k.Key == "" || k.Density <= 0 {
@@ -165,7 +176,12 @@ func NewPlacesCustom(seed uint64, kinds []PlaceKind) *Places {
 		if !k.Brand && len(k.NameSuffixes) == 0 {
 			k.NameSuffixes = []string{TitleCase(k.Key)}
 		}
-		p.kinds[k.Key] = k
+		if ix, ok := p.kinds[k.Key]; ok {
+			p.kindList[ix] = k
+			continue
+		}
+		p.kinds[k.Key] = len(p.kindList)
+		p.kindList = append(p.kindList, k)
 	}
 	return p
 }
@@ -180,8 +196,11 @@ func DefaultPlaceKinds() []PlaceKind {
 
 // Kind returns the PlaceKind for key, if it exists.
 func (p *Places) Kind(key string) (PlaceKind, bool) {
-	k, ok := p.kinds[key]
-	return k, ok
+	ix, ok := p.kinds[key]
+	if !ok {
+		return PlaceKind{}, false
+	}
+	return p.kindList[ix], true
 }
 
 // Kinds returns all kind keys, sorted.
@@ -205,13 +224,40 @@ func (p *Places) cellOf(pt geo.Point) cell {
 	}
 }
 
+// Nearby is an establishment Near found, with its distance from Near's
+// query point.
+type Nearby struct {
+	Business
+	// DistKm is geo.DistanceKm(pt, Point) for Near's query point pt.
+	DistKm float64
+}
+
+// nearKey is one sort key of Near: a match's distance and a pointer to
+// the memoized (never mutated) Business.
+type nearKey struct {
+	d float64
+	b *Business
+}
+
 // Near returns every establishment of the given kind within radiusKm of pt,
-// sorted by distance from pt (ties broken by ID for determinism).
-func (p *Places) Near(pt geo.Point, kindKey string, radiusKm float64) []Business {
-	kind, ok := p.kinds[kindKey]
+// sorted by distance from pt (ties broken by ID for determinism), each with
+// that distance. Each candidate's distance is computed exactly once, by
+// geo.DistanceKm, and that one value both decides membership (DistKm <=
+// radiusKm) and orders the result; callers reuse DistKm instead of
+// recomputing it.
+//
+// The candidates come from a scan rectangle of cells around pt, padded by
+// one cell. Within it Near skips every cell whose great-circle lower bound
+// exceeds the radius (see cellBound), which never drops a business the
+// full rectangle would return. The rectangle does not wrap the
+// antimeridian, and its column count treats a cell as at least 0.5 km wide
+// (so it is clamped above ~83° latitude).
+func (p *Places) Near(pt geo.Point, kindKey string, radiusKm float64) []Nearby {
+	ki, ok := p.kinds[kindKey]
 	if !ok || radiusKm <= 0 {
 		return nil
 	}
+	kind := p.kindList[ki]
 	center := p.cellOf(pt)
 	// Conservative cell radius: one cell is ~3.3 km tall and ~3.2 km wide
 	// at 41°N; pad by one cell to avoid boundary misses.
@@ -223,41 +269,131 @@ func (p *Places) Near(pt geo.Point, kindKey string, radiusKm float64) []Business
 	di := int(math.Ceil(radiusKm/latKmPerCell)) + 1
 	dj := int(math.Ceil(radiusKm/lonKmPerCell)) + 1
 
-	var out []Business
+	bound := newCellBound(pt, radiusKm, p.cellLonDeg, dj)
+	var keys []nearKey
 	for i := center.i - di; i <= center.i+di; i++ {
-		for j := center.j - dj; j <= center.j+dj; j++ {
-			for _, b := range p.cellBusinessesCached(cell{i, j}, kind) {
-				if geo.DistanceKm(pt, b.Point) <= radiusKm {
-					out = append(out, b)
+		j0, j1 := bound.cols(float64(i)*p.cellLatDeg, float64(i+1)*p.cellLatDeg, center.j-dj, center.j+dj)
+		for j := j0; j <= j1; j++ {
+			bs := p.cellBusinessesCached(cellKey{kind: ki, c: cell{i, j}}, kind)
+			for k := range bs {
+				if d := geo.DistanceKm(pt, bs[k].Point); d <= radiusKm {
+					keys = append(keys, nearKey{d: d, b: &bs[k]})
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		da := geo.DistanceKm(pt, out[a].Point)
-		db := geo.DistanceKm(pt, out[b].Point)
-		if da != db {
-			return da < db
+	if len(keys) == 0 {
+		return nil
+	}
+	slices.SortFunc(keys, func(a, b nearKey) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
 		}
-		return out[a].ID < out[b].ID
+		return strings.Compare(a.b.ID, b.b.ID)
 	})
+	out := make([]Nearby, len(keys))
+	for n, k := range keys {
+		out[n] = Nearby{Business: *k.b, DistKm: k.d}
+	}
 	return out
 }
 
+// nearSlackKm pads the radius in cellBound so that float rounding in the
+// bound (angles, sin, asin: errors near 1e-12 km at the radii and
+// latitudes Near serves) can never skip a cell holding a business whose
+// computed distance is within the radius.
+const nearSlackKm = 1e-6
+
+// cellBound is Near's exact great-circle lower bound on the distance from
+// the query point to any point of a grid cell. For points 1 (the query)
+// and 2 the haversine formula gives
+//
+//	hav(d/R) = hav(Δφ) + cos φ₁·cos φ₂·hav(Δλ)
+//
+// and for every point of a cell inside the band φ₂ ∈ [lat0, lat1] each
+// term is at least its value at the cell's nearest latitude (Δφ), its
+// nearest longitude (Δλ) and the band edge farthest from the equator
+// (cos φ₂). A cell whose bound exceeds hav((r+nearSlackKm)/R) holds no
+// business within r. The bound is used only where hav is increasing over
+// every Δφ and Δλ in the rectangle and every cosine is non-negative: a
+// valid query point, rows inside [-90°, 90°], a rectangle narrower than
+// 360° of longitude, and a padded radius under a quarter of the Earth's
+// circumference. Elsewhere cols returns the whole rectangle row.
+type cellBound struct {
+	lat, lon float64 // query point, degrees
+	cosLat   float64
+	hLim     float64 // hav of the padded radius, as an angle
+	cellLon  float64 // cell width, degrees
+	prune    bool
+}
+
+func newCellBound(pt geo.Point, radiusKm, cellLonDeg float64, dj int) cellBound {
+	ang := (radiusKm + nearSlackKm) / geo.EarthRadiusKm
+	return cellBound{
+		lat:     pt.Lat,
+		lon:     pt.Lon,
+		cosLat:  math.Cos(pt.Lat * math.Pi / 180),
+		hLim:    hav(ang),
+		cellLon: cellLonDeg,
+		prune:   pt.Valid() && float64(dj+1)*cellLonDeg <= 180 && ang < math.Pi/2,
+	}
+}
+
+// hav is the haversine function, sin²(x/2).
+func hav(x float64) float64 {
+	s := math.Sin(x / 2)
+	return s * s
+}
+
+// cols returns the columns [j0, j1] of the rectangle row [jlo, jhi], whose
+// cells span latitudes [lat0, lat1], that can hold a business within the
+// radius; j0 > j1 when none can.
+func (b cellBound) cols(lat0, lat1 float64, jlo, jhi int) (int, int) {
+	if !b.prune || lat0 < -90 || lat1 > 90 {
+		return jlo, jhi
+	}
+	var dLat float64
+	switch {
+	case b.lat < lat0:
+		dLat = lat0 - b.lat
+	case b.lat > lat1:
+		dLat = b.lat - lat1
+	}
+	hLat := hav(dLat * math.Pi / 180)
+	if hLat > b.hLim {
+		return jlo, jlo - 1
+	}
+	c := b.cosLat * math.Min(math.Cos(lat0*math.Pi/180), math.Cos(lat1*math.Pi/180))
+	if c <= 0 {
+		return jlo, jhi
+	}
+	s := (b.hLim - hLat) / c
+	if s >= 1 {
+		return jlo, jhi
+	}
+	dLon := 2 * math.Asin(math.Sqrt(s)) * 180 / math.Pi
+	return max(jlo, int(math.Floor((b.lon-dLon)/b.cellLon))),
+		min(jhi, int(math.Floor((b.lon+dLon)/b.cellLon)))
+}
+
 // cellBusinessesCached returns the memoized establishments of one kind in
-// one cell, generating them on first access.
-func (p *Places) cellBusinessesCached(c cell, kind PlaceKind) []Business {
-	key := cellKindKey{c: c, kind: kind.Key}
+// one cell, generating them on first access. Goroutines that miss the same
+// cell together may each generate it, but all of them return the slice
+// stored first.
+func (p *Places) cellBusinessesCached(key cellKey, kind PlaceKind) []Business {
 	p.mu.RLock()
 	bs, ok := p.cache[key]
 	p.mu.RUnlock()
 	if ok {
 		return bs
 	}
-	bs = p.cellBusinesses(c, kind)
+	bs = p.cellBusinesses(key.c, kind)
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if stored, ok := p.cache[key]; ok {
+		return stored
+	}
 	p.cache[key] = bs
-	p.mu.Unlock()
 	return bs
 }
 
@@ -304,10 +440,4 @@ func (p *Places) cellBusinesses(c cell, kind PlaceKind) []Business {
 		})
 	}
 	return out
-}
-
-// CountNear returns the number of establishments of kindKey within radiusKm
-// of pt; cheaper than Near when only the count matters.
-func (p *Places) CountNear(pt geo.Point, kindKey string, radiusKm float64) int {
-	return len(p.Near(pt, kindKey, radiusKm))
 }

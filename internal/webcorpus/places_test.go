@@ -64,8 +64,8 @@ func TestPlacesNearSortedByDistance(t *testing.T) {
 
 func TestPlacesRadiusMonotone(t *testing.T) {
 	p := NewPlaces(1)
-	small := p.CountNear(cleveland, "bank", 4)
-	large := p.CountNear(cleveland, "bank", 12)
+	small := len(p.Near(cleveland, "bank", 4))
+	large := len(p.Near(cleveland, "bank", 12))
 	if small > large {
 		t.Fatalf("count at 4km (%d) exceeds count at 12km (%d)", small, large)
 	}
@@ -89,14 +89,14 @@ func TestPlacesDensityOrdering(t *testing.T) {
 	p := NewPlaces(1)
 	// Dense kinds must typically outnumber sparse kinds over a sizeable
 	// radius. Airports are the sparsest kind in the corpus.
-	restaurants := p.CountNear(cleveland, "restaurant", 15)
-	airports := p.CountNear(cleveland, "airport", 15)
+	restaurants := len(p.Near(cleveland, "restaurant", 15))
+	airports := len(p.Near(cleveland, "airport", 15))
 	if restaurants <= airports {
 		t.Fatalf("restaurants (%d) should outnumber airports (%d)", restaurants, airports)
 	}
 	if airports == 0 {
 		// Widen until we find at least one airport: sparse, not absent.
-		if p.CountNear(cleveland, "airport", 60) == 0 {
+		if len(p.Near(cleveland, "airport", 60)) == 0 {
 			t.Fatal("no airport within 60km — density too low")
 		}
 	}
@@ -208,5 +208,26 @@ func TestPlacesUniqueIDs(t *testing.T) {
 			}
 			seen[b.ID] = true
 		}
+	}
+}
+
+var nearSink []Nearby
+
+// BenchmarkPlacesNear measures one warm Near at the engine's initial
+// 10 km radius, cycling through the study's local mix: the 33 place kinds
+// at each of the 59 study locations.
+func BenchmarkPlacesNear(b *testing.B) {
+	p := NewPlaces(1)
+	kinds := p.Kinds()
+	locs := geo.StudyLocations()
+	for _, loc := range locs {
+		for _, kind := range kinds {
+			p.Near(loc.Point, kind, 10)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := i % (len(kinds) * len(locs))
+		nearSink = p.Near(locs[n/len(kinds)].Point, kinds[n%len(kinds)], 10)
 	}
 }
