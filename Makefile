@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test check lint lint-sarif chaos soak soak-legacy soak-mono bench bench-json bench-check perfbench-check repro repro-full examples clean
+.PHONY: all build vet test check lint lint-sarif chaos fuzz soak soak-legacy soak-mono bench bench-json bench-check perfbench-check repro repro-full examples clean
 
 all: build vet test
 
@@ -60,6 +60,13 @@ chaos:
 	go test -race -run 'Chaos|Retry|FailSoft|FailureBudget|Resume|Transient|SearchContext' \
 		./internal/browser/ ./internal/crawler/ ./internal/serpserver/
 
+# fuzz runs FuzzShardReply, the fuzz target of the shard reply frame
+# decoder (internal/router/frame.go), which reads untrusted bytes off the
+# wire: no input may panic it, every frame it accepts must re-encode to the
+# identical bytes, and every doc ID it accepts must index the corpus table.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime 20s ./internal/router
+
 build:
 	go build ./...
 
@@ -77,11 +84,15 @@ bench:
 
 # bench-json runs the benchmarks and writes machine-readable results to
 # BENCH_core.json (name -> ns/op, B/op, allocs/op; sorted keys, so
-# successive runs diff cleanly). Override BENCHTIME for a quick smoke:
+# successive runs diff cleanly). It runs them at the iteration count
+# bench-check runs at: a benchmark that carries one-time setup (the lazily
+# generated Places cells of AblationWidePlaces, for one) amortizes it over
+# b.N, so its allocs/op compares only at equal counts. Override BENCHTIME
+# for a quick smoke:
 #   make bench-json BENCHTIME=10x
-BENCHTIME ?= 1s
+BENCHTIME ?= $(CHECK_BENCHTIME)
 bench-json:
-	go test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' ./... 2>&1 | tee bench_output.txt
+	go test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' -timeout 30m ./... 2>&1 | tee bench_output.txt
 	go run ./cmd/benchjson -in bench_output.txt -out BENCH_core.json
 
 # bench-check is the benchmark regression gate: it re-runs the benchmarks
@@ -91,11 +102,12 @@ bench-json:
 # wall-time gating stays opt-in (benchjson -check-ns). After an
 # intentional perf change, regenerate the baseline with `make bench-json`
 # and commit the diff. 1000x keeps one-time setup well amortized (at 100x
-# the RunParallel benchmarks over-report allocs/op) while staying much
-# quicker than the baseline's 1s-per-benchmark run.
+# the RunParallel benchmarks over-report allocs/op). At 1000x the root
+# package's Figure benchmarks alone take ~10 minutes on a 2-vCPU host, go
+# test's default per-package timeout, so both targets pass -timeout 30m.
 CHECK_BENCHTIME ?= 1000x
 bench-check:
-	go test -bench=. -benchmem -benchtime=$(CHECK_BENCHTIME) -run='^$$' ./... 2>&1 | tee bench_check_output.txt
+	go test -bench=. -benchmem -benchtime=$(CHECK_BENCHTIME) -run='^$$' -timeout 30m ./... 2>&1 | tee bench_check_output.txt
 	go run ./cmd/benchjson -in bench_check_output.txt -check BENCH_core.json
 
 # perfbench-check compiles the end-to-end benchmark, a nested module

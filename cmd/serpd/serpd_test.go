@@ -3,12 +3,17 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 
+	"geoserp/internal/index"
+	"geoserp/internal/router"
 	"geoserp/internal/serp"
 	"geoserp/internal/telemetry"
 )
@@ -186,17 +191,36 @@ func TestBuildShardServer(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("shard search status = %d: %s", resp.StatusCode, body)
 	}
-	if !strings.Contains(string(body), "\"shard\":1") {
-		t.Fatalf("shard response missing shard id: %s", body)
+	// The reply is one frame (internal/router/frame.go): magic, shard,
+	// replica, corpus fingerprint, count, then 12 bytes per hit. The
+	// fingerprint is the one a same-seed router computes over its table.
+	corpus := index.Fingerprint(router.CorpusDocs(7, nil))
+	le := binary.LittleEndian
+	if len(body) < 24 || string(body[:4]) != "GSF1" {
+		t.Fatalf("shard reply is not a frame: %q", body)
+	}
+	if shard, replica := le.Uint32(body[4:]), le.Uint32(body[8:]); shard != 1 || replica != 0 {
+		t.Fatalf("shard reply from shard %d replica %d, want 1, 0", shard, replica)
+	}
+	if got := le.Uint64(body[12:]); got != corpus {
+		t.Fatalf("shard reply corpus %016x, want %016x", got, corpus)
+	}
+	if n := le.Uint32(body[20:]); n == 0 || n > 5 || len(body) != 24+12*int(n) {
+		t.Fatalf("shard reply: count %d in a %d-byte frame", n, len(body))
 	}
 
 	resp, err = http.Get(srv.URL() + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var health struct{ Corpus string }
+	err = json.NewDecoder(resp.Body).Decode(&health)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status = %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("healthz status = %d, decode error %v", resp.StatusCode, err)
+	}
+	if want := fmt.Sprintf("%016x", corpus); health.Corpus != want {
+		t.Fatalf("healthz corpus = %q, want %q", health.Corpus, want)
 	}
 
 	if _, _, err := buildShardServer(options{Addr: "127.0.0.1:0", ShardID: 3, ShardCount: 3}); err == nil {

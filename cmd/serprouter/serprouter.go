@@ -141,6 +141,13 @@ func buildServer(opts options) (*serpserver.Server, *engine.Engine, *router.Clie
 		cfg.ReplicaSkew = 0
 	}
 
+	var corpus *queries.Corpus
+	if opts.CorpusPath != "" {
+		if corpus, err = queries.LoadCorpus(opts.CorpusPath); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+
 	reg := telemetry.NewRegistry()
 	client := router.NewClient(router.ClientConfig{
 		Shards:           shards,
@@ -149,14 +156,13 @@ func buildServer(opts options) (*serpserver.Server, *engine.Engine, *router.Clie
 		BreakerCooldown:  opts.BreakerCooldown,
 		HedgeAfter:       opts.HedgeAfter,
 		ProbeInterval:    opts.ProbeInterval,
+		// The shards' document table, regenerated from the same seed and
+		// corpus; their replies are checked against its fingerprint.
+		Docs: router.CorpusDocs(cfg.Seed, corpus),
 	}, reg)
 
 	eopts := []engine.Option{engine.WithTelemetry(reg), engine.WithRetriever(client)}
-	if opts.CorpusPath != "" {
-		corpus, cerr := queries.LoadCorpus(opts.CorpusPath)
-		if cerr != nil {
-			return nil, nil, nil, cerr
-		}
+	if corpus != nil {
 		eopts = append(eopts, engine.WithCorpus(corpus))
 	}
 	eng := engine.NewCustom(cfg, simclock.Wall(), eopts...)

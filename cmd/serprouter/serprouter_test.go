@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -16,10 +17,10 @@ import (
 
 // startShard boots one real shard node (the same construction cmd/serpd's
 // shard mode performs) on a loopback port.
-func startShard(t *testing.T, seed uint64, id, count int) *serpserver.Server {
+func startShard(t *testing.T, seed uint64, id, count int, opts ...router.ShardOption) *serpserver.Server {
 	t.Helper()
 	view := router.BuildShardIndex(seed, nil, id, count, 0)
-	sh := router.NewShardHandler(id, view)
+	sh := router.NewShardHandler(id, view, opts...)
 	srv, err := serpserver.Listen("127.0.0.1:0", sh)
 	if err != nil {
 		t.Fatal(err)
@@ -138,29 +139,70 @@ func TestBuildServerRequiresShards(t *testing.T) {
 	}
 }
 
-// TestShardCountMismatch documents the failure mode of a misconfigured
-// topology: a router pointed at a shard that believes it is part of a
-// different partition still serves (the shard answers honestly), but the
-// shard IDs must line up — a shard answering with the wrong ID is treated
-// as an error, degrading the page rather than corrupting the merge.
+// TestShardCountMismatch documents the failure modes of a misconfigured
+// topology: a shard that believes it is part of a different partition, or
+// that regenerated its world from another seed, still answers honestly,
+// but the router rejects the reply — on the shard ID or on the corpus
+// fingerprint. A mismatched world degrades the page and never contributes
+// a hit; with no other shard, /search sheds.
 func TestShardCountMismatch(t *testing.T) {
 	const seed = 7
-	// Shard claims ID 1, but the router will address it as shard 0.
-	wrong := startShard(t, seed, 1, 2)
-	srv, _, _, err := buildServer(options{
-		Addr:       "127.0.0.1:0",
-		Shards:     wrong.URL(),
-		Seed:       seed,
-		RateBurst:  1000,
-		RatePerMin: 100000,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name      string
+		shardSeed uint64
+		id, count int
+	}{
+		// The shard claims ID 1, but the router addresses it as shard 0.
+		{"wrong shard ID", seed, 1, 2},
+		// Shard 0 of 1, as the router expects, but of seed 8's corpus.
+		{"wrong seed", seed + 1, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wrong := startShard(t, tc.shardSeed, tc.id, tc.count)
+			srv, _, _, err := buildServer(options{
+				Addr:       "127.0.0.1:0",
+				Shards:     wrong.URL(),
+				Seed:       seed,
+				RateBurst:  1000,
+				RatePerMin: 100000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Start()
+			defer srv.Shutdown(context.Background())
+			resp, _ := get(t, srv.URL()+"/search?q=coffee&format=json", "t-"+strconv.Itoa(1))
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("misrouted-only cluster: status %d, want 503", resp.StatusCode)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("503 without Retry-After hint")
+			}
+		})
 	}
-	srv.Start()
-	defer srv.Shutdown(context.Background())
-	resp, _ := get(t, srv.URL()+"/search?q=coffee&format=json", "t-"+strconv.Itoa(1))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("misrouted-only cluster: status %d, want 503", resp.StatusCode)
+}
+
+// TestHealthzCorpus checks the corpus fingerprint shards publish on
+// /healthz: every node regenerated from one seed reports the same value
+// (replicas and other shards alike), and another seed reports another.
+func TestHealthzCorpus(t *testing.T) {
+	corpus := func(srv *serpserver.Server) string {
+		t.Helper()
+		_, body := get(t, srv.URL()+"/healthz", "")
+		var h struct{ Corpus string }
+		if err := json.Unmarshal([]byte(body), &h); err != nil || len(h.Corpus) != 16 {
+			t.Fatalf("healthz %s: corpus %q, error %v", body, h.Corpus, err)
+		}
+		return h.Corpus
+	}
+	r0 := corpus(startShard(t, 7, 0, 2))
+	r1 := corpus(startShard(t, 7, 0, 2, router.WithShardReplica(1)))
+	s1 := corpus(startShard(t, 7, 1, 2))
+	other := corpus(startShard(t, 8, 0, 2))
+	if r0 != r1 || r0 != s1 {
+		t.Fatalf("seed-7 nodes disagree on the corpus: replicas %s, %s; shard 1 %s", r0, r1, s1)
+	}
+	if other == r0 {
+		t.Fatalf("seeds 7 and 8 report the same corpus %s", r0)
 	}
 }

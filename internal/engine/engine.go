@@ -122,7 +122,6 @@ type Engine struct {
 	wall   simclock.Clock
 	epoch  time.Time
 	corpus *queries.Corpus
-	web    *webcorpus.Web
 	places *webcorpus.Places
 	news   *webcorpus.NewsWire
 	// retriever answers the web vertical: the local inverted index by

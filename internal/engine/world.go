@@ -77,9 +77,9 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 
 // WithRetriever substitutes the web-vertical retrieval backend — the
 // cluster router passes its scatter-gather client here, turning the
-// engine into the coordinator of a multi-node SERP cluster. The engine
-// then skips building its own inverted index (the shards hold the
-// postings); Places, News, and all personalization layers stay local.
+// engine into the coordinator of a multi-node SERP cluster. A coordinator
+// builds neither the static web nor its inverted index (the shards hold
+// the postings); Places, News, and all personalization layers stay local.
 func WithRetriever(r Retriever) Option {
 	return func(w *worldSpec) { w.retriever = r }
 }
@@ -104,7 +104,6 @@ func NewCustom(cfg Config, clock simclock.Clock, opts ...Option) *Engine {
 		regions[i] = ri.Region
 		regionPts[ri.Region.Slug] = ri.Centroid
 	}
-	web := webcorpus.NewWeb(cfg.Seed, spec.corpus, regions)
 
 	dcNames := make([]string, cfg.Datacenters)
 	for i := range dcNames {
@@ -118,6 +117,7 @@ func NewCustom(cfg Config, clock simclock.Clock, opts ...Option) *Engine {
 
 	retriever := spec.retriever
 	if retriever == nil {
+		web := webcorpus.NewWeb(cfg.Seed, spec.corpus, regions)
 		retriever = localRetriever{idx: index.BuildFromWeb(web)}
 	}
 
@@ -127,7 +127,6 @@ func NewCustom(cfg Config, clock simclock.Clock, opts ...Option) *Engine {
 		wall:      simclock.Wall(),
 		epoch:     clock.Now(),
 		corpus:    spec.corpus,
-		web:       web,
 		places:    webcorpus.NewPlacesCustom(cfg.Seed, spec.placeKinds),
 		news:      webcorpus.NewNewsWire(cfg.Seed, regions),
 		retriever: retriever,

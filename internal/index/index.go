@@ -67,6 +67,11 @@ type Hit struct {
 	Doc webcorpus.Doc
 	// Score is the TF-IDF relevance (higher is better).
 	Score float64
+	// ID is Doc's position in the index's document table — its doc ID, in
+	// DocsOf order for an index built by BuildFromWeb. A cluster shard
+	// sends (ID, Score) pairs; the router resolves IDs in its own copy of
+	// the table.
+	ID int32
 }
 
 // Index is an in-memory inverted index. Add all documents first, then call
@@ -109,9 +114,13 @@ func (ix *Index) Add(d webcorpus.Doc) {
 	if ix.frozen {
 		panic("index: Add after Freeze")
 	}
-	id := int32(len(ix.docs))
 	ix.docs = append(ix.docs, d)
+	ix.post(int32(len(ix.docs)-1), d)
+}
 
+// post indexes ix.docs[id] == d, the next document in ID order: its
+// postings and its norm.
+func (ix *Index) post(id int32, d webcorpus.Doc) {
 	weights := make(map[string]float64)
 	for _, t := range Tokenize(d.Title) {
 		weights[t] += titleWeight
@@ -154,6 +163,14 @@ func (ix *Index) Freeze() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.frozen = true
+}
+
+// Docs returns the document table in doc-ID order — the full corpus's,
+// in a shard view too. The slice must not be mutated.
+func (ix *Index) Docs() []webcorpus.Doc {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.docs
 }
 
 // Len returns the number of searchable documents: the partition size in a
@@ -237,7 +254,7 @@ func (ix *Index) Search(query string, k int) []Hit {
 	top := acc.ranked[:min(k, len(acc.ranked))]
 	hits := make([]Hit, len(top))
 	for i, sd := range top {
-		hits[i] = Hit{Doc: ix.docs[sd.id], Score: sd.score}
+		hits[i] = Hit{Doc: ix.docs[sd.id], Score: sd.score, ID: sd.id}
 	}
 	return hits
 }
@@ -397,12 +414,70 @@ func MergeHits(hits []Hit, k int) []Hit {
 	return hits
 }
 
-// BuildFromWeb constructs and freezes an index over every document in w.
+// DocsOf returns every document in w in doc-ID order: topics sorted, each
+// topic's documents in Web.Docs order. It is the one definition of that
+// order: BuildFromWeb indexes this table, and a cluster router resolves
+// shard replies' doc IDs through it.
+func DocsOf(w *webcorpus.Web) []webcorpus.Doc {
+	docs := make([]webcorpus.Doc, 0, w.Size())
+	for _, topic := range w.Topics() {
+		docs = append(docs, w.Docs(topic)...)
+	}
+	return docs
+}
+
+// BuildFromWeb constructs and freezes an index over DocsOf(w), which
+// becomes its document table.
 func BuildFromWeb(w *webcorpus.Web) *Index {
 	ix := New()
-	for _, topic := range w.Topics() {
-		ix.AddAll(w.Docs(topic))
+	ix.docs = DocsOf(w)
+	ix.docNorm = make([]float64, 0, len(ix.docs))
+	for id, d := range ix.docs {
+		ix.post(int32(id), d)
 	}
 	ix.Freeze()
 	return ix
+}
+
+// FNV-1a, 64-bit.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// Fingerprint hashes a document table: every field of every document, in
+// table order, with strings length-prefixed and Authority as its IEEE-754
+// bits (64-bit FNV-1a over little-endian integers). Nodes that generated
+// the same world from the same seed and corpus agree on it; a different
+// seed, corpus or document order changes it.
+func Fingerprint(docs []webcorpus.Doc) uint64 {
+	h := fnvU64(fnvOffset64, uint64(len(docs)))
+	for i := range docs {
+		d := &docs[i]
+		h = fnvString(h, d.URL)
+		h = fnvString(h, d.Title)
+		h = fnvString(h, d.Snippet)
+		h = fnvU64(h, uint64(d.Kind))
+		h = fnvString(h, d.Topic)
+		h = fnvU64(h, math.Float64bits(d.Authority))
+		h = fnvString(h, d.Region)
+	}
+	return h
+}
+
+// fnvU64 folds v's eight little-endian bytes into h.
+func fnvU64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v >> (8 * i) & 0xff)) * fnvPrime64
+	}
+	return h
+}
+
+// fnvString folds s's length, then its bytes, into h.
+func fnvString(h uint64, s string) uint64 {
+	h = fnvU64(h, uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"geoserp/internal/detrand"
@@ -66,9 +67,9 @@ func TestShardScoresMatchMonolith(t *testing.T) {
 				t.Fatalf("n=%d %q: merged %d hits, monolith %d", n, term, len(merged), len(want))
 			}
 			for i := range want {
-				if merged[i].Doc.URL != want[i].Doc.URL {
-					t.Fatalf("n=%d %q: rank %d is %s, monolith has %s",
-						n, term, i, merged[i].Doc.URL, want[i].Doc.URL)
+				if merged[i].Doc.URL != want[i].Doc.URL || merged[i].ID != want[i].ID {
+					t.Fatalf("n=%d %q: rank %d is %s (ID %d), monolith has %s (ID %d)",
+						n, term, i, merged[i].Doc.URL, merged[i].ID, want[i].Doc.URL, want[i].ID)
 				}
 				if math.Float64bits(merged[i].Score) != math.Float64bits(want[i].Score) {
 					t.Fatalf("n=%d %q: rank %d score %v differs from monolith %v (must be bit-identical)",
@@ -131,5 +132,48 @@ func BenchmarkIndexSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		searchSink = ix.Search(terms[i%len(terms)].Term, 48)
+	}
+}
+
+// TestDocTableAndFingerprint pins what the cluster wire relies on: hit IDs
+// index the DocsOf table, shard views share the full table, and the
+// fingerprint covers every field of every document.
+func TestDocTableAndFingerprint(t *testing.T) {
+	ix, w := buildStudyIndex(t)
+	docs := ix.Docs()
+	if !slices.Equal(docs, DocsOf(w)) {
+		t.Fatal("index table differs from DocsOf")
+	}
+	for _, h := range shardBy(ix, 3)[1].Search("Coffee", 48) {
+		if docs[h.ID] != h.Doc {
+			t.Fatalf("hit ID %d names %s, hit is %s", h.ID, docs[h.ID].URL, h.Doc.URL)
+		}
+	}
+	for i, s := range shardBy(ix, 3) {
+		if sd := s.Docs(); len(sd) != len(docs) || &sd[0] != &docs[0] {
+			t.Fatalf("shard %d does not share the full document table", i)
+		}
+	}
+
+	base := webcorpus.Doc{URL: "u", Title: "ab", Snippet: "c", Kind: 1, Topic: "t", Authority: 0.5, Region: "ohio"}
+	want := Fingerprint([]webcorpus.Doc{base})
+	for name, edit := range map[string]func(d *webcorpus.Doc){
+		"URL":       func(d *webcorpus.Doc) { d.URL = "v" },
+		"Title":     func(d *webcorpus.Doc) { d.Title = "ax" },
+		"Snippet":   func(d *webcorpus.Doc) { d.Snippet = "x" },
+		"Kind":      func(d *webcorpus.Doc) { d.Kind = 2 },
+		"Topic":     func(d *webcorpus.Doc) { d.Topic = "x" },
+		"Authority": func(d *webcorpus.Doc) { d.Authority = math.Nextafter(0.5, 1) },
+		"Region":    func(d *webcorpus.Doc) { d.Region = "" },
+		"boundary":  func(d *webcorpus.Doc) { d.Title, d.Snippet = "a", "bc" },
+	} {
+		d := base
+		edit(&d)
+		if Fingerprint([]webcorpus.Doc{d}) == want {
+			t.Errorf("changing %s leaves the fingerprint unchanged", name)
+		}
+	}
+	if Fingerprint([]webcorpus.Doc{base, base}) == want {
+		t.Error("a second document leaves the fingerprint unchanged")
 	}
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // BenchmarkRouterMerge measures the full scatter-gather retrieval: fan-out
-// to three in-process shards, HTTP round-trip and JSON decode per shard,
-// and the deterministic merge of the per-shard rankings. This is the
-// router's per-query overhead versus a monolithic in-process index lookup.
+// to three in-process shards, HTTP round-trip and reply frame decode per
+// shard (doc IDs resolved through the router's document table), and the
+// deterministic merge of the per-shard rankings. This is the router's
+// per-query overhead versus a monolithic in-process index lookup.
 func BenchmarkRouterMerge(b *testing.B) {
 	cl := NewLocalCluster(ClusterConfig{
 		Shards: 3,

@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,6 +15,7 @@ import (
 	"geoserp/internal/index"
 	"geoserp/internal/simclock"
 	"geoserp/internal/telemetry"
+	"geoserp/internal/webcorpus"
 )
 
 // Per-leg fan-out outcomes, as exposed through
@@ -64,8 +64,9 @@ type ClientConfig struct {
 	// ProbeInterval, when > 0, is the cadence of the background health
 	// prober started by StartProber: each tick probes GET /healthz on
 	// every replica whose breaker has been open past its cooldown, and a
-	// 200 re-closes the breaker — re-admitting a recovered replica even
-	// when no search traffic arrives to half-open probe it.
+	// 200 reporting the client's corpus fingerprint re-closes the breaker
+	// — re-admitting a recovered replica even when no search traffic
+	// arrives to half-open probe it.
 	ProbeInterval time.Duration
 	// Clock supplies the instants driving breaker cooldowns, hedge delays,
 	// and probe ticks — the campaign clock in virtual-time rigs, so
@@ -76,6 +77,12 @@ type ClientConfig struct {
 	// http.DefaultTransport; cluster tests and the soak rig install an
 	// in-process transport so no sockets are involved.
 	Transport http.RoundTripper
+	// Docs is the corpus document table in doc-ID order: index.DocsOf of
+	// the world the shards regenerate, or the Docs of an index built from
+	// it. Reply frames carry doc IDs, which the client resolves through
+	// this table, and a reply whose corpus fingerprint differs from the
+	// table's is rejected as misrouted. Required.
+	Docs []webcorpus.Doc
 }
 
 // SingleReplica wraps a flat shard URL list — one replica per shard — in
@@ -103,6 +110,7 @@ func SingleReplica(urls []string) [][]string {
 // at all does Retrieve return engine.ErrRetrievalUnavailable (503).
 type Client struct {
 	cfg      ClientConfig
+	corpus   uint64       // index.Fingerprint(cfg.Docs)
 	breakers [][]*breaker // [shard][replica]; nil entries when disabled
 
 	retrievals  *telemetry.Counter    // router_retrievals_total
@@ -128,6 +136,9 @@ func NewClient(cfg ClientConfig, reg *telemetry.Registry) *Client {
 			panic("router: shard " + strconv.Itoa(i) + " has no replica URLs")
 		}
 	}
+	if len(cfg.Docs) == 0 {
+		panic("router: client needs the corpus document table (ClientConfig.Docs)")
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Wall()
 	}
@@ -138,7 +149,8 @@ func NewClient(cfg ClientConfig, reg *telemetry.Registry) *Client {
 		reg = telemetry.NewRegistry()
 	}
 	c := &Client{
-		cfg: cfg,
+		cfg:    cfg,
+		corpus: index.Fingerprint(cfg.Docs),
 		retrievals: reg.Counter("router_retrievals_total",
 			"Scatter-gather retrievals issued by the router."),
 		partial: reg.Counter("router_partial_results_total",
@@ -338,8 +350,8 @@ func (c *Client) doRequest(ctx context.Context, shard, replica int, req engine.R
 
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		var sr ShardResponse
-		if derr := json.NewDecoder(resp.Body).Decode(&sr); derr != nil {
+		sr, derr := readFrame(resp.Body, c.cfg.Docs)
+		if derr != nil {
 			return attemptResult{outcome: outcomeError, detail: "decode: " + derr.Error()}
 		}
 		if sr.Shard != shard {
@@ -349,6 +361,12 @@ func (c *Client) doRequest(ctx context.Context, shard, replica int, req engine.R
 		}
 		if sr.Replica != replica {
 			return attemptResult{outcome: outcomeError, detail: "misrouted: got replica " + strconv.Itoa(sr.Replica)}
+		}
+		if sr.Corpus != c.corpus {
+			// Built from another seed or corpus: its doc IDs name other
+			// documents.
+			return attemptResult{outcome: outcomeError,
+				detail: "misrouted: corpus " + corpusHex(sr.Corpus) + ", want " + corpusHex(c.corpus)}
 		}
 		return attemptResult{outcome: outcomeOK, hits: sr.Hits}
 	case resp.StatusCode == http.StatusServiceUnavailable:

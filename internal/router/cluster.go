@@ -122,12 +122,7 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 	// coordinator engine generates, then carve per-shard views off it.
 	// (Real shard processes each rebuild the world from the seed instead —
 	// same corpus, no shared memory; see cmd/serpd's shard mode.)
-	regions := make([]webcorpus.Region, 0)
-	for _, ri := range engine.StudyRegions() {
-		regions = append(regions, ri.Region)
-	}
-	web := webcorpus.NewWeb(cfg.Engine.Seed, queries.StudyCorpus(), regions)
-	full := index.BuildFromWeb(web)
+	full := index.BuildFromWeb(studyWeb(cfg.Engine.Seed, nil))
 	ring := NewRing(cfg.Shards, cfg.VirtualNodes)
 	replicas := cfg.Replicas
 	if replicas <= 0 {
@@ -193,6 +188,8 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 		ProbeInterval:    cfg.ProbeInterval,
 		Clock:            cfg.Clock,
 		Transport:        &memTransport{hosts: hosts},
+		// The shard views share this table, so the router adds none.
+		Docs: full.Docs(),
 	}, reg)
 
 	eng := engine.NewCustom(cfg.Engine, cfg.Clock,
@@ -232,6 +229,23 @@ func BuildShardIndex(seed uint64, corpus *queries.Corpus, shardID, shardCount, v
 	if shardID < 0 || shardID >= shardCount {
 		panic("router: shard ID out of range")
 	}
+	full := index.BuildFromWeb(studyWeb(seed, corpus))
+	ring := NewRing(shardCount, virtualNodes)
+	return full.Shard(func(d webcorpus.Doc) bool { return ring.Owner(d.URL) == shardID })
+}
+
+// CorpusDocs rebuilds the deterministic corpus from seed and returns its
+// document table in doc-ID order — what a standalone router passes as
+// ClientConfig.Docs. seed and corpus (nil: the study corpus) must match
+// the shards' BuildShardIndex arguments; a mismatch shows up as a corpus
+// fingerprint the client rejects.
+func CorpusDocs(seed uint64, corpus *queries.Corpus) []webcorpus.Doc {
+	return index.DocsOf(studyWeb(seed, corpus))
+}
+
+// studyWeb generates the static web every cluster node shares: seed's
+// world over corpus (nil: the study corpus) and the study regions.
+func studyWeb(seed uint64, corpus *queries.Corpus) *webcorpus.Web {
 	if corpus == nil {
 		corpus = queries.StudyCorpus()
 	}
@@ -239,10 +253,7 @@ func BuildShardIndex(seed uint64, corpus *queries.Corpus, shardID, shardCount, v
 	for _, ri := range engine.StudyRegions() {
 		regions = append(regions, ri.Region)
 	}
-	web := webcorpus.NewWeb(seed, corpus, regions)
-	full := index.BuildFromWeb(web)
-	ring := NewRing(shardCount, virtualNodes)
-	return full.Shard(func(d webcorpus.Doc) bool { return ring.Owner(d.URL) == shardID })
+	return webcorpus.NewWeb(seed, corpus, regions)
 }
 
 // memTransport dispatches shard requests to in-process handlers by host

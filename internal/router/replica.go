@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -324,16 +325,16 @@ const probePhase = 500 * time.Millisecond
 // StartProber launches the background health loop when
 // cfg.ProbeInterval > 0: every interval (plus a fixed half-second phase)
 // it sweeps the replica breakers in (shard, replica) order and probes
-// GET /healthz on each one open past its cooldown; a 200 re-closes the
-// breaker, re-admitting the recovered replica even when no search traffic
-// arrives to half-open probe it. On a Manual campaign clock the loop uses
-// the Holder rehold protocol, so each sweep completes atomically at its
-// virtual instant before the campaign driver advances further — and it
-// parks *passively* (SleepHeldPassive): the prober wakes whenever the
-// campaign's own advancement crosses a tick, but its permanently
-// re-parked sleeper never hands the driver a deadline of its own, which
-// would let virtual time race ahead at wall speed whenever the campaign
-// workers are momentarily between sleeps.
+// GET /healthz on each one open past its cooldown; a 200 reporting the
+// client's corpus re-closes the breaker, re-admitting the recovered
+// replica even when no search traffic arrives to half-open probe it. On a
+// Manual campaign clock the loop uses the Holder rehold protocol, so each
+// sweep completes atomically at its virtual instant before the campaign
+// driver advances further — and it parks *passively* (SleepHeldPassive):
+// the prober wakes whenever the campaign's own advancement crosses a tick,
+// but its permanently re-parked sleeper never hands the driver a deadline
+// of its own, which would let virtual time race ahead at wall speed
+// whenever the campaign workers are momentarily between sleeps.
 //
 // The returned stop function is idempotent (a no-op one when probing is
 // disabled). Note a stopped prober parked on a Manual clock only observes
@@ -390,7 +391,10 @@ func (c *Client) probeLoop(stop <-chan struct{}) {
 
 // probeSweep probes every due replica, sequentially and in (shard,
 // replica) order on purpose: probe order — and therefore breaker
-// re-admission order — must not depend on goroutine scheduling.
+// re-admission order — must not depend on goroutine scheduling. A probe
+// passes only on a 200 whose body names the client's corpus: a live node
+// built from another seed or corpus would fail every leg it was
+// re-admitted to.
 func (c *Client) probeSweep() {
 	now := c.cfg.Clock.Now()
 	httpc := &http.Client{Transport: c.cfg.Transport, Timeout: c.cfg.Timeout}
@@ -400,7 +404,7 @@ func (c *Client) probeSweep() {
 				continue
 			}
 			resp, err := httpc.Get(c.cfg.Shards[i][r] + "/healthz")
-			healthy := err == nil && resp.StatusCode == http.StatusOK
+			healthy := err == nil && resp.StatusCode == http.StatusOK && c.ownCorpus(resp.Body)
 			if resp != nil {
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
@@ -415,4 +419,14 @@ func (c *Client) probeSweep() {
 			}
 		}
 	}
+}
+
+// ownCorpus reports whether a shard's /healthz body, read up to 1 KiB,
+// names the client's corpus fingerprint.
+func (c *Client) ownCorpus(health io.Reader) bool {
+	var h struct {
+		Corpus string `json:"corpus"`
+	}
+	err := json.NewDecoder(io.LimitReader(health, 1<<10)).Decode(&h)
+	return err == nil && h.Corpus == corpusHex(c.corpus)
 }

@@ -14,10 +14,13 @@ import (
 )
 
 // replicaDown fails replica r of every shard: retrieval 500s and — so the
-// background prober sees the node dark too — /healthz as well. The switch
-// is atomic so tests can heal the replica mid-run.
+// background prober sees the node dark too — /healthz as well. With alien
+// set, the replica instead stays up but answers both from alien, a node
+// of another world. The switch is atomic so tests can heal the replica
+// mid-run.
 type replicaDown struct {
 	replica int
+	alien   http.Handler
 	down    atomic.Bool
 }
 
@@ -27,6 +30,10 @@ func (f *replicaDown) middleware(shard, replica int, next http.Handler) http.Han
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if f.down.Load() && (r.URL.Path == SearchPath || r.URL.Path == "/healthz") {
+			if f.alien != nil {
+				f.alien.ServeHTTP(w, r)
+				return
+			}
 			http.Error(w, "injected replica outage", http.StatusInternalServerError)
 			return
 		}
@@ -257,11 +264,26 @@ func TestHedgedRequestsDeterministic(t *testing.T) {
 
 // TestProberReadmitsRecoveredReplica: a replica that dies, trips its
 // breaker, and then heals is re-admitted by the background /healthz
-// prober alone — no search traffic spends a half-open probe on it.
+// prober alone — no search traffic spends a half-open probe on it. A
+// replica serving another world (seed 8 behind a seed-7 router) answers
+// /healthz with 200, but the prober keeps it out until it serves this
+// world's corpus again.
 func TestProberReadmitsRecoveredReplica(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		alien http.Handler
+	}{
+		{"dark", nil},
+		{"other seed", NewShardHandler(0, BuildShardIndex(8, nil, 0, 1, 0))},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testProberReadmits(t, tc.alien) })
+	}
+}
+
+func testProberReadmits(t *testing.T, alien http.Handler) {
 	const interval = time.Minute
 	clock := simclock.NewManual(epoch)
-	fault := &replicaDown{replica: 0}
+	fault := &replicaDown{replica: 0, alien: alien}
 	fault.down.Store(true)
 	cl := NewLocalCluster(ClusterConfig{
 		Shards:           1,
@@ -311,14 +333,14 @@ func TestProberReadmitsRecoveredReplica(t *testing.T) {
 		}
 	}
 
-	// While the replica is still dark the probe fails and the breaker
-	// stays open.
+	// While the replica is still dark (or foreign) the probe fails and
+	// the breaker stays open.
 	awaitSweep()
 	if cl.Client.probes.Values()[outcomeError] == 0 {
-		t.Fatalf("probes = %v, want a failed probe against the dark replica", cl.Client.probes.Values())
+		t.Fatalf("probes = %v, want a failed probe against the faulted replica", cl.Client.probes.Values())
 	}
 	if s := cl.Client.BreakerStates()[0][0]; s != "open" {
-		t.Fatalf("replica 0 breaker = %q after probing a dark replica, want open", s)
+		t.Fatalf("replica 0 breaker = %q after probing the faulted replica, want open", s)
 	}
 
 	// Heal it; the next sweep re-closes the breaker with no search

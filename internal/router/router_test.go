@@ -317,15 +317,24 @@ func TestShardHandlerSurface(t *testing.T) {
 	cl := NewLocalCluster(ClusterConfig{Shards: 2, Engine: testConfig(7), Clock: clock})
 	sh := cl.ShardHandlers[0][0]
 
-	// A normal search returns JSON hits from this shard only.
-	r := httptest.NewRequest(http.MethodGet, SearchPath+"?q=pizza&k=5", nil)
+	// A normal search returns one frame of at most k hits, stamped with
+	// this node's shard, replica and corpus fingerprint.
+	r := httptest.NewRequest(http.MethodGet, SearchPath+"?q=coffee&k=5", nil)
 	w := httptest.NewRecorder()
 	sh.ServeHTTP(w, r)
 	if w.Code != http.StatusOK {
 		t.Fatalf("shard search: status %d: %s", w.Code, w.Body.String())
 	}
-	if !strings.Contains(w.Body.String(), "\"shard\":0") {
-		t.Fatalf("shard response missing shard id: %s", w.Body.String())
+	sr, err := decodeFrame(w.Body.Bytes(), cl.Client.cfg.Docs)
+	if err != nil {
+		t.Fatalf("shard reply does not decode: %v", err)
+	}
+	if sr.Shard != 0 || sr.Replica != 0 || sr.Corpus != cl.Client.corpus {
+		t.Fatalf("shard reply header = shard %d replica %d corpus %s, want 0, 0, %s",
+			sr.Shard, sr.Replica, corpusHex(sr.Corpus), corpusHex(cl.Client.corpus))
+	}
+	if len(sr.Hits) == 0 || len(sr.Hits) > 5 {
+		t.Fatalf("shard reply carries %d hits, want 1..5", len(sr.Hits))
 	}
 
 	// An already-expired propagated deadline is refused as a shed.

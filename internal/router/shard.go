@@ -26,21 +26,25 @@ const defaultShardK = 48
 // client asked for.
 const maxShardK = 512
 
-// ShardResponse is the wire format of one shard's answer. Scores are
-// float64s serialized by encoding/json, which emits the shortest decimal
-// that round-trips — so the router decodes bit-identical scores and the
-// merged ranking equals the monolith's exactly.
+// ShardResponse is one shard's answer as the router decodes it from the
+// reply frame (see frame.go for the wire layout). Scores cross the wire as
+// their exact bits, so the merged ranking equals the monolith's exactly.
 type ShardResponse struct {
 	// Shard echoes the answering shard's ID (mismatch = misrouted query).
-	Shard int `json:"shard"`
+	Shard int
 	// Replica echoes the answering node's replica ID within the shard's
 	// ReplicaSet (mismatch = misrouted query). Every replica serves the
 	// identical document slice, so this is a topology check, not a data
 	// property.
-	Replica int `json:"replica"`
+	Replica int
+	// Corpus is the fingerprint of the shard's document table
+	// (index.Fingerprint); it must equal the router's (mismatch = the
+	// shard was built from another seed or corpus).
+	Corpus uint64
 	// Hits is the shard's top-k, already in merge order (score descending,
-	// URL ascending).
-	Hits []index.Hit `json:"hits"`
+	// URL ascending), with each Doc resolved from its ID through the
+	// router's document table.
+	Hits []index.Hit
 }
 
 // ShardNodeName is the canonical node name for replica r of shard s, used
@@ -64,6 +68,7 @@ type ShardHandler struct {
 	id      int
 	replica int
 	idx     *index.Index
+	corpus  uint64 // index.Fingerprint(idx.Docs()), sent on every reply
 	mux     *http.ServeMux
 	tel     *telemetry.Registry
 	spans   *telemetry.SpanRecorder
@@ -104,7 +109,7 @@ func WithShardClock(c simclock.Clock) ShardOption {
 }
 
 // WithShardReplica sets this node's replica ID within its shard's
-// ReplicaSet (default 0). It is echoed in every ShardResponse and
+// ReplicaSet (default 0). It is echoed in every reply frame and
 // /healthz body and names the node's span lane (see ShardNodeName); the
 // served documents are identical across replicas by construction.
 func WithShardReplica(r int) ShardOption {
@@ -112,9 +117,11 @@ func WithShardReplica(r int) ShardOption {
 }
 
 // NewShardHandler builds a shard node serving the given (already frozen)
-// shard index view as shard id.
+// shard index view as shard id. It fingerprints the view's document table
+// once, here, for every reply frame and /healthz.
 func NewShardHandler(id int, idx *index.Index, opts ...ShardOption) *ShardHandler {
-	h := &ShardHandler{id: id, idx: idx, mux: http.NewServeMux(), wall: simclock.Wall()}
+	h := &ShardHandler{id: id, idx: idx, corpus: index.Fingerprint(idx.Docs()),
+		mux: http.NewServeMux(), wall: simclock.Wall()}
 	for _, o := range opts {
 		o(h)
 	}
@@ -229,11 +236,13 @@ func (h *ShardHandler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	h.hits.Add(uint64(len(res)))
 	sp.SetAttr("hits", strconv.Itoa(len(res)))
 
-	w.Header().Set("Content-Type", "application/json")
+	frame := appendFrame(make([]byte, 0, frameHeaderLen+frameHitLen*len(res)),
+		h.id, h.replica, h.corpus, res)
+	w.Header().Set("Content-Type", "application/octet-stream")
 	if trace := r.Header.Get(httpheader.TraceID); trace != "" {
 		w.Header().Set(httpheader.TraceID, trace)
 	}
-	if err := json.NewEncoder(w).Encode(ShardResponse{Shard: h.id, Replica: h.replica, Hits: res}); err != nil {
+	if _, err := w.Write(frame); err != nil {
 		// The client went away mid-write; nothing useful to do.
 		h.errors.With("write").Inc()
 	}
@@ -246,5 +255,6 @@ func (h *ShardHandler) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"shard":   h.id,
 		"replica": h.replica,
 		"docs":    h.idx.Len(),
+		"corpus":  corpusHex(h.corpus),
 	})
 }
