@@ -103,8 +103,9 @@ bench-json:
 # intentional perf change, regenerate the baseline with `make bench-json`
 # and commit the diff. 1000x keeps one-time setup well amortized (at 100x
 # the RunParallel benchmarks over-report allocs/op). At 1000x the root
-# package's Figure benchmarks alone take ~10 minutes on a 2-vCPU host, go
-# test's default per-package timeout, so both targets pass -timeout 30m.
+# package alone takes ~8.5-10 minutes on a 2-vCPU host (BenchmarkScorecardFigures
+# ~6.5-8 of them), go test's default per-package timeout, so both targets
+# pass -timeout 30m.
 CHECK_BENCHTIME ?= 1000x
 bench-check:
 	go test -bench=. -benchmem -benchtime=$(CHECK_BENCHTIME) -run='^$$' -timeout 30m ./... 2>&1 | tee bench_check_output.txt

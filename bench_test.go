@@ -73,15 +73,22 @@ func BenchmarkTable1Corpus(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure2Noise regenerates Figure 2: noise by granularity and
-// query type from treatment/control pairs.
-func BenchmarkFigure2Noise(b *testing.B) {
-	d := fixture(b)
+// BenchmarkScorecardFigures regenerates Figures 2, 5, 6, 7 and 8 and the
+// scorecard from the raw observations. All five are reads of the stream
+// NewDataset replays the campaign through, so the replay is timed with
+// them.
+func BenchmarkScorecardFigures(b *testing.B) {
+	fixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells := d.NoiseByGranularity()
-		if len(cells) != 9 {
-			b.Fatalf("cells = %d", len(cells))
+		d, err := analysis.NewDataset(fixtureObs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(d.NoiseByGranularity()) != 9 || len(d.PersonalizationByGranularity()) != 9 ||
+			len(d.PersonalizationPerTerm("local")) == 0 || len(d.PersonalizationByResultType()) == 0 ||
+			len(d.ConsistencyOverTime("local")) != 3 || len(d.Scorecard()) == 0 {
+			b.Fatal("incomplete scorecard figures")
 		}
 	}
 }
@@ -106,54 +113,6 @@ func BenchmarkFigure4NoiseTypes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if attr := d.NoiseByResultType("local", "county"); len(attr) == 0 {
 			b.Fatal("no attribution")
-		}
-	}
-}
-
-// BenchmarkFigure5Personalization regenerates Figure 5: all-pairs
-// cross-location personalization with noise floors.
-func BenchmarkFigure5Personalization(b *testing.B) {
-	d := fixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cells := d.PersonalizationByGranularity(); len(cells) != 9 {
-			b.Fatalf("cells = %d", len(cells))
-		}
-	}
-}
-
-// BenchmarkFigure6PersonalizationPerTerm regenerates Figure 6: per-term
-// personalization of local queries.
-func BenchmarkFigure6PersonalizationPerTerm(b *testing.B) {
-	d := fixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if terms := d.PersonalizationPerTerm("local"); len(terms) == 0 {
-			b.Fatal("no terms")
-		}
-	}
-}
-
-// BenchmarkFigure7TypeBreakdown regenerates Figure 7: the Maps/News/Other
-// decomposition of personalization.
-func BenchmarkFigure7TypeBreakdown(b *testing.B) {
-	d := fixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cells := d.PersonalizationByResultType(); len(cells) == 0 {
-			b.Fatal("no cells")
-		}
-	}
-}
-
-// BenchmarkFigure8Consistency regenerates Figure 8: the day-by-day
-// baseline-vs-locations series per granularity.
-func BenchmarkFigure8Consistency(b *testing.B) {
-	d := fixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if series := d.ConsistencyOverTime("local"); len(series) != 3 {
-			b.Fatalf("series = %d", len(series))
 		}
 	}
 }

@@ -51,7 +51,7 @@ type options struct {
 }
 
 // runRepro reproduces the paper, writing every artifact to w.
-func runRepro(opts options, w io.Writer) error {
+func runRepro(opts options, w io.Writer) (err error) {
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -77,7 +77,11 @@ func runRepro(opts options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer study.Close()
+	defer func() {
+		if cerr := study.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	if opts.TraceOut != "" {
 		// Written on every exit path — a -figure or -experiment run still
 		// leaves a (smaller) timeline behind.

@@ -28,8 +28,7 @@
 // the node additionally identifies as replica R of shard K — replicas
 // serve byte-identical slices, so a router can spread load and fail over
 // between them without changing any page. -virtual-nodes tunes the hash
-// ring's virtual-node count (its deprecated spelling -ring-replicas is
-// kept as an alias; "replicas" now means physical copies of a shard).
+// ring's virtual-node count.
 // The chaos, admission, and tracez flags apply to the shard endpoint
 // unchanged; engine flags (-datacenters, -rate-burst, ...) are ignored in
 // shard mode.
@@ -86,7 +85,6 @@ func main() {
 	flag.IntVar(&opts.ShardID, "shard-id", 0, "this node's shard ID (0-based, requires -shard-count)")
 	flag.IntVar(&opts.ShardReplica, "shard-replica", 0, "this node's replica ID within its shard's replica set (0-based; replicas serve identical slices)")
 	flag.IntVar(&opts.VirtualNodes, "virtual-nodes", 0, "consistent-hash virtual nodes per shard (0 selects the default; all cluster nodes must agree)")
-	flag.IntVar(&opts.VirtualNodes, "ring-replicas", 0, "deprecated alias for -virtual-nodes (\"replicas\" now means physical copies of a shard)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	verbose := flag.Bool("verbose", false, "log every request")
 	wideEvents := flag.Bool("wide-events", false, "emit one wide-event request log line per /search")

@@ -14,12 +14,13 @@
 //	    [-verbose] [-log-format text|json] [-pprof-addr 127.0.0.1:6060]
 //
 // Every node of one cluster — router and shards — must share -seed and
-// -corpus (and -ring-replicas, when overridden): the shards regenerate the
-// identical deterministic corpus from them, and the router regenerates the
-// same document table to resolve the doc IDs in shard replies. Agreement
-// is checked: every reply carries the shard's corpus fingerprint, and a
-// shard of another world fails its legs. Shards reply in one binary frame
-// with no version negotiation, so router and shards upgrade together.
+// -corpus (and the shards -virtual-nodes, when overridden): the shards
+// regenerate the identical deterministic corpus from them, and the router
+// regenerates the same document table to resolve the doc IDs in shard
+// replies. Agreement is checked: every reply carries the shard's corpus
+// fingerprint, and a shard of another world fails its legs. Shards reply
+// in one binary frame with no version negotiation, so router and shards
+// upgrade together.
 //
 // Degradation is graded: with -replicas R > 1 each shard leg fails over
 // deterministically across its replica set (and optionally hedges

@@ -10,8 +10,8 @@
 //   - no fetch fails terminally: retries, Retry-After backoff, and breaker
 //     cooldowns recover every fault inside its lock-step round;
 //   - the live /statz audit surface, polled from a wall-clock goroutine
-//     for the whole campaign, always parses and its streaming scorecard
-//     exactly matches the batch pipeline's verdicts at campaign end.
+//     for the whole campaign, always parses and its live scorecard
+//     exactly matches a replay of the stored observations at campaign end.
 //
 // Usage:
 //

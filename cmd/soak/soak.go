@@ -210,8 +210,8 @@ type soakSummary struct {
 	// invariants demand it was exercised and never served garbage.
 	StatzPolls      uint64
 	StatzPollErrors uint64
-	// ParityViolation is non-empty when the streaming scorecard diverged
-	// from the batch pipeline's verdicts on the same observations.
+	// ParityViolation is non-empty when the live scorecard diverged from
+	// the replay of the same observations (analysis.NewDataset).
 	ParityViolation string
 
 	// Cluster-mode tallies (zero in monolith soaks).
@@ -522,9 +522,9 @@ func runSoak(opts soakOptions) (*soakSummary, error) {
 	if err != nil {
 		return nil, fmt.Errorf("soak: statz snapshot: %w", err)
 	}
-	// Streaming/batch parity: the scorecard aggregated sweep-by-sweep
-	// while the campaign ran must equal the batch pipeline's verdicts on
-	// the final observations exactly.
+	// Live/replay parity: the scorecard aggregated sweep-by-sweep in crawl
+	// order while the campaign ran must equal the replay of the final
+	// observations exactly.
 	if ds, derr := analysis.NewDataset(obs); derr != nil {
 		sum.ParityViolation = fmt.Sprintf("batch dataset: %v", derr)
 	} else if batch, live := ds.Scorecard(), stream.Scorecard(); !reflect.DeepEqual(batch, live) {

@@ -6,8 +6,12 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"time"
 
 	"geoserp/internal/serp"
 	"geoserp/internal/storage"
@@ -29,11 +33,16 @@ type pair struct {
 	category  string
 }
 
-// Dataset indexes a crawl's observations for analysis.
+// Dataset indexes a crawl's observations for analysis. The scorecard
+// figures (2, 5, 6, 7 and 8) and the scorecard are reads of a Stream that
+// NewDataset feeds with the crawl's sweeps; the pair index serves the
+// analyses that need every page (Figures 3 and 4, clusters, content,
+// scopes, validation, reordering).
 type Dataset struct {
-	pairs map[obsKey]*pair
-	// granularities, categories, terms, days, locations enumerate the
-	// distinct values present, sorted.
+	pairs  map[obsKey]*pair
+	stream *Stream
+	// granularities, categories, days enumerate the distinct values
+	// present, sorted.
 	granularities []string
 	categories    []string
 	days          []int
@@ -41,34 +50,27 @@ type Dataset struct {
 	termsByCategory map[string][]string
 	// locationsByGranularity maps granularity → sorted location IDs.
 	locationsByGranularity map[string][]string
-	// failed counts observations excluded because their fetch failed.
-	failed int
 }
 
-// NewDataset indexes observations. Both roles must be present for a slot
-// to participate in noise estimation; treatment-only slots still join the
+// NewDataset indexes observations and replays them, sweep by sweep,
+// through a Stream. Both roles must be present for a slot to participate
+// in noise estimation; treatment-only slots still join the
 // personalization comparisons. Failed observations (fail-soft crawls
 // record them instead of aborting) carry no page and are skipped; Failed()
 // reports how many were dropped.
 func NewDataset(obs []storage.Observation) (*Dataset, error) {
 	d := &Dataset{
 		pairs:                  make(map[obsKey]*pair, len(obs)/2),
+		stream:                 NewStream(),
 		termsByCategory:        make(map[string][]string),
 		locationsByGranularity: make(map[string][]string),
 	}
-	gSet := map[string]bool{}
-	cSet := map[string]bool{}
-	dSet := map[int]bool{}
-	termSet := map[string]map[string]bool{}
-	locSet := map[string]map[string]bool{}
-
 	for i := range obs {
 		o := &obs[i]
 		if err := o.Validate(); err != nil {
 			return nil, fmt.Errorf("analysis: observation %d: %w", i, err)
 		}
 		if o.Failed {
-			d.failed++
 			continue
 		}
 		k := obsKey{o.Granularity, o.Term, o.Day, o.LocationID}
@@ -89,35 +91,57 @@ func NewDataset(obs []storage.Observation) (*Dataset, error) {
 			}
 			p.control = o.Page
 		}
-		gSet[o.Granularity] = true
-		cSet[o.Category] = true
-		dSet[o.Day] = true
-		if termSet[o.Category] == nil {
-			termSet[o.Category] = map[string]bool{}
+	}
+	for _, sweep := range sweepsOf(obs) {
+		if err := d.stream.IngestSweep(time.Time{}, sweep); err != nil {
+			return nil, err
 		}
-		termSet[o.Category][o.Term] = true
-		if locSet[o.Granularity] == nil {
-			locSet[o.Granularity] = map[string]bool{}
-		}
-		locSet[o.Granularity][o.LocationID] = true
 	}
 
-	d.granularities = sortedKeys(gSet)
-	d.categories = sortedKeys(cSet)
-	for day := range dSet {
-		d.days = append(d.days, day)
-	}
-	sort.Ints(d.days)
-	for cat, ts := range termSet {
+	s := d.stream
+	d.granularities = sortedKeys(s.granularities)
+	d.categories = sortedKeys(s.categories)
+	d.days = s.sortedDays()
+	for cat, ts := range s.terms {
 		d.termsByCategory[cat] = sortedKeys(ts)
 	}
-	for g, ls := range locSet {
+	for g, ls := range s.locs {
 		d.locationsByGranularity[g] = sortedKeys(ls)
 	}
 	return d, nil
 }
 
-func sortedKeys(m map[string]bool) []string {
+// sweepsOf groups observations into lock-step sweeps, one per (category,
+// granularity, term, day) with its failed observations kept in it, sorted
+// by that key. It is the one order a Dataset replays a campaign in: every
+// figure cell then receives its samples term by term and day by day.
+func sweepsOf(obs []storage.Observation) [][]storage.Observation {
+	type key struct {
+		category, granularity, term string
+		day                         int
+	}
+	groups := map[key][]storage.Observation{}
+	for _, o := range obs {
+		k := key{o.Category, o.Granularity, o.Term, o.Day}
+		groups[k] = append(groups[k], o)
+	}
+	keys := make([]key, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(strings.Compare(a.category, b.category), strings.Compare(a.granularity, b.granularity),
+			strings.Compare(a.term, b.term), cmp.Compare(a.day, b.day))
+	})
+	out := make([][]storage.Observation, len(keys))
+	for i, k := range keys {
+		out[i] = groups[k]
+	}
+	return out
+}
+
+// sortedKeys returns a string-keyed map's keys, sorted.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -147,7 +171,7 @@ func (d *Dataset) Locations(granularity string) []string {
 func (d *Dataset) Pairs() int { return len(d.pairs) }
 
 // Failed returns the number of failed observations dropped at indexing.
-func (d *Dataset) Failed() int { return d.failed }
+func (d *Dataset) Failed() int { return d.stream.Failed() }
 
 // lookup returns the slot for a key, if present.
 func (d *Dataset) lookup(g, term string, day int, loc string) (*pair, bool) {

@@ -28,9 +28,7 @@ func (d *Dataset) orderedGranularities() []string {
 
 // orderWith arranges the (sorted, duplicate-free) labels in `have` by the
 // figure order `order`, appending labels the order does not mention in
-// their original (alphabetical) position. Both Dataset and Stream iterate
-// their cells through it, so batch and streaming output line up row for
-// row.
+// their original (alphabetical) position.
 func orderWith(order, have []string) []string {
 	var out []string
 	seen := map[string]bool{}
@@ -52,7 +50,8 @@ func orderWith(order, have []string) []string {
 
 // NoiseCell is one bar of Figure 2: the average treatment-vs-control
 // difference for one (granularity, category) cell, with the standard
-// deviations shown as error bars.
+// deviations shown as error bars. The summaries are one-pass (Welford), so
+// their Median is the mean; no figure reads it.
 type NoiseCell struct {
 	Granularity string
 	Category    string
@@ -63,36 +62,12 @@ type NoiseCell struct {
 // NoiseByGranularity reproduces Figure 2: average noise levels across
 // query types and granularities, measured by comparing each treatment to
 // its simultaneous control.
-func (d *Dataset) NoiseByGranularity() []NoiseCell {
-	var out []NoiseCell
-	for _, g := range d.orderedGranularities() {
-		for _, cat := range d.orderedCategories() {
-			var js, es []float64
-			d.eachSlot(g, cat, func(_ string, _ int, _ string, p *pair) {
-				if p.treatment == nil || p.control == nil {
-					return
-				}
-				cmp := metrics.ComparePages(p.treatment, p.control)
-				js = append(js, cmp.Jaccard)
-				es = append(es, float64(cmp.EditDistance))
-			})
-			if len(js) == 0 {
-				continue
-			}
-			out = append(out, NoiseCell{
-				Granularity: g,
-				Category:    cat,
-				Jaccard:     stats.Summarize(js),
-				Edit:        stats.Summarize(es),
-			})
-		}
-	}
-	return out
-}
+func (d *Dataset) NoiseByGranularity() []NoiseCell { return d.stream.NoiseByGranularity() }
 
 // PersonalizationCell is one bar of Figure 5: the all-pairs cross-location
 // difference for a (granularity, category) cell, with the matching noise
-// floor drawn as the black bar.
+// floor drawn as the black bar. As in NoiseCell, the summaries' Median is
+// the mean.
 type PersonalizationCell struct {
 	Granularity  string
 	Category     string
@@ -106,31 +81,7 @@ type PersonalizationCell struct {
 // day, all unordered pairs of locations' treatment pages are compared; the
 // noise floors from Figure 2 are attached for reference.
 func (d *Dataset) PersonalizationByGranularity() []PersonalizationCell {
-	noise := map[[2]string]NoiseCell{}
-	for _, n := range d.NoiseByGranularity() {
-		noise[[2]string{n.Granularity, n.Category}] = n
-	}
-	var out []PersonalizationCell
-	for _, g := range d.orderedGranularities() {
-		for _, cat := range d.orderedCategories() {
-			js, es := d.pairwiseByTerm(g, cat, nil)
-			if len(js) == 0 {
-				continue
-			}
-			cell := PersonalizationCell{
-				Granularity: g,
-				Category:    cat,
-				Jaccard:     stats.Summarize(js),
-				Edit:        stats.Summarize(es),
-			}
-			if n, ok := noise[[2]string{g, cat}]; ok {
-				cell.NoiseJaccard = n.Jaccard.Mean
-				cell.NoiseEdit = n.Edit.Mean
-			}
-			out = append(out, cell)
-		}
-	}
-	return out
+	return d.stream.PersonalizationByGranularity()
 }
 
 // pairwiseByTerm collects Jaccard and edit-distance samples over all
@@ -211,25 +162,7 @@ func (d *Dataset) NoisePerTerm(category string) []TermSeries {
 // PersonalizationPerTerm reproduces Figure 6: per-term cross-location
 // personalization at each granularity, sorted by the national values.
 func (d *Dataset) PersonalizationPerTerm(category string) []TermSeries {
-	var out []TermSeries
-	for _, term := range d.termsByCategory[category] {
-		term := term
-		ts := TermSeries{
-			Term:                 term,
-			EditByGranularity:    map[string]float64{},
-			JaccardByGranularity: map[string]float64{},
-		}
-		for _, g := range d.orderedGranularities() {
-			js, es := d.pairwiseByTerm(g, category, func(t string) bool { return t == term })
-			if len(es) > 0 {
-				ts.EditByGranularity[g] = stats.Mean(es)
-				ts.JaccardByGranularity[g] = stats.Mean(js)
-			}
-		}
-		out = append(out, ts)
-	}
-	sortTermSeries(out, "national")
-	return out
+	return d.stream.PersonalizationPerTerm(category)
 }
 
 func sortTermSeries(ts []TermSeries, by string) {
@@ -318,44 +251,7 @@ func (b BreakdownCell) NewsShare() float64 {
 // PersonalizationByResultType reproduces Figure 7: the cross-location edit
 // distance decomposed by card type for every category × granularity.
 func (d *Dataset) PersonalizationByResultType() []BreakdownCell {
-	var out []BreakdownCell
-	for _, cat := range d.orderedCategories() {
-		for _, g := range d.orderedGranularities() {
-			var all, maps, news, other []float64
-			locs := d.locationsByGranularity[g]
-			for _, term := range d.termsByCategory[cat] {
-				for _, day := range d.days {
-					var pages []*serp.Page
-					for _, loc := range locs {
-						if p, ok := d.lookup(g, term, day, loc); ok && p.treatment != nil {
-							pages = append(pages, p.treatment)
-						}
-					}
-					for i := 0; i < len(pages); i++ {
-						for j := i + 1; j < len(pages); j++ {
-							bd := metrics.BreakdownPages(pages[i], pages[j])
-							all = append(all, float64(bd.All))
-							maps = append(maps, float64(bd.Maps))
-							news = append(news, float64(bd.News))
-							other = append(other, float64(bd.Other))
-						}
-					}
-				}
-			}
-			if len(all) == 0 {
-				continue
-			}
-			out = append(out, BreakdownCell{
-				Category:    cat,
-				Granularity: g,
-				All:         stats.Mean(all),
-				Maps:        stats.Mean(maps),
-				News:        stats.Mean(news),
-				Other:       stats.Mean(other),
-			})
-		}
-	}
-	return out
+	return d.stream.PersonalizationByResultType()
 }
 
 // ConsistencySeries is one panel of Figure 8: for one granularity, the
@@ -376,48 +272,8 @@ type ConsistencySeries struct {
 }
 
 // ConsistencyOverTime reproduces Figure 8 for the given category (the
-// paper plots local queries). The first location (by ID) at each
-// granularity serves as the baseline.
+// paper plots local queries). The first location (by ID) with any
+// successful observation at each granularity serves as the baseline.
 func (d *Dataset) ConsistencyOverTime(category string) []ConsistencySeries {
-	var out []ConsistencySeries
-	for _, g := range d.orderedGranularities() {
-		locs := d.locationsByGranularity[g]
-		if len(locs) < 2 {
-			continue
-		}
-		baseline := locs[0]
-		series := ConsistencySeries{
-			Granularity: g,
-			Baseline:    baseline,
-			Days:        append([]int{}, d.days...),
-			PerLocation: map[string][]float64{},
-		}
-		for _, day := range d.days {
-			var noise []float64
-			perLoc := map[string][]float64{}
-			for _, term := range d.termsByCategory[category] {
-				base, ok := d.lookup(g, term, day, baseline)
-				if !ok || base.treatment == nil {
-					continue
-				}
-				if base.control != nil {
-					noise = append(noise, float64(metrics.ComparePages(base.treatment, base.control).EditDistance))
-				}
-				for _, loc := range locs[1:] {
-					p, ok := d.lookup(g, term, day, loc)
-					if !ok || p.treatment == nil {
-						continue
-					}
-					perLoc[loc] = append(perLoc[loc],
-						float64(metrics.ComparePages(base.treatment, p.treatment).EditDistance))
-				}
-			}
-			series.NoiseFloor = append(series.NoiseFloor, stats.Mean(noise))
-			for _, loc := range locs[1:] {
-				series.PerLocation[loc] = append(series.PerLocation[loc], stats.Mean(perLoc[loc]))
-			}
-		}
-		out = append(out, series)
-	}
-	return out
+	return d.stream.ConsistencyOverTime(category)
 }

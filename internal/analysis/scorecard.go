@@ -13,42 +13,29 @@ type Check struct {
 	Detail string `json:"detail"`
 }
 
-// ScorecardSource is the figure surface the scorecard reads: the five
-// reproductions whose means decide the paper's headline claims. Both the
-// batch *Dataset and the streaming *Stream implement it, which is what
-// makes the streaming/batch parity invariant checkable — the same
-// ScorecardFrom body runs over either.
-type ScorecardSource interface {
-	NoiseByGranularity() []NoiseCell
-	PersonalizationByGranularity() []PersonalizationCell
-	PersonalizationPerTerm(category string) []TermSeries
-	PersonalizationByResultType() []BreakdownCell
-	ConsistencyOverTime(category string) []ConsistencySeries
-}
-
 // Scorecard evaluates the paper's headline findings against the dataset
 // and returns one Check per claim. It is the programmatic counterpart of
 // EXPERIMENTS.md: run any crawl — full, scaled, reseeded, or against a
 // live engine — through it to see which of the paper's findings hold.
-func (d *Dataset) Scorecard() []Check { return ScorecardFrom(d) }
+func (d *Dataset) Scorecard() []Check { return d.stream.Scorecard() }
 
-// ScorecardFrom evaluates the paper's headline findings against any
-// scorecard source — the batch dataset or a streaming aggregator mid- or
-// post-campaign. Every claim reads only edit-distance means, which both
-// sources compute exactly (integer sums), so verdicts and details agree
-// to the byte between them.
-func ScorecardFrom(src ScorecardSource) []Check {
+// Scorecard evaluates the paper's headline findings against the running
+// aggregates, mid- or post-campaign. Every claim reads only edit-distance
+// means, which the stream keeps as exact integer sums, so a live campaign
+// and a replay of its observations give the same verdicts and details to
+// the byte.
+func (s *Stream) Scorecard() []Check {
 	var out []Check
 	add := func(claim string, pass bool, format string, args ...any) {
 		out = append(out, Check{Claim: claim, Pass: pass, Detail: fmt.Sprintf(format, args...)})
 	}
 
 	noise := map[[2]string]NoiseCell{}
-	for _, c := range src.NoiseByGranularity() {
+	for _, c := range s.NoiseByGranularity() {
 		noise[[2]string{c.Granularity, c.Category}] = c
 	}
 	pers := map[[2]string]PersonalizationCell{}
-	for _, c := range src.PersonalizationByGranularity() {
+	for _, c := range s.PersonalizationByGranularity() {
 		pers[[2]string{c.Granularity, c.Category}] = c
 	}
 	has := func(g, c string) bool {
@@ -106,7 +93,7 @@ func ScorecardFrom(src ScorecardSource) []Check {
 	// Claim 5 (Figs 3/6): brand local terms are quieter and less
 	// personalized than generic ones — approximated here by comparing the
 	// extremes of the sorted per-term series.
-	if terms := src.PersonalizationPerTerm("local"); len(terms) >= 4 {
+	if terms := s.PersonalizationPerTerm("local"); len(terms) >= 4 {
 		lo := terms[0].EditByGranularity["national"]
 		hi := terms[len(terms)-1].EditByGranularity["national"]
 		add("per-term local personalization varies widely (Fig 6)",
@@ -116,7 +103,7 @@ func ScorecardFrom(src ScorecardSource) []Check {
 
 	// Claim 6 (Fig 7): Maps explain only a minority of local
 	// personalization; most changes hit typical results.
-	for _, c := range src.PersonalizationByResultType() {
+	for _, c := range s.PersonalizationByResultType() {
 		if c.Category == "local" && c.Granularity == "state" {
 			add("Maps are a minority share of local personalization (Fig 7, paper: 18-27%)",
 				c.MapsShare() > 0.05 && c.MapsShare() < 0.5 && c.Other > c.Maps,
@@ -130,13 +117,13 @@ func ScorecardFrom(src ScorecardSource) []Check {
 	}
 
 	// Claim 7 (Fig 8): personalization is stable over time.
-	for _, s := range src.ConsistencyOverTime("local") {
-		if len(s.Days) < 2 {
+	for _, series := range s.ConsistencyOverTime("local") {
+		if len(series.Days) < 2 {
 			continue
 		}
 		stable := true
 		var worstSpread float64
-		for _, line := range s.PerLocation {
+		for _, line := range series.PerLocation {
 			lo, hi := line[0], line[0]
 			for _, v := range line {
 				if v < lo {
@@ -153,7 +140,7 @@ func ScorecardFrom(src ScorecardSource) []Check {
 				stable = false
 			}
 		}
-		add(fmt.Sprintf("personalization stable across days at %s scale (Fig 8)", s.Granularity),
+		add(fmt.Sprintf("personalization stable across days at %s scale (Fig 8)", series.Granularity),
 			stable,
 			"worst per-location day spread %.2f", worstSpread)
 	}

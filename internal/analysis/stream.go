@@ -12,26 +12,32 @@ import (
 	"geoserp/internal/telemetry"
 )
 
-// Stream is the one-pass, bounded-memory counterpart of Dataset: it folds
-// completed lock-step sweeps into per-scope running aggregates as a
-// campaign executes, instead of indexing every observation and comparing
-// all pairs at the end. Memory is O(scopes), not O(observations) — the
-// shape million-user continuous audits need (ROADMAP item 5).
+// Stream folds completed lock-step sweeps into per-scope running
+// aggregates, and it is the one implementation of the scorecard figures
+// (2, 5, 6, 7 and 8): the crawler feeds it live as a campaign executes,
+// and NewDataset replays a stored campaign through it. It never holds a
+// page past the sweep that carried it.
 //
-// Parity with the batch path is exact where it matters: every scorecard
-// claim reads only edit-distance means, and edit distances are small
-// integers, so the stream keeps integer sums whose float64 means are
-// bit-identical to the batch stats.Mean/stats.Summarize results. Jaccard
-// statistics are folded through Welford accumulators (stats.Accumulator)
-// and agree with the batch means only to floating-point accumulation
-// order; they are display statistics, not scorecard inputs.
+// Every scorecard claim reads only edit-distance means, and edit distances
+// are small integers, so the stream keeps integer sums whose float64 means
+// do not depend on ingestion order: a live campaign and a replay of its
+// observations agree exactly. Jaccard statistics and standard deviations
+// are folded through Welford accumulators (stats.Accumulator); they are
+// display statistics, not scorecard inputs.
 //
-// One documented divergence: the Figure 8 consistency baseline. The batch
-// dataset picks the lexicographically first location that succeeded at
-// least once over the whole campaign; the stream must commit before the
-// campaign ends, so it picks the lexicographically first location of the
-// granularity's configured vantage set at its first sweep. The two differ
-// only when that location fails every single sweep of the campaign.
+// Figure 8 has one rule. Ingestion folds, per (granularity, category,
+// day), each location's treatment-vs-control edit sum and each location
+// pair's treatment edit sum; ConsistencyOverTime picks the baseline when it
+// is called — the first location, in sorted order, with any successful
+// observation — and reads that location's sums. Every sum is independent
+// of ingestion order, so the rule holds even when vantages fail.
+//
+// Memory is bounded by the campaign's grid, not by its observations: the
+// largest state is the Figure 8 pair sums, granularities × categories ×
+// days × vantage pairs (about 8.5k counters for the study: 3 granularities
+// × 3 categories × 5 days × 567 pairs of its 15/22/22 vantages); the
+// per-term cells add granularities × categories × terms, and drift
+// tracking at most one event per sweep.
 //
 // Stream is not internally synchronized: IngestSweep and the read methods
 // must be externally serialized (the statz handler wraps it in a mutex;
@@ -42,9 +48,8 @@ type Stream struct {
 	spans          *telemetry.SpanRecorder
 	inst           *streamInstruments
 
-	// Seen-value sets mirror NewDataset's: only successful observations
-	// register, so the skip-failed rule carries over to the streamed
-	// enumerations.
+	// Seen-value sets: only successful observations register. They are
+	// the enumerations a Dataset reports.
 	granularities map[string]bool
 	categories    map[string]bool
 	days          map[int]bool
@@ -61,11 +66,11 @@ type Stream struct {
 	pers      map[scopeKey]*editAgg
 	persTerm  map[streamTermKey]*editAgg
 	breakdown map[scopeKey]*breakdownAgg
-	consNoise map[streamDayKey]*intAgg
-	consLoc   map[streamLocDayKey]*intAgg
-	// baseline fixes each granularity's Figure 8 reference location at
-	// that granularity's first sweep.
-	baseline map[string]string
+	// consNoise and consPair are the Figure 8 sums: per location, its
+	// treatment-vs-control edit distance; per location pair (sorted), the
+	// edit distance between their treatments.
+	consNoise map[streamLocDayKey]*intAgg
+	consPair  map[streamPairDayKey]*intAgg
 
 	anchor map[scopeKey]float64
 	drift  []DriftEvent
@@ -83,17 +88,18 @@ type streamTermKey struct {
 	term        string
 }
 
-type streamDayKey struct {
-	granularity string
-	category    string
-	day         int
-}
-
 type streamLocDayKey struct {
 	granularity string
 	category    string
 	day         int
 	location    string
+}
+
+type streamPairDayKey struct {
+	granularity string
+	category    string
+	day         int
+	a, b        string
 }
 
 // editAgg folds one scope's pairwise comparisons: an exact integer
@@ -126,8 +132,7 @@ func (a *editAgg) add(cmp metrics.Comparison) {
 }
 
 // mean is the exact edit-distance mean: a float64 quotient of an integer
-// sum, bit-identical to the batch path's sequential float sum of the same
-// integer-valued samples.
+// sum, so it does not depend on the order the samples arrived in.
 func (a *editAgg) mean() float64 {
 	if a == nil || a.n == 0 {
 		return 0
@@ -233,9 +238,8 @@ func NewStream(opts ...StreamOption) *Stream {
 		pers:          map[scopeKey]*editAgg{},
 		persTerm:      map[streamTermKey]*editAgg{},
 		breakdown:     map[scopeKey]*breakdownAgg{},
-		consNoise:     map[streamDayKey]*intAgg{},
-		consLoc:       map[streamLocDayKey]*intAgg{},
-		baseline:      map[string]string{},
+		consNoise:     map[streamLocDayKey]*intAgg{},
+		consPair:      map[streamPairDayKey]*intAgg{},
 		anchor:        map[scopeKey]float64{},
 		drift:         []DriftEvent{},
 	}
@@ -290,7 +294,6 @@ func (s *Stream) IngestSweep(at time.Time, obs []storage.Observation) error {
 		control   *serp.Page
 	}
 	slots := map[string]*slot{}
-	locSet := map[string]bool{}
 	for i := range obs {
 		o := &obs[i]
 		if err := o.Validate(); err != nil {
@@ -300,7 +303,6 @@ func (s *Stream) IngestSweep(at time.Time, obs []storage.Observation) error {
 			return fmt.Errorf("analysis: stream: sweep mixes (%s %s %q day %d) with (%s %s %q day %d)",
 				g, cat, term, day, o.Granularity, o.Category, o.Term, o.Day)
 		}
-		locSet[o.LocationID] = true
 		if o.Failed {
 			s.failed++
 			if o.Shed {
@@ -341,31 +343,17 @@ func (s *Stream) IngestSweep(at time.Time, obs []storage.Observation) error {
 	sweep := s.sweeps
 	s.sweeps++
 
-	// Commit the consistency baseline at the granularity's first sweep:
-	// the lexicographically first configured vantage (failed observations
-	// still name their location, so the full set is visible here).
-	if _, ok := s.baseline[g]; !ok {
-		s.baseline[g] = sortedKeys(locSet)[0]
-	}
-	bl := s.baseline[g]
-
 	sk := scopeKey{g, cat}
-	locs := sortedKeys(locSet)
 	var withTreatment []string
-	for _, loc := range locs {
+	for _, loc := range sortedKeys(slots) {
 		sl := slots[loc]
-		if sl == nil {
-			continue
-		}
 		if sl.treatment != nil {
 			withTreatment = append(withTreatment, loc)
 		}
 		if sl.treatment != nil && sl.control != nil {
 			cmp := metrics.ComparePages(sl.treatment, sl.control)
 			getOrNew(s.noise, sk).add(cmp)
-			if loc == bl {
-				getOrNew(s.consNoise, streamDayKey{g, cat, day}).add(cmp.EditDistance)
-			}
+			getOrNew(s.consNoise, streamLocDayKey{g, cat, day, loc}).add(cmp.EditDistance)
 		}
 	}
 	tk := streamTermKey{g, cat, term}
@@ -382,10 +370,8 @@ func (s *Stream) IngestSweep(at time.Time, obs []storage.Observation) error {
 			b.maps += uint64(bd.Maps)
 			b.news += uint64(bd.News)
 			b.other += uint64(bd.Other)
+			getOrNew(s.consPair, streamPairDayKey{g, cat, day, withTreatment[i], withTreatment[j]}).add(cmp.EditDistance)
 			s.pairs++
-			if withTreatment[i] == bl {
-				getOrNew(s.consLoc, streamLocDayKey{g, cat, day, withTreatment[j]}).add(cmp.EditDistance)
-			}
 		}
 	}
 
@@ -478,6 +464,15 @@ func (s *Stream) Drift() []DriftEvent {
 	return append([]DriftEvent{}, s.drift...)
 }
 
+func (s *Stream) sortedDays() []int {
+	days := make([]int, 0, len(s.days))
+	for d := range s.days {
+		days = append(days, d)
+	}
+	sort.Ints(days)
+	return days
+}
+
 func (s *Stream) orderedGranularities() []string {
 	return orderWith(GranularityOrder, sortedKeys(s.granularities))
 }
@@ -486,9 +481,9 @@ func (s *Stream) orderedCategories() []string {
 	return orderWith(CategoryOrder, sortedKeys(s.categories))
 }
 
-// NoiseByGranularity is the streaming Figure 2: one cell per (granularity,
-// category) with at least one treatment/control pair. Edit means are exact;
-// Jaccard statistics are Welford approximations.
+// NoiseByGranularity is Figure 2: one cell per (granularity, category)
+// with at least one treatment/control pair. Edit means are exact; Jaccard
+// statistics and standard deviations are Welford running values.
 func (s *Stream) NoiseByGranularity() []NoiseCell {
 	var out []NoiseCell
 	for _, g := range s.orderedGranularities() {
@@ -508,8 +503,8 @@ func (s *Stream) NoiseByGranularity() []NoiseCell {
 	return out
 }
 
-// PersonalizationByGranularity is the streaming Figure 5, with the noise
-// floors attached exactly as the batch path attaches them.
+// PersonalizationByGranularity is Figure 5, with each cell's Figure 2
+// noise floor attached.
 func (s *Stream) PersonalizationByGranularity() []PersonalizationCell {
 	var out []PersonalizationCell
 	for _, g := range s.orderedGranularities() {
@@ -535,8 +530,8 @@ func (s *Stream) PersonalizationByGranularity() []PersonalizationCell {
 	return out
 }
 
-// PersonalizationPerTerm is the streaming Figure 6, sorted by the
-// national-granularity values like the batch path.
+// PersonalizationPerTerm is Figure 6, sorted by the national-granularity
+// values as the paper sorts its x-axis.
 func (s *Stream) PersonalizationPerTerm(category string) []TermSeries {
 	var out []TermSeries
 	for _, term := range sortedKeys(s.terms[category]) {
@@ -557,8 +552,8 @@ func (s *Stream) PersonalizationPerTerm(category string) []TermSeries {
 	return out
 }
 
-// PersonalizationByResultType is the streaming Figure 7; the card-type
-// means are exact integer-sum means.
+// PersonalizationByResultType is Figure 7; the card-type means are exact
+// integer-sum means.
 func (s *Stream) PersonalizationByResultType() []BreakdownCell {
 	var out []BreakdownCell
 	for _, cat := range s.orderedCategories() {
@@ -581,45 +576,35 @@ func (s *Stream) PersonalizationByResultType() []BreakdownCell {
 	return out
 }
 
-// ConsistencyOverTime is the streaming Figure 8. The per-day sums were
-// accumulated against the stream's committed baseline (see the type
-// comment); the emitted Baseline is the batch-compatible first observed
-// location, which coincides with it whenever the committed baseline
-// succeeded at least once.
+// ConsistencyOverTime is Figure 8. Each granularity's baseline is picked
+// here, at read time: the first location, in sorted order, with any
+// successful observation (see the type comment).
 func (s *Stream) ConsistencyOverTime(category string) []ConsistencySeries {
-	days := make([]int, 0, len(s.days))
-	for d := range s.days {
-		days = append(days, d)
-	}
-	sort.Ints(days)
+	days := s.sortedDays()
 	var out []ConsistencySeries
 	for _, g := range s.orderedGranularities() {
 		locs := sortedKeys(s.locs[g])
 		if len(locs) < 2 {
 			continue
 		}
+		baseline := locs[0]
 		series := ConsistencySeries{
 			Granularity: g,
-			Baseline:    locs[0],
+			Baseline:    baseline,
 			Days:        append([]int{}, days...),
 			PerLocation: map[string][]float64{},
 		}
 		for _, day := range days {
-			series.NoiseFloor = append(series.NoiseFloor, s.consNoise[streamDayKey{g, category, day}].mean())
+			series.NoiseFloor = append(series.NoiseFloor, s.consNoise[streamLocDayKey{g, category, day, baseline}].mean())
 			for _, loc := range locs[1:] {
 				series.PerLocation[loc] = append(series.PerLocation[loc],
-					s.consLoc[streamLocDayKey{g, category, day, loc}].mean())
+					s.consPair[streamPairDayKey{g, category, day, baseline, loc}].mean())
 			}
 		}
 		out = append(out, series)
 	}
 	return out
 }
-
-// Scorecard evaluates the paper's claims against the running aggregates.
-// At campaign end it equals the batch Dataset.Scorecard exactly (the
-// streaming/batch parity invariant, test-enforced).
-func (s *Stream) Scorecard() []Check { return ScorecardFrom(s) }
 
 // ScopeSummary is one row of the live scorecard's scope table: the
 // running aggregates for a (granularity, category) cell.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,29 +19,39 @@ func sweepAt(i int) time.Time {
 	return time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Hour)
 }
 
-// ingestAll groups a batch-shaped observation list into lock-step sweeps
-// — one (granularity, term, day) at a time, in deterministic order — and
-// feeds them to the stream, mimicking how the crawler's sink sees a
-// campaign.
-func ingestAll(t *testing.T, s *Stream, data []storage.Observation) {
-	t.Helper()
+// arrivalSweeps groups a campaign's observations into lock-step sweeps —
+// one (granularity, term, day) each — in the order the campaign first
+// reached them, which is how the crawler's sink sees it. It deliberately
+// differs from the replay order of NewDataset, so comparing a stream fed
+// this way against a Dataset checks live order against the replay.
+func arrivalSweeps(data []storage.Observation) [][]storage.Observation {
 	type key struct {
 		g    string
 		term string
 		day  int
 	}
-	var order []key
-	sweeps := map[key][]storage.Observation{}
+	index := map[key]int{}
+	var sweeps [][]storage.Observation
 	for _, o := range data {
 		k := key{o.Granularity, o.Term, o.Day}
-		if _, ok := sweeps[k]; !ok {
-			order = append(order, k)
+		i, ok := index[k]
+		if !ok {
+			i = len(sweeps)
+			index[k] = i
+			sweeps = append(sweeps, nil)
 		}
-		sweeps[k] = append(sweeps[k], o)
+		sweeps[i] = append(sweeps[i], o)
 	}
-	for i, k := range order {
-		if err := s.IngestSweep(sweepAt(i), sweeps[k]); err != nil {
-			t.Fatalf("IngestSweep %v: %v", k, err)
+	return sweeps
+}
+
+// ingestAll feeds a campaign to the stream sweep by sweep, in arrival
+// order.
+func ingestAll(t *testing.T, s *Stream, data []storage.Observation) {
+	t.Helper()
+	for i, sweep := range arrivalSweeps(data) {
+		if err := s.IngestSweep(sweepAt(i), sweep); err != nil {
+			t.Fatalf("IngestSweep %d: %v", i, err)
 		}
 	}
 }
@@ -48,9 +59,9 @@ func ingestAll(t *testing.T, s *Stream, data []storage.Observation) {
 // campaignFixture synthesizes a deterministic multi-granularity,
 // multi-category, multi-day campaign with enough structure to exercise
 // every figure: varying pages per (term, location, day), maps cards on
-// local terms, and a sprinkling of failed observations when withFailures
-// is set. No randomness — page contents are index arithmetic.
-func campaignFixture(withFailures bool) []storage.Observation {
+// local terms, and, when failEvery > 0, every failEvery-th observation
+// failed. No randomness — page contents are index arithmetic.
+func campaignFixture(failEvery int) []storage.Observation {
 	pool := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
 	var out []storage.Observation
 	cats := []struct {
@@ -88,7 +99,7 @@ func campaignFixture(withFailures bool) []storage.Observation {
 						for _, role := range []storage.Role{storage.Treatment, storage.Control} {
 							o := obs(term, cat.name, g.name, loc, role, day, pg)
 							idx++
-							if withFailures && idx%13 == 0 {
+							if failEvery > 0 && idx%failEvery == 0 {
 								o.Page = nil
 								o.Failed = true
 								o.Err = "browser: fetch: synthetic fault"
@@ -103,77 +114,49 @@ func campaignFixture(withFailures bool) []storage.Observation {
 	return out
 }
 
-// assertStreamBatchParity checks the tentpole invariant: the streaming
-// scorecard — and every exact edit-distance mean feeding it — equals the
-// batch pipeline's output on the same observations.
-func assertStreamBatchParity(t *testing.T, d *Dataset, s *Stream) {
-	t.Helper()
-	batch, live := d.Scorecard(), s.Scorecard()
-	if !reflect.DeepEqual(batch, live) {
-		t.Fatalf("scorecard parity broken:\nbatch: %+v\nstream: %+v", batch, live)
+// exactFigures prints every exact value of the scorecard figures and the
+// scorecard, leaving out the Welford display statistics (Jaccard, standard
+// deviations), whose last bits depend on ingestion order.
+func exactFigures(s *Stream) string {
+	var b strings.Builder
+	for _, c := range s.NoiseByGranularity() {
+		fmt.Fprintf(&b, "noise %s/%s n=%d edit=%v\n", c.Granularity, c.Category, c.Edit.N, c.Edit.Mean)
 	}
-	if len(batch) == 0 {
+	for _, c := range s.PersonalizationByGranularity() {
+		fmt.Fprintf(&b, "pers %s/%s n=%d edit=%v floor=%v\n", c.Granularity, c.Category, c.Edit.N, c.Edit.Mean, c.NoiseEdit)
+	}
+	for _, cat := range []string{"local", "controversial"} {
+		for _, ts := range s.PersonalizationPerTerm(cat) {
+			fmt.Fprintf(&b, "term %s %s %v\n", cat, ts.Term, ts.EditByGranularity)
+		}
+		fmt.Fprintf(&b, "consistency %s %+v\n", cat, s.ConsistencyOverTime(cat))
+	}
+	fmt.Fprintf(&b, "breakdown %+v\nscorecard %+v\n", s.PersonalizationByResultType(), s.Scorecard())
+	return b.String()
+}
+
+// assertLiveMatchesReplay checks the one-implementation invariant: a
+// stream fed in live arrival order gives exactly the figures and scorecard
+// of the Dataset's replay of the same observations.
+func assertLiveMatchesReplay(t *testing.T, d *Dataset, s *Stream) {
+	t.Helper()
+	if len(d.Scorecard()) == 0 {
 		t.Fatal("scorecard is empty — the fixture exercised no claims")
 	}
-
-	bn, sn := d.NoiseByGranularity(), s.NoiseByGranularity()
-	if len(bn) != len(sn) {
-		t.Fatalf("noise cells: batch %d vs stream %d", len(bn), len(sn))
-	}
-	for i := range bn {
-		if bn[i].Granularity != sn[i].Granularity || bn[i].Category != sn[i].Category {
-			t.Fatalf("noise cell %d: batch (%s,%s) vs stream (%s,%s)",
-				i, bn[i].Granularity, bn[i].Category, sn[i].Granularity, sn[i].Category)
-		}
-		if bn[i].Edit.Mean != sn[i].Edit.Mean {
-			t.Fatalf("noise %s/%s edit mean: batch %v vs stream %v (must be bit-identical)",
-				bn[i].Granularity, bn[i].Category, bn[i].Edit.Mean, sn[i].Edit.Mean)
-		}
-	}
-	bp, sp := d.PersonalizationByGranularity(), s.PersonalizationByGranularity()
-	if len(bp) != len(sp) {
-		t.Fatalf("personalization cells: batch %d vs stream %d", len(bp), len(sp))
-	}
-	for i := range bp {
-		if bp[i].Edit.Mean != sp[i].Edit.Mean || bp[i].NoiseEdit != sp[i].NoiseEdit {
-			t.Fatalf("personalization %s/%s: batch mean %v floor %v vs stream mean %v floor %v",
-				bp[i].Granularity, bp[i].Category,
-				bp[i].Edit.Mean, bp[i].NoiseEdit, sp[i].Edit.Mean, sp[i].NoiseEdit)
-		}
-	}
-	for _, cat := range []string{"local", "controversial"} {
-		bt, st := d.PersonalizationPerTerm(cat), s.PersonalizationPerTerm(cat)
-		if len(bt) != len(st) {
-			t.Fatalf("per-term %s: batch %d vs stream %d", cat, len(bt), len(st))
-		}
-		for i := range bt {
-			if bt[i].Term != st[i].Term || !reflect.DeepEqual(bt[i].EditByGranularity, st[i].EditByGranularity) {
-				t.Fatalf("per-term %s[%d]: batch %q %v vs stream %q %v",
-					cat, i, bt[i].Term, bt[i].EditByGranularity, st[i].Term, st[i].EditByGranularity)
-			}
-		}
-	}
-	bb, sb := d.PersonalizationByResultType(), s.PersonalizationByResultType()
-	if !reflect.DeepEqual(bb, sb) {
-		t.Fatalf("result-type breakdown: batch %+v vs stream %+v", bb, sb)
-	}
-	for _, cat := range []string{"local", "controversial"} {
-		bc, sc := d.ConsistencyOverTime(cat), s.ConsistencyOverTime(cat)
-		if !reflect.DeepEqual(bc, sc) {
-			t.Fatalf("consistency %s: batch %+v vs stream %+v", cat, bc, sc)
-		}
+	if replay, live := exactFigures(d.stream), exactFigures(s); replay != live {
+		t.Fatalf("live order differs from the replay:\nreplay:\n%s\nlive:\n%s", replay, live)
 	}
 }
 
 func TestStreamMatchesBatchOnCampaignFixture(t *testing.T) {
-	data := campaignFixture(false)
+	data := campaignFixture(0)
 	d, err := NewDataset(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewStream()
 	ingestAll(t, s, data)
-	assertStreamBatchParity(t, d, s)
+	assertLiveMatchesReplay(t, d, s)
 	if s.Failed() != 0 || s.Shed() != 0 {
 		t.Fatalf("failed/shed = %d/%d, want 0/0", s.Failed(), s.Shed())
 	}
@@ -183,44 +166,31 @@ func TestStreamMatchesBatchOnCampaignFixture(t *testing.T) {
 }
 
 func TestStreamMatchesBatchWithFailedObservations(t *testing.T) {
-	data := campaignFixture(true)
-	d, err := NewDataset(data)
-	if err != nil {
-		t.Fatal(err)
+	for _, every := range []int{3, 5, 7, 11, 13} {
+		data := campaignFixture(every)
+		d, err := NewDataset(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewStream()
+		ingestAll(t, s, data)
+		if s.Failed() == 0 {
+			t.Fatalf("every %d: fixture injected no failures — the skip-failed rule went untested", every)
+		}
+		if s.Failed() != d.Failed() {
+			t.Fatalf("every %d: failed: live %d vs replay %d", every, s.Failed(), d.Failed())
+		}
+		assertLiveMatchesReplay(t, d, s)
 	}
-	s := NewStream()
-	ingestAll(t, s, data)
-	if s.Failed() == 0 {
-		t.Fatal("fixture injected no failures — the skip-failed rule went untested")
-	}
-	if s.Failed() != d.Failed() {
-		t.Fatalf("failed: stream %d vs batch %d", s.Failed(), d.Failed())
-	}
-	assertStreamBatchParity(t, d, s)
 }
 
 func TestStreamOrderInsensitiveWithinSweep(t *testing.T) {
-	data := campaignFixture(false)
+	data := campaignFixture(0)
 	a, b := NewStream(), NewStream()
 	ingestAll(t, a, data)
 	// Same sweeps, observations reversed within each — models
 	// fetch-arrival nondeterminism inside a lock-step round.
-	type key struct {
-		g    string
-		term string
-		day  int
-	}
-	var order []key
-	sweeps := map[key][]storage.Observation{}
-	for _, o := range data {
-		k := key{o.Granularity, o.Term, o.Day}
-		if _, ok := sweeps[k]; !ok {
-			order = append(order, k)
-		}
-		sweeps[k] = append(sweeps[k], o)
-	}
-	for i, k := range order {
-		sw := sweeps[k]
+	for i, sw := range arrivalSweeps(data) {
 		rev := make([]storage.Observation, len(sw))
 		for j := range sw {
 			rev[len(sw)-1-j] = sw[j]
@@ -237,7 +207,7 @@ func TestStreamOrderInsensitiveWithinSweep(t *testing.T) {
 }
 
 func TestStreamSnapshotByteDeterminism(t *testing.T) {
-	data := campaignFixture(true)
+	data := campaignFixture(13)
 	a, b := NewStream(WithDriftThreshold(0.5)), NewStream(WithDriftThreshold(0.5))
 	ingestAll(t, a, data)
 	ingestAll(t, b, data)
@@ -367,36 +337,14 @@ func (fakeClock) After(time.Duration) <-chan time.Time {
 	return ch
 }
 
-// TestStreamScorecardSourceCoverage pins the interface: both pipelines
-// must keep satisfying ScorecardSource, or the parity invariant silently
-// loses its meaning.
-var (
-	_ ScorecardSource = (*Dataset)(nil)
-	_ ScorecardSource = (*Stream)(nil)
-)
-
 func TestStreamIncrementalScorecardIsWellFormed(t *testing.T) {
 	// Mid-campaign snapshots must be valid (fewer claims, never garbage):
 	// ingest the fixture sweep by sweep and scorecard after each.
-	data := campaignFixture(false)
+	data := campaignFixture(0)
 	s := NewStream()
-	type key struct {
-		g    string
-		term string
-		day  int
-	}
-	var order []key
-	sweeps := map[key][]storage.Observation{}
-	for _, o := range data {
-		k := key{o.Granularity, o.Term, o.Day}
-		if _, ok := sweeps[k]; !ok {
-			order = append(order, k)
-		}
-		sweeps[k] = append(sweeps[k], o)
-	}
 	prevClaims := 0
-	for i, k := range order {
-		if err := s.IngestSweep(sweepAt(i), sweeps[k]); err != nil {
+	for i, sweep := range arrivalSweeps(data) {
+		if err := s.IngestSweep(sweepAt(i), sweep); err != nil {
 			t.Fatal(err)
 		}
 		checks := s.Scorecard()
@@ -419,7 +367,7 @@ func TestStreamIncrementalScorecardIsWellFormed(t *testing.T) {
 func TestStreamMetricsCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := NewStream(WithStreamTelemetry(reg))
-	data := campaignFixture(true)
+	data := campaignFixture(13)
 	ingestAll(t, s, data)
 	if got := reg.Counter("stream_sweeps_ingested_total", "").Value(); got != uint64(s.Sweeps()) {
 		t.Fatalf("sweep counter = %d, want %d", got, s.Sweeps())
@@ -435,53 +383,105 @@ func TestStreamMetricsCounters(t *testing.T) {
 	}
 }
 
-func TestStreamBaselineDivergenceDocumentedCase(t *testing.T) {
-	// The one documented streaming/batch divergence: the consistency
-	// baseline location fails every sweep of the campaign. The stream
-	// committed to it up front (it is configured), the batch path skips
-	// it (it never succeeded). Everything else still agrees.
+// TestStreamStateBoundedByGrid pins the stated memory bound: state is keyed
+// by the grid (here 3 granularities × 2 categories × 2 days × 3 vantages, and
+// as many pairs), so ingesting the same sweeps again adds no state.
+func TestStreamStateBoundedByGrid(t *testing.T) {
+	data := campaignFixture(0)
+	s := NewStream()
+	ingestAll(t, s, data)
+	if len(s.consNoise) != 36 || len(s.consPair) != 36 {
+		t.Fatalf("Figure 8 sums: %d per-location, %d per-pair, want 36 each", len(s.consNoise), len(s.consPair))
+	}
+	size := func() int {
+		return len(s.noise) + len(s.pers) + len(s.persTerm) + len(s.breakdown) + len(s.consNoise) + len(s.consPair)
+	}
+	before := size()
+	ingestAll(t, s, data)
+	if after := size(); after != before {
+		t.Fatalf("state grew from %d to %d entries on a second pass over the same grid", before, after)
+	}
+}
+
+// TestFigure8BaselineRule pins Figure 8's one rule: the baseline is the
+// first location, in sorted order, with any successful observation, and
+// its sums do not depend on the order sweeps arrive in. A stream fed
+// forward, one fed in reverse, and the Dataset's replay must agree exactly.
+func TestFigure8BaselineRule(t *testing.T) {
 	mk := func(loc string, role storage.Role, day int, fail bool, links ...string) storage.Observation {
 		o := obs("Coffee", "local", "county", loc, role, day, page(links...))
 		if fail {
 			o.Page = nil
 			o.Failed = true
-			o.Err = "browser: fetch: down all campaign"
+			o.Err = "browser: fetch: vantage down"
 		}
 		return o
 	}
-	var data []storage.Observation
-	for day := 0; day < 2; day++ {
-		data = append(data,
-			mk("c/1", storage.Treatment, day, true),
-			mk("c/1", storage.Control, day, true),
-			mk("c/2", storage.Treatment, day, false, "a", "b"),
-			mk("c/2", storage.Control, day, false, "a", "b"),
-			mk("c/3", storage.Treatment, day, false, "a", "c"),
-			mk("c/3", storage.Control, day, false, "a", "c"),
-		)
+	campaign := func(deadOn func(day int) bool) []storage.Observation {
+		var data []storage.Observation
+		for day := 0; day < 2; day++ {
+			data = append(data,
+				mk("c/1", storage.Treatment, day, deadOn(day), "a", "b"),
+				mk("c/1", storage.Control, day, deadOn(day), "a", "b"),
+				mk("c/2", storage.Treatment, day, false, "a", "b"),
+				mk("c/2", storage.Control, day, false, "a", "x"),
+				mk("c/3", storage.Treatment, day, false, "c", "d"),
+				mk("c/3", storage.Control, day, false, "c", "d"),
+			)
+		}
+		return data
 	}
-	d, err := NewDataset(data)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		dead     func(day int) bool
+		baseline string
+		noise    []float64
+		lines    map[string][]float64
+	}{
+		{
+			// c/1 never succeeds: c/2 is the baseline, with its own noise floor.
+			name:     "baseline dead all campaign",
+			dead:     func(int) bool { return true },
+			baseline: "c/2",
+			noise:    []float64{1, 1},
+			lines:    map[string][]float64{"c/3": {2, 2}},
+		},
+		{
+			// c/1 succeeds on day 1, so it stays the baseline; day 0 is empty.
+			name:     "baseline dead on day 0",
+			dead:     func(day int) bool { return day == 0 },
+			baseline: "c/1",
+			noise:    []float64{0, 0},
+			lines:    map[string][]float64{"c/2": {0, 0}, "c/3": {0, 2}},
+		},
 	}
-	s := NewStream()
-	ingestAll(t, s, data)
-	bc, sc := d.ConsistencyOverTime("local"), s.ConsistencyOverTime("local")
-	if len(bc) != 1 || len(sc) != 1 {
-		t.Fatalf("series: batch %d stream %d", len(bc), len(sc))
-	}
-	// Both report the same Baseline label (first successful location)...
-	if bc[0].Baseline != sc[0].Baseline {
-		t.Fatalf("baseline label: batch %q vs stream %q", bc[0].Baseline, sc[0].Baseline)
-	}
-	// ...but the stream anchored its sums on the dead configured vantage,
-	// so its noise floor is empty-mean zero while batch measured c/2.
-	if fmt.Sprint(bc[0].NoiseFloor) == fmt.Sprint(sc[0].NoiseFloor) {
-		t.Log("note: baselines happened to coincide; divergence not exercised")
-	}
-	// The scorecard itself is still immune: its consistency claim reads
-	// per-location spreads, which exist either way.
-	if !reflect.DeepEqual(d.Scorecard(), s.Scorecard()) {
-		t.Fatal("scorecard diverged on the documented baseline edge case")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data := campaign(tc.dead)
+			d, err := NewDataset(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := d.ConsistencyOverTime("local")
+			if len(want) != 1 {
+				t.Fatalf("series = %+v", want)
+			}
+			if got := want[0]; got.Baseline != tc.baseline ||
+				!reflect.DeepEqual(got.NoiseFloor, tc.noise) || !reflect.DeepEqual(got.PerLocation, tc.lines) {
+				t.Fatalf("series = %+v, want baseline %s noise %v lines %v", got, tc.baseline, tc.noise, tc.lines)
+			}
+			sweeps := arrivalSweeps(data)
+			forward, reversed := NewStream(), NewStream()
+			for i := range sweeps {
+				if err := forward.IngestSweep(sweepAt(i), sweeps[i]); err != nil {
+					t.Fatal(err)
+				}
+				if err := reversed.IngestSweep(sweepAt(i), sweeps[len(sweeps)-1-i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertLiveMatchesReplay(t, d, forward)
+			assertLiveMatchesReplay(t, d, reversed)
+		})
 	}
 }

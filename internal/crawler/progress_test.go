@@ -111,9 +111,9 @@ func TestStandalonePhaseAlsoFeedsSink(t *testing.T) {
 }
 
 // TestSinkStreamMatchesBatchOnRealCampaign is the end-to-end parity
-// invariant at the crawler layer: feeding the sink's sweeps into the
-// streaming aggregator yields the exact scorecard the batch pipeline
-// computes from the campaign's full observation list.
+// invariant at the crawler layer: feeding the sink's sweeps, in crawl
+// order, into a stream yields the exact scorecard that NewDataset's replay
+// of the campaign's full observation list computes.
 func TestSinkStreamMatchesBatchOnRealCampaign(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	sink := &collectSink{}

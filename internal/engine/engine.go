@@ -153,8 +153,6 @@ type instruments struct {
 	// with dcNames.
 	requestsByDC *telemetry.CounterVec
 	dcCounters   []*telemetry.Counter
-	rankDur      *telemetry.Histogram
-	historyDur   *telemetry.Histogram
 	ratelimitDur *telemetry.Histogram
 	// stage holds the engine_stage_duration_seconds children, one per
 	// ranking stage, pre-resolved so Search never takes the vec's lock.
@@ -178,8 +176,6 @@ func newInstruments(reg *telemetry.Registry, dcNames []string) instruments {
 		served:       reg.Counter("engine_served_total", "Pages served."),
 		limited:      reg.Counter("engine_ratelimited_total", "Requests rejected by the per-IP rate limiter."),
 		requestsByDC: reg.CounterVec("engine_requests_total", "Requests served, by datacenter replica.", "datacenter"),
-		rankDur:      reg.Histogram("engine_rank_duration_seconds", "Wall-clock time scoring and assembling the result page.", nil),
-		historyDur:   reg.Histogram("engine_history_lookup_duration_seconds", "Wall-clock time of the session-history lookup.", nil),
 		ratelimitDur: reg.Histogram("engine_ratelimit_check_duration_seconds", "Wall-clock time of the rate-limiter check.", nil),
 		deadlineAbandoned: reg.Counter("engine_deadline_abandoned_total",
 			"Requests abandoned between ranking stages because their propagated deadline passed."),
@@ -449,7 +445,6 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	histStart := e.wall.Now()
 	recent := e.history.recent(req.SessionID, now)
 	histDur := e.wall.Now().Sub(histStart)
-	e.inst.historyDur.Observe(histDur.Seconds())
 	e.inst.stageHistory.Observe(histDur.Seconds())
 	req.Wide.Stage("history", histDur)
 	histSpan.End()
@@ -457,8 +452,6 @@ func (e *Engine) Search(req Request) (*Response, error) {
 		return nil, ErrDeadlineExceeded
 	}
 	jitter := func(sigma float64) float64 { return rrng.Norm() * sigma }
-
-	rankStart := e.wall.Now()
 
 	// --- Web vertical ---
 	retrieveSpan := req.Span.StartChild("engine.retrieve")
@@ -674,7 +667,6 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	}
 	assembleSpan.End()
 
-	e.inst.rankDur.ObserveSince(rankStart)
 	e.history.record(req.SessionID, topic, now)
 	e.inst.served.Inc()
 	if i := e.dcIndex(dc); i >= 0 {

@@ -39,9 +39,11 @@ func TestTelemetryInstrumentsSearch(t *testing.T) {
 		"engine_served_total 2",
 		"engine_ratelimited_total 1",
 		`engine_requests_total{datacenter="dc-0"} 2`,
-		"# TYPE engine_rank_duration_seconds histogram",
-		"engine_rank_duration_seconds_count 2",
-		"engine_history_lookup_duration_seconds_count 2",
+		"# TYPE engine_stage_duration_seconds histogram",
+		`engine_stage_duration_seconds_count{stage="history"} 2`,
+		`engine_stage_duration_seconds_count{stage="retrieve"} 2`,
+		`engine_stage_duration_seconds_count{stage="rerank"} 2`,
+		`engine_stage_duration_seconds_count{stage="assemble"} 2`,
 		"engine_ratelimit_check_duration_seconds_count 3",
 	} {
 		if !strings.Contains(out, want) {

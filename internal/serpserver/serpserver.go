@@ -434,6 +434,12 @@ func (h *Handler) handleStats(w http.ResponseWriter, _ *http.Request) {
 type Server struct {
 	httpSrv *http.Server
 	lis     net.Listener
+
+	// fresh holds the connections that have not sent a request yet, which
+	// net/http's Shutdown counts as busy until they are 5 s old
+	// (golang.org/issue/22682); clients often leave one dialed and unused.
+	mu    sync.Mutex
+	fresh map[net.Conn]struct{}
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and returns a ready-to-Serve
@@ -443,13 +449,41 @@ func Listen(addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serpserver: listen %s: %w", addr, err)
 	}
-	return &Server{
+	s := &Server{
 		httpSrv: &http.Server{
 			Handler:           h,
 			ReadHeaderTimeout: 10 * time.Second,
 		},
-		lis: lis,
-	}, nil
+		lis:   lis,
+		fresh: map[net.Conn]struct{}{},
+	}
+	s.httpSrv.ConnState = s.trackFresh
+	s.httpSrv.RegisterOnShutdown(s.closeFresh)
+	return s, nil
+}
+
+// trackFresh records a connection entering StateNew and forgets it at its
+// next state.
+func (s *Server) trackFresh(c net.Conn, state http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if state == http.StateNew {
+		s.fresh[c] = struct{}{}
+	} else {
+		delete(s.fresh, c)
+	}
+}
+
+// closeFresh closes the connections still waiting for their first
+// request, so Shutdown need not wait out net/http's 5 s grace for them.
+func (s *Server) closeFresh() {
+	s.mu.Lock()
+	fresh := s.fresh
+	s.fresh = map[net.Conn]struct{}{}
+	s.mu.Unlock()
+	for c := range fresh {
+		c.Close()
+	}
 }
 
 // Addr returns the bound address.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -248,6 +249,37 @@ func TestServerShutdownIdempotent(t *testing.T) {
 	}
 	// Second shutdown must not panic or error fatally.
 	_ = srv.Shutdown(ctx)
+}
+
+// TestShutdownClosesUnusedConnections pins the fix for a ~5 s stall: net/http
+// counts a connection that never sent a request as busy until it is 5 s old.
+func TestShutdownClosesUnusedConnections(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", testHandler(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Wait until the server has accepted the connection (StateNew).
+	for n := 0; n == 0; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		n = len(srv.fresh)
+		srv.mu.Unlock()
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("shutdown took %v with one unused connection open, want < 1s", took)
+	}
 }
 
 func TestClientIPFallsBackToRemoteAddr(t *testing.T) {

@@ -96,7 +96,7 @@ func TestMetricszExposition(t *testing.T) {
 		`serpd_cards_served_total{type="organic"}`,
 		"# TYPE serpd_http_request_duration_seconds histogram",
 		"serpd_http_request_duration_seconds_count 4",
-		"# TYPE engine_rank_duration_seconds histogram",
+		"# TYPE engine_stage_duration_seconds histogram",
 		"engine_ratelimited_total 1",
 		`engine_requests_total{datacenter=`,
 	} {

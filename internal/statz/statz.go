@@ -106,7 +106,7 @@ func NewRecorder(stream *analysis.Stream, opts ...Option) *Recorder {
 }
 
 // Stream returns the underlying aggregator, e.g. for an end-of-campaign
-// parity check against the batch pipeline.
+// parity check against a replay of the stored observations.
 func (r *Recorder) Stream() *analysis.Stream { return r.stream }
 
 // ObserveSweep ingests one completed sweep and freezes a snapshot of the
