@@ -60,12 +60,21 @@ chaos:
 	go test -race -run 'Chaos|Retry|FailSoft|FailureBudget|Resume|Transient|SearchContext' \
 		./internal/browser/ ./internal/crawler/ ./internal/serpserver/
 
-# fuzz runs FuzzShardReply, the fuzz target of the shard reply frame
-# decoder (internal/router/frame.go), which reads untrusted bytes off the
-# wire: no input may panic it, every frame it accepts must re-encode to the
-# identical bytes, and every doc ID it accepts must index the corpus table.
+# fuzz runs each fuzz target for 20 s, one after another (go test -fuzz
+# takes one target per run):
+# - FuzzShardReply, the shard reply frame decoder (internal/router/frame.go),
+#   which reads untrusted bytes off the wire: no input may panic it, every
+#   frame it accepts must re-encode to the identical bytes, and every doc ID
+#   it accepts must index the corpus table.
+# - FuzzComparePages, the page-comparison kernel (internal/metrics): fresh
+#   and reused comparers must match Jaccard and EditDistance on the pages'
+#   extracted URL lists.
+# - FuzzParseHTML, the crawler's HTML parser (internal/serp): no document may
+#   panic it, and every page it accepts must re-render and re-parse unchanged.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime 20s ./internal/router
+	go test -run '^$$' -fuzz '^FuzzComparePages$$' -fuzztime 20s ./internal/metrics
+	go test -run '^$$' -fuzz '^FuzzParseHTML$$' -fuzztime 20s ./internal/serp
 
 build:
 	go build ./...
@@ -102,10 +111,11 @@ bench-json:
 # wall-time gating stays opt-in (benchjson -check-ns). After an
 # intentional perf change, regenerate the baseline with `make bench-json`
 # and commit the diff. 1000x keeps one-time setup well amortized (at 100x
-# the RunParallel benchmarks over-report allocs/op). At 1000x the root
-# package alone takes ~8.5-10 minutes on a 2-vCPU host (BenchmarkScorecardFigures
-# ~6.5-8 of them), go test's default per-package timeout, so both targets
-# pass -timeout 30m.
+# the RunParallel benchmarks over-report allocs/op). At 1000x a run takes
+# ~3.5-4.5 minutes on a 2-vCPU host, ~3 of them in the root package
+# (BenchmarkStorageRoundTrip ~1.4, BenchmarkScorecardFigures ~0.9); both
+# targets pass -timeout 30m so a slower host stays clear of go test's
+# 10-minute per-package default.
 CHECK_BENCHTIME ?= 1000x
 bench-check:
 	go test -bench=. -benchmem -benchtime=$(CHECK_BENCHTIME) -run='^$$' -timeout 30m ./... 2>&1 | tee bench_check_output.txt

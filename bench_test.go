@@ -93,6 +93,33 @@ func BenchmarkScorecardFigures(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamIngestSweep measures the live scorecard's cost per sweep,
+// the ledger's analysis.ingest_sweep layer: each op folds one 22-location
+// national sweep of the fixture (44 observations, 231 treatment pairs)
+// into a Stream, as the crawler's sink does between two sweeps.
+func BenchmarkStreamIngestSweep(b *testing.B) {
+	fixture(b)
+	var sweep []storage.Observation
+	for _, o := range fixtureObs {
+		if o.Granularity == "national" && (len(sweep) == 0 || o.Term == sweep[0].Term && o.Day == sweep[0].Day) {
+			sweep = append(sweep, o)
+		}
+	}
+	if len(sweep) != 44 {
+		b.Fatalf("national sweep has %d observations, want 44", len(sweep))
+	}
+	s := analysis.NewStream()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.IngestSweep(time.Time{}, sweep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s.PairsCompared() != uint64(b.N)*231 {
+		b.Fatalf("pairs compared = %d, want %d per sweep", s.PairsCompared(), 231)
+	}
+}
+
 // BenchmarkFigure3NoisePerTerm regenerates Figure 3: per-term noise for
 // local queries at each granularity.
 func BenchmarkFigure3NoisePerTerm(b *testing.B) {

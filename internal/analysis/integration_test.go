@@ -14,7 +14,9 @@ import (
 	"geoserp/internal/crawler"
 	"geoserp/internal/engine"
 	"geoserp/internal/geo"
+	"geoserp/internal/metrics"
 	"geoserp/internal/queries"
+	"geoserp/internal/serp"
 	"geoserp/internal/serpserver"
 	"geoserp/internal/simclock"
 	"geoserp/internal/storage"
@@ -222,6 +224,82 @@ func TestEndToEndFigures(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestComparerMatchesStringReference holds the kernel the stream ingests
+// with to the list metrics: over every sweep of a real campaign, one
+// Comparer reused sweep after sweep must give every noise pair and every
+// treatment pair the Comparison and TypeBreakdown that Jaccard and
+// EditDistance give on the pages' Links and LinksOfType.
+func TestComparerMatchesStringReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration campaign is slow")
+	}
+	type sweepKey struct {
+		granularity, term string
+		day               int
+	}
+	sweeps := map[sweepKey][]storage.Observation{}
+	var order []sweepKey
+	for _, o := range campaign(t) {
+		k := sweepKey{o.Granularity, o.Term, o.Day}
+		if sweeps[k] == nil {
+			order = append(order, k)
+		}
+		sweeps[k] = append(sweeps[k], o)
+	}
+	var c metrics.Comparer
+	check := func(a, b *serp.Page, pa, pb *metrics.PageLinks) {
+		t.Helper()
+		la, lb := a.Links(), b.Links()
+		want := metrics.Comparison{Jaccard: metrics.Jaccard(la, lb), EditDistance: metrics.EditDistance(la, lb)}
+		wantBD := metrics.TypeBreakdown{
+			All:   want.EditDistance,
+			Maps:  metrics.EditDistance(a.LinksOfType(serp.Maps), b.LinksOfType(serp.Maps)),
+			News:  metrics.EditDistance(a.LinksOfType(serp.News), b.LinksOfType(serp.News)),
+			Other: metrics.EditDistance(a.LinksOfType(serp.Organic), b.LinksOfType(serp.Organic)),
+		}
+		got, gotBD := c.CompareWithBreakdown(pa, pb)
+		if cmp := c.Compare(pa, pb); cmp != want || got != want || gotBD != wantBD {
+			t.Fatalf("%s vs %s: Compare %+v, CompareWithBreakdown %+v %+v; want %+v %+v",
+				a.Location, b.Location, cmp, got, gotBD, want, wantBD)
+		}
+	}
+	noise, treatment := 0, 0
+	for _, k := range order {
+		c.Reset()
+		var treatments []*serp.Page
+		var prepared []*metrics.PageLinks
+		controls := map[string]*serp.Page{}
+		for _, o := range sweeps[k] {
+			if !o.Failed && o.Role == storage.Control {
+				controls[o.LocationID] = o.Page
+			}
+		}
+		for _, o := range sweeps[k] {
+			if o.Failed || o.Role != storage.Treatment {
+				continue
+			}
+			pt := c.Prepare(o.Page)
+			if ctl := controls[o.LocationID]; ctl != nil {
+				check(o.Page, ctl, pt, c.Prepare(ctl))
+				noise++
+			}
+			treatments = append(treatments, o.Page)
+			prepared = append(prepared, pt)
+		}
+		for i := range treatments {
+			for j := i + 1; j < len(treatments); j++ {
+				check(treatments[i], treatments[j], prepared[i], prepared[j])
+				treatment++
+			}
+		}
+	}
+	// 20 terms × 2 days × 59 vantages, and as many days × terms ×
+	// (C(15,2) + 2·C(22,2)) treatment pairs.
+	if noise != 20*2*59 || treatment != 20*2*(105+231+231) {
+		t.Fatalf("checked %d noise and %d treatment pairs", noise, treatment)
+	}
 }
 
 func TestCampaignJSONLRoundTripAndReanalysis(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"geoserp/internal/metrics"
-	"geoserp/internal/serp"
 	"geoserp/internal/stats"
 	"geoserp/internal/storage"
 	"geoserp/internal/telemetry"
@@ -38,6 +37,14 @@ import (
 // × 3 categories × 5 days × 567 pairs of its 15/22/22 vantages); the
 // per-term cells add granularities × categories × terms, and drift
 // tracking at most one event per sweep.
+//
+// A sweep's pages are compared through one metrics.Comparer. Ingest
+// prepares each successful page once (its link lists, every URL interned
+// as a small ID) and then compares every noise and treatment pair over
+// those lists without allocating, so it allocates per page, not per pair.
+// The intern table is reset at the start of every sweep and so holds at
+// most one sweep's distinct URLs: 44 pages of at most 22 links for the
+// study grid.
 //
 // Stream is not internally synchronized: IngestSweep and the read methods
 // must be externally serialized (the statz handler wraps it in a mutex;
@@ -74,6 +81,10 @@ type Stream struct {
 
 	anchor map[scopeKey]float64
 	drift  []DriftEvent
+
+	// cmp prepares each page of the sweep being ingested once and compares
+	// its pairs; IngestSweep resets its intern table per sweep.
+	cmp metrics.Comparer
 }
 
 // scopeKey addresses one (granularity, category) aggregation cell.
@@ -289,9 +300,10 @@ func (s *Stream) IngestSweep(at time.Time, obs []storage.Observation) error {
 	}
 	g, term, day, cat := obs[0].Granularity, obs[0].Term, obs[0].Day, obs[0].Category
 
+	s.cmp.Reset()
 	type slot struct {
-		treatment *serp.Page
-		control   *serp.Page
+		treatment *metrics.PageLinks
+		control   *metrics.PageLinks
 	}
 	slots := map[string]*slot{}
 	for i := range obs {
@@ -320,12 +332,12 @@ func (s *Stream) IngestSweep(at time.Time, obs []storage.Observation) error {
 			if sl.treatment != nil {
 				return fmt.Errorf("analysis: stream: duplicate treatment for %s %q day %d at %s", g, term, day, o.LocationID)
 			}
-			sl.treatment = o.Page
+			sl.treatment = s.cmp.Prepare(o.Page)
 		case storage.Control:
 			if sl.control != nil {
 				return fmt.Errorf("analysis: stream: duplicate control for %s %q day %d at %s", g, term, day, o.LocationID)
 			}
-			sl.control = o.Page
+			sl.control = s.cmp.Prepare(o.Page)
 		}
 		s.granularities[g] = true
 		s.categories[cat] = true
@@ -345,33 +357,34 @@ func (s *Stream) IngestSweep(at time.Time, obs []storage.Observation) error {
 
 	sk := scopeKey{g, cat}
 	var withTreatment []string
+	var treatments []*metrics.PageLinks
 	for _, loc := range sortedKeys(slots) {
 		sl := slots[loc]
 		if sl.treatment != nil {
 			withTreatment = append(withTreatment, loc)
+			treatments = append(treatments, sl.treatment)
 		}
 		if sl.treatment != nil && sl.control != nil {
-			cmp := metrics.ComparePages(sl.treatment, sl.control)
+			cmp := s.cmp.Compare(sl.treatment, sl.control)
 			getOrNew(s.noise, sk).add(cmp)
 			getOrNew(s.consNoise, streamLocDayKey{g, cat, day, loc}).add(cmp.EditDistance)
 		}
 	}
-	tk := streamTermKey{g, cat, term}
-	for i := 0; i < len(withTreatment); i++ {
-		for j := i + 1; j < len(withTreatment); j++ {
-			ti, tj := slots[withTreatment[i]].treatment, slots[withTreatment[j]].treatment
-			cmp := metrics.ComparePages(ti, tj)
-			bd := metrics.BreakdownPages(ti, tj)
-			getOrNew(s.pers, sk).add(cmp)
-			getOrNew(s.persTerm, tk).add(cmp)
-			b := getOrNew(s.breakdown, sk)
-			b.n++
-			b.all += uint64(bd.All)
-			b.maps += uint64(bd.Maps)
-			b.news += uint64(bd.News)
-			b.other += uint64(bd.Other)
-			getOrNew(s.consPair, streamPairDayKey{g, cat, day, withTreatment[i], withTreatment[j]}).add(cmp.EditDistance)
-			s.pairs++
+	if len(treatments) > 1 {
+		pers, persTerm, b := getOrNew(s.pers, sk), getOrNew(s.persTerm, streamTermKey{g, cat, term}), getOrNew(s.breakdown, sk)
+		for i := 0; i < len(treatments); i++ {
+			for j := i + 1; j < len(treatments); j++ {
+				cmp, bd := s.cmp.CompareWithBreakdown(treatments[i], treatments[j])
+				pers.add(cmp)
+				persTerm.add(cmp)
+				b.n++
+				b.all += uint64(bd.All)
+				b.maps += uint64(bd.Maps)
+				b.news += uint64(bd.News)
+				b.other += uint64(bd.Other)
+				getOrNew(s.consPair, streamPairDayKey{g, cat, day, withTreatment[i], withTreatment[j]}).add(cmp.EditDistance)
+				s.pairs++
+			}
 		}
 	}
 

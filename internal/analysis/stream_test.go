@@ -385,7 +385,8 @@ func TestStreamMetricsCounters(t *testing.T) {
 
 // TestStreamStateBoundedByGrid pins the stated memory bound: state is keyed
 // by the grid (here 3 granularities × 2 categories × 2 days × 3 vantages, and
-// as many pairs), so ingesting the same sweeps again adds no state.
+// as many pairs), so ingesting the same sweeps again adds no state, and the
+// comparer's intern table never holds more than one sweep's URLs.
 func TestStreamStateBoundedByGrid(t *testing.T) {
 	data := campaignFixture(0)
 	s := NewStream()
@@ -401,6 +402,40 @@ func TestStreamStateBoundedByGrid(t *testing.T) {
 	if after := size(); after != before {
 		t.Fatalf("state grew from %d to %d entries on a second pass over the same grid", before, after)
 	}
+
+	// The comparer's intern table holds one sweep's URLs: give every sweep
+	// URLs of its own, and after each, the table holds exactly those.
+	for i, sweep := range arrivalSweeps(campaignFixture(5)) {
+		urls := map[string]bool{}
+		for j := range sweep {
+			if sweep[j].Failed {
+				continue
+			}
+			sweep[j].Page = withURLPrefix(sweep[j].Page, fmt.Sprintf("sweep%d/", i))
+			for _, u := range sweep[j].Page.Links() {
+				urls[u] = true
+			}
+		}
+		if err := s.IngestSweep(sweepAt(i), sweep); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.cmp.Interned(); got != len(urls) {
+			t.Fatalf("sweep %d: intern table holds %d URLs, want the sweep's %d", i, got, len(urls))
+		}
+	}
+}
+
+// withURLPrefix returns a copy of p with prefix prepended to every URL.
+func withURLPrefix(p *serp.Page, prefix string) *serp.Page {
+	cp := *p
+	cp.Cards = make([]serp.Card, len(p.Cards))
+	for i, c := range p.Cards {
+		cp.Cards[i] = serp.Card{Type: c.Type}
+		for _, r := range c.Results {
+			cp.Cards[i].Results = append(cp.Cards[i].Results, serp.Result{URL: prefix + r.URL, Title: r.Title})
+		}
+	}
+	return &cp
 }
 
 // TestFigure8BaselineRule pins Figure 8's one rule: the baseline is the

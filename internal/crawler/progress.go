@@ -38,7 +38,10 @@ type SweepInfo struct {
 // scheduling goroutine after the sweep's observations are final (and
 // checkpointed, when checkpointing is on); a slow sink therefore delays
 // the campaign, and implementations are expected to be fast or to hand
-// off internally. The obs slice must not be mutated or retained.
+// off internally. The production sink, statz.Recorder (an
+// analysis.Stream ingest plus a frozen /statz snapshot), takes ~0.45 ms
+// per sweep of 30 or 44 observations on a 2-vCPU host, against ~7 ms for
+// the sweep's fetches. The obs slice must not be mutated or retained.
 type SweepSink interface {
 	ObserveSweep(info SweepInfo, obs []storage.Observation)
 }

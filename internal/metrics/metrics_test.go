@@ -202,3 +202,83 @@ func TestEditDistanceLargeListsPerf(t *testing.T) {
 		t.Fatalf("distance = %d, want 500", d)
 	}
 }
+
+// fuzzPage builds a page from fuzz bytes over a small URL alphabet, so
+// link lists overlap, repeat and can be empty. Each byte's low two bits
+// pick an Organic, Maps or News card, or (3) one more result on the last
+// card; its next three bits pick the URL.
+func fuzzPage(data []byte) *serp.Page {
+	p := page()
+	for _, x := range data {
+		r := serp.Result{URL: fmt.Sprintf("https://u%d.example/", x>>2&7)}
+		if t := serp.CardType(x & 3); t <= serp.News {
+			p.Cards = append(p.Cards, serp.Card{Type: t, Results: []serp.Result{r}})
+		} else if n := len(p.Cards); n > 0 {
+			p.Cards[n-1].Results = append(p.Cards[n-1].Results, r)
+		}
+	}
+	return p
+}
+
+// levenshteinTable is the textbook full-table Levenshtein, an oracle
+// independent of EditDistance's single row and prefix/suffix trimming.
+func levenshteinTable(a, b []string) int {
+	d := make([][]int, len(a)+1)
+	for i := range d {
+		d[i] = make([]int, len(b)+1)
+		d[i][0] = i
+	}
+	for j := range d[0] {
+		d[0][j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		for j := 1; j <= len(b); j++ {
+			sub := d[i-1][j-1]
+			if a[i-1] != b[j-1] {
+				sub++
+			}
+			d[i][j] = min(sub, d[i-1][j]+1, d[i][j-1]+1)
+		}
+	}
+	return d[len(a)][len(b)]
+}
+
+// FuzzComparePages checks the comparison kernel against the list metrics
+// applied to the extracted URL lists: a fresh Comparer, and one reused
+// across inputs without a Reset, must both give the reference Comparison
+// and TypeBreakdown.
+func FuzzComparePages(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0, 4, 8}, []byte{0, 4, 8})
+	f.Add([]byte{0, 4, 8}, []byte{8, 4, 0})
+	f.Add([]byte{1, 7, 11, 0, 2, 6}, []byte{1, 11, 7, 0, 2, 14})
+	f.Add([]byte{5, 9, 13, 16}, []byte{})
+	var reused Comparer
+	f.Fuzz(func(t *testing.T, da, db []byte) {
+		a, b := fuzzPage(da), fuzzPage(db)
+		la, lb := a.Links(), b.Links()
+		want := Comparison{Jaccard: Jaccard(la, lb), EditDistance: EditDistance(la, lb)}
+		if d := levenshteinTable(la, lb); want.EditDistance != d {
+			t.Fatalf("EditDistance = %d, full table = %d (%v vs %v)", want.EditDistance, d, la, lb)
+		}
+		wantBD := TypeBreakdown{
+			All:   want.EditDistance,
+			Maps:  EditDistance(a.LinksOfType(serp.Maps), b.LinksOfType(serp.Maps)),
+			News:  EditDistance(a.LinksOfType(serp.News), b.LinksOfType(serp.News)),
+			Other: EditDistance(a.LinksOfType(serp.Organic), b.LinksOfType(serp.Organic)),
+		}
+		if got := ComparePages(a, b); got != want {
+			t.Fatalf("ComparePages = %+v, want %+v", got, want)
+		}
+		if got := BreakdownPages(a, b); got != wantBD {
+			t.Fatalf("BreakdownPages = %+v, want %+v", got, wantBD)
+		}
+		pa, pb := reused.Prepare(a), reused.Prepare(b)
+		if got := reused.Compare(pa, pb); got != want {
+			t.Fatalf("reused Compare = %+v, want %+v", got, want)
+		}
+		if got, gotBD := reused.CompareWithBreakdown(pa, pb); got != want || gotBD != wantBD {
+			t.Fatalf("reused CompareWithBreakdown = %+v, %+v, want %+v, %+v", got, gotBD, want, wantBD)
+		}
+	})
+}

@@ -81,12 +81,12 @@ func ParseDesktopHTML(doc string) (*Page, error) {
 	}
 	p.Query = html.UnescapeString(strings.TrimSuffix(title, " - Search"))
 
-	if foot, err := between(doc, "<div id=\"foot\"", ">"); err == nil {
-		p.Location = html.UnescapeString(attr(foot, "data-location"))
-		p.Datacenter = html.UnescapeString(attr(foot, "data-datacenter"))
-		fmt.Sscanf(attr(foot, "data-day"), "%d", &p.Day)
-	} else {
+	foot, err := between(doc, "<div id=\"foot\"", ">")
+	if err != nil {
 		return nil, fmt.Errorf("serp: parse desktop: missing footer")
+	}
+	if err := parseFooter(p, foot); err != nil {
+		return nil, fmt.Errorf("serp: parse desktop: %w", err)
 	}
 
 	rest := doc
@@ -112,7 +112,7 @@ func ParseDesktopHTML(doc string) (*Page, error) {
 		rest = rest[start+end+len(closeMark):]
 
 		head, _ := between(block, "<div", ">")
-		typeLabel := attr(head, "data-type")
+		typeLabel, _ := attr(head, "data-type")
 		ct, err := ParseCardType(typeLabel)
 		if err != nil {
 			return nil, fmt.Errorf("serp: parse desktop: %w", err)
@@ -130,14 +130,14 @@ func ParseDesktopHTML(doc string) (*Page, error) {
 				return nil, fmt.Errorf("serp: parse desktop: unterminated anchor")
 			}
 			anchor := tag[:closeTag]
-			href := attr(anchor, "href")
+			href, _ := attr(anchor, "href")
 			gt := strings.Index(anchor, ">")
 			if gt < 0 || href == "" {
 				return nil, fmt.Errorf("serp: parse desktop: malformed anchor %q", anchor)
 			}
 			card.Results = append(card.Results, Result{
 				URL:   html.UnescapeString(href),
-				Title: html.UnescapeString(strings.TrimSpace(anchor[gt+1:])),
+				Title: strings.TrimSpace(html.UnescapeString(anchor[gt+1:])),
 			})
 			linkRest = tag[closeTag:]
 		}

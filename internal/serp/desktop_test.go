@@ -61,7 +61,9 @@ func TestParseAnyHTMLDispatch(t *testing.T) {
 	}
 }
 
-func TestParseDesktopErrors(t *testing.T) {
+// desktopRejects are documents ParseDesktopHTML must refuse; FuzzParseHTML
+// also seeds its corpus with them.
+func desktopRejects() map[string]string {
 	cases := map[string]string{
 		"not desktop": "<html><body>x</body></html>",
 		"no title":    desktopMarker,
@@ -75,7 +77,15 @@ func TestParseDesktopErrors(t *testing.T) {
 		"no results": "<title>x - Search</title>" + desktopMarker +
 			`<div id="foot" data-location="" data-datacenter="" data-day="0">f</div>`,
 	}
-	for name, doc := range cases {
+	for name, attrs := range badFooters {
+		cases[name] = "<title>x - Search</title>" + desktopMarker + `<div id="foot" ` + attrs + `>f</div>` +
+			`<div class="g" data-type="organic"><a class="res-link" href="u">t</a></div><!--/g-->`
+	}
+	return cases
+}
+
+func TestParseDesktopErrors(t *testing.T) {
+	for name, doc := range desktopRejects() {
 		if _, err := ParseDesktopHTML(doc); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}

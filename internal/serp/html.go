@@ -3,6 +3,7 @@ package serp
 import (
 	"fmt"
 	"html"
+	"strconv"
 	"strings"
 )
 
@@ -74,12 +75,12 @@ func ParseHTML(doc string) (*Page, error) {
 	p.Query = html.UnescapeString(strings.TrimSuffix(title, " - Search"))
 
 	// Footer metadata.
-	if footer, err := between(doc, "<footer id=\"geo-footer\"", ">"); err == nil {
-		p.Location = html.UnescapeString(attr(footer, "data-location"))
-		p.Datacenter = html.UnescapeString(attr(footer, "data-datacenter"))
-		fmt.Sscanf(attr(footer, "data-day"), "%d", &p.Day)
-	} else {
+	footer, err := between(doc, "<footer id=\"geo-footer\"", ">")
+	if err != nil {
 		return nil, fmt.Errorf("serp: parse: missing geo footer")
+	}
+	if err := parseFooter(p, footer); err != nil {
+		return nil, fmt.Errorf("serp: parse: %w", err)
 	}
 
 	// Cards.
@@ -97,7 +98,7 @@ func ParseHTML(doc string) (*Page, error) {
 		rest = rest[start+end+len("</div><!--/card-->"):]
 
 		head, _ := between(block, "<div class=\"card\"", ">")
-		typeLabel := attr(head, "data-type")
+		typeLabel, _ := attr(head, "data-type")
 		ct, err := ParseCardType(typeLabel)
 		if err != nil {
 			return nil, fmt.Errorf("serp: parse: %w", err)
@@ -115,14 +116,14 @@ func ParseHTML(doc string) (*Page, error) {
 				return nil, fmt.Errorf("serp: parse: unterminated anchor")
 			}
 			anchor := tag[:closeTag]
-			href := attr(anchor, "href")
+			href, _ := attr(anchor, "href")
 			gt := strings.Index(anchor, ">")
 			if gt < 0 || href == "" {
 				return nil, fmt.Errorf("serp: parse: malformed anchor %q", anchor)
 			}
 			card.Results = append(card.Results, Result{
 				URL:   html.UnescapeString(href),
-				Title: html.UnescapeString(strings.TrimSpace(anchor[gt+1:])),
+				Title: strings.TrimSpace(html.UnescapeString(anchor[gt+1:])),
 			})
 			linkRest = tag[closeTag:]
 		}
@@ -152,17 +153,61 @@ func between(s, open, close string) (string, error) {
 	return s[:j], nil
 }
 
-// attr extracts a double-quoted attribute value from a tag fragment.
-func attr(tag, name string) string {
-	marker := name + "=\""
-	i := strings.Index(tag, marker)
-	if i < 0 {
-		return ""
+// parseFooter reads the location footer's attributes into p. Every
+// rendered page carries data-day, so a missing or non-integer day is an
+// error rather than day 0.
+func parseFooter(p *Page, footer string) error {
+	loc, _ := attr(footer, "data-location")
+	dc, _ := attr(footer, "data-datacenter")
+	p.Location, p.Datacenter = html.UnescapeString(loc), html.UnescapeString(dc)
+	day, ok := attr(footer, "data-day")
+	if !ok {
+		return fmt.Errorf("footer has no data-day")
 	}
-	rest := tag[i+len(marker):]
-	j := strings.Index(rest, "\"")
-	if j < 0 {
-		return ""
+	d, err := strconv.Atoi(day)
+	if err != nil {
+		return fmt.Errorf("footer data-day: %w", err)
 	}
-	return rest[:j]
+	p.Day = d
+	return nil
+}
+
+// attr returns the value of the double-quoted attribute name in a tag
+// fragment: a tag from its "<", or the rest of one after a prefix the
+// caller matched. It reads the attributes in order and stops at the first
+// text that is not one, so a name inside another attribute's value, or at
+// the end of a longer name, never matches.
+func attr(tag, name string) (string, bool) {
+	s := tag
+	if strings.HasPrefix(s, "<") {
+		s = s[nameEnd(s, 1):]
+	}
+	for {
+		s = strings.TrimLeft(s, " \t\r\n")
+		k := nameEnd(s, 0)
+		if k == 0 || !strings.HasPrefix(s[k:], "=\"") {
+			return "", false
+		}
+		key, rest := s[:k], s[k+2:]
+		end := strings.IndexByte(rest, '"')
+		if end < 0 {
+			return "", false
+		}
+		if key == name {
+			return rest[:end], true
+		}
+		s = rest[end+1:]
+	}
+}
+
+// nameEnd returns the index of the first byte at or after i that cannot
+// be part of an element or attribute name.
+func nameEnd(s string, i int) int {
+	for ; i < len(s); i++ {
+		switch s[i] {
+		case ' ', '\t', '\r', '\n', '<', '>', '=', '"':
+			return i
+		}
+	}
+	return i
 }

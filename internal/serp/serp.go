@@ -117,42 +117,46 @@ type Page struct {
 // list in rank order: the first link of each Organic card, every link of
 // each Maps or News card.
 func (p *Page) Links() []string {
-	var out []string
-	for _, c := range p.Cards {
-		if len(c.Results) == 0 {
-			continue
-		}
-		switch c.Type {
-		case Maps, News:
-			for _, r := range c.Results {
-				out = append(out, r.URL)
-			}
-		default:
-			out = append(out, c.Results[0].URL)
-		}
-	}
-	return out
+	return p.links(func(CardType) bool { return true })
 }
 
 // LinksOfType is Links restricted to cards of one type; the analysis uses
 // it to attribute noise and personalization to Maps vs News vs "other"
 // results (Figures 4 and 7).
 func (p *Page) LinksOfType(t CardType) []string {
-	var out []string
+	return p.links(func(ct CardType) bool { return ct == t })
+}
+
+// links applies the extraction rule to the cards whose type keep accepts,
+// sizing the list before filling it so it takes one allocation.
+func (p *Page) links(keep func(CardType) bool) []string {
+	n := 0
 	for _, c := range p.Cards {
-		if c.Type != t || len(c.Results) == 0 {
-			continue
+		if keep(c.Type) {
+			n += len(c.extracted())
 		}
-		switch c.Type {
-		case Maps, News:
-			for _, r := range c.Results {
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for _, c := range p.Cards {
+		if keep(c.Type) {
+			for _, r := range c.extracted() {
 				out = append(out, r.URL)
 			}
-		default:
-			out = append(out, c.Results[0].URL)
 		}
 	}
 	return out
+}
+
+// extracted returns the results the extraction rule takes from the card:
+// every result of a Maps or News card, the first result of any other.
+func (c Card) extracted() []Result {
+	if c.Type == Maps || c.Type == News || len(c.Results) == 0 {
+		return c.Results
+	}
+	return c.Results[:1]
 }
 
 // LinkCount returns the number of links the extraction rule yields.

@@ -176,7 +176,20 @@ func TestHTMLEscaping(t *testing.T) {
 	}
 }
 
-func TestParseHTMLErrors(t *testing.T) {
+// badFooters are footer attributes that misparse silently into a
+// plausible page unless the day is required, parsed whole, and read only
+// from its own attribute.
+var badFooters = map[string]string{
+	"day not a number":         `data-location="" data-datacenter="" data-day="x"`,
+	"day missing":              `data-location="" data-datacenter=""`,
+	"day with trailing junk":   `data-location="" data-datacenter="" data-day="3x"`,
+	"day inside another value": `data-location="" data-datacenter="data-day="1"`,
+	"day ending a longer name": `data-location="" data-datacenter="" xdata-day="1"`,
+}
+
+// htmlRejects are documents ParseHTML must refuse; FuzzParseHTML also
+// seeds its corpus with them.
+func htmlRejects() map[string]string {
 	cases := map[string]string{
 		"empty":              "",
 		"no title":           "<html><body></body></html>",
@@ -186,7 +199,15 @@ func TestParseHTMLErrors(t *testing.T) {
 		"unterminated":       "<title>x - Search</title><footer id=\"geo-footer\" data-location=\"\" data-datacenter=\"\" data-day=\"0\">f</footer><div class=\"card\" data-type=\"organic\"><a class=\"serp-link\" href=\"u\">t</a>",
 		"card without links": "<title>x - Search</title><footer id=\"geo-footer\" data-location=\"\" data-datacenter=\"\" data-day=\"0\">f</footer><div class=\"card\" data-type=\"organic\"></div><!--/card-->",
 	}
-	for name, doc := range cases {
+	for name, attrs := range badFooters {
+		cases[name] = `<title>x - Search</title><footer id="geo-footer" ` + attrs + `>f</footer>` +
+			`<div class="card" data-type="organic"><a class="serp-link" href="u">t</a></div><!--/card-->`
+	}
+	return cases
+}
+
+func TestParseHTMLErrors(t *testing.T) {
+	for name, doc := range htmlRejects() {
 		if _, err := ParseHTML(doc); err == nil {
 			t.Fatalf("%s: parse succeeded, want error", name)
 		}
