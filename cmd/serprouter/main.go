@@ -66,7 +66,7 @@ func main() {
 	flag.BoolVar(&opts.Quiet, "quiet", false, "disable all noise mechanisms (deterministic serving)")
 	flag.StringVar(&opts.CorpusPath, "corpus", "", "custom query corpus JSON (default: the study's 240 terms)")
 	flag.StringVar(&opts.PprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (off when empty)")
-	flag.DurationVar(&opts.ShardTimeout, "shard-timeout", 2*time.Second, "per-shard fan-out timeout (0 disables)")
+	flag.DurationVar(&opts.ShardTimeout, "shard-timeout", 2*time.Second, "timeout per replica attempt: a failover or hedged attempt gets its own (0 disables)")
 	flag.IntVar(&opts.BreakerThreshold, "breaker-threshold", 3, "consecutive shard failures that open its circuit breaker (0 disables breakers)")
 	flag.DurationVar(&opts.BreakerCooldown, "breaker-cooldown", 45*time.Second, "open-breaker dwell before a half-open probe")
 	flag.DurationVar(&opts.HedgeAfter, "hedge-after", 0, "fire a hedged backup request to another replica after this in-flight delay (0 disables hedging)")

@@ -49,8 +49,8 @@ type options struct {
 	// TracezCapacity bounds the span ring behind GET /tracez (<=0
 	// disables request tracing and the endpoint).
 	TracezCapacity int
-	// ShardTimeout bounds one shard fan-out request; <= 0 disables the
-	// per-shard timeout.
+	// ShardTimeout bounds each replica attempt of a fan-out leg (see
+	// router.ClientConfig.Timeout); <= 0 disables the timeout.
 	ShardTimeout time.Duration
 	// BreakerThreshold / BreakerCooldown configure the per-replica circuit
 	// breakers (threshold <= 0 disables them).

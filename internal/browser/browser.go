@@ -678,9 +678,7 @@ func (b *Browser) fetchOnce(ctx context.Context, term string, attempt int, deadl
 		req.Header.Set(httpheader.TraceID, b.traceID)
 		req.Header.Set(httpheader.TraceAttempt, fmt.Sprint(attempt))
 	}
-	if !deadline.IsZero() {
-		req.Header.Set(httpheader.DeadlineMs, strconv.FormatInt(deadline.UnixMilli(), 10))
-	}
+	httpheader.SetDeadline(req.Header, deadline)
 
 	resp, err := b.client.Do(req)
 	if err != nil {

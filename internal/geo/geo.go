@@ -9,6 +9,8 @@ package geo
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // EarthRadiusKm is the mean Earth radius used for great-circle math.
@@ -162,14 +164,37 @@ func (bb BoundingBox) Contains(p Point) bool {
 		p.Lon >= bb.MinLon && p.Lon <= bb.MaxLon
 }
 
-// ParsePoint parses the "lat,lon" wire format produced by Point.String.
+// ParsePoint parses the "lat,lon" wire format produced by Point.String:
+// two decimal numbers and the comma between them, nothing else — no
+// spaces, no trailing input.
 func ParsePoint(s string) (Point, error) {
+	lat, lon, ok := strings.Cut(s, ",")
+	if !ok {
+		return Point{}, fmt.Errorf("geo: parse point %q: want lat,lon", s)
+	}
 	var p Point
-	if _, err := fmt.Sscanf(s, "%f,%f", &p.Lat, &p.Lon); err != nil {
+	var err error
+	if p.Lat, err = parseDegrees(lat); err != nil {
+		return Point{}, fmt.Errorf("geo: parse point %q: %w", s, err)
+	}
+	if p.Lon, err = parseDegrees(lon); err != nil {
 		return Point{}, fmt.Errorf("geo: parse point %q: %w", s, err)
 	}
 	if !p.Valid() {
 		return Point{}, fmt.Errorf("geo: point %q out of range", s)
 	}
 	return p, nil
+}
+
+// parseDegrees parses one coordinate: a decimal number and nothing else.
+// strconv.ParseFloat alone also takes the rest of Go's float literal
+// syntax — digit separators ("4_1.5"), hex floats — which the wire
+// format never carries.
+func parseDegrees(s string) (float64, error) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && c != '.' && c != '-' && c != '+' && c != 'e' && c != 'E' {
+			return 0, fmt.Errorf("%q is not a decimal number", s)
+		}
+	}
+	return strconv.ParseFloat(s, 64)
 }

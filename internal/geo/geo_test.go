@@ -173,7 +173,9 @@ func TestPointStringParseRoundTrip(t *testing.T) {
 }
 
 func TestParsePointErrors(t *testing.T) {
-	for _, s := range []string{"", "abc", "1.0", "91.0,0.0", "0.0,181.0"} {
+	for _, s := range []string{"", "abc", "1.0", "91.0,0.0", "0.0,181.0",
+		// Trailing input, a third field, digit separators, spaces, hex.
+		"41.5,-81.6xyz", "41.5,-81.6,7", "4_1.5,-81.6", " 41.5, -81.6", "0x1p-2,0"} {
 		if _, err := ParsePoint(s); err == nil {
 			t.Fatalf("ParsePoint(%q) succeeded, want error", s)
 		}

@@ -8,8 +8,15 @@
 //
 // Constants are named after the header's suffix (X-Trace-Id -> TraceID)
 // so call sites read as the wire protocol does. Add new headers here,
-// never inline.
+// never inline. A header with a structured value keeps its codec here
+// too (SetDeadline, Deadline).
 package httpheader
+
+import (
+	"net/http"
+	"strconv"
+	"time"
+)
 
 const (
 	// TraceID carries the request's trace ID: the stable identity that
@@ -54,3 +61,26 @@ const (
 	// geolocation — the independent variable of the whole study.
 	ForwardedFor = "X-Forwarded-For"
 )
+
+// SetDeadline stamps an absolute deadline on h as DeadlineMs carries it:
+// unix milliseconds in base 10. A zero t sets nothing.
+func SetDeadline(h http.Header, t time.Time) {
+	if !t.IsZero() {
+		h.Set(DeadlineMs, strconv.FormatInt(t.UnixMilli(), 10))
+	}
+}
+
+// Deadline reads the propagated absolute deadline from h's DeadlineMs. An
+// absent, empty, non-numeric or non-positive value means no deadline: the
+// zero time.
+func Deadline(h http.Header) time.Time {
+	v := h.Get(DeadlineMs)
+	if v == "" {
+		return time.Time{}
+	}
+	ms, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || ms <= 0 {
+		return time.Time{}
+	}
+	return time.UnixMilli(ms)
+}

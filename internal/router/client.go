@@ -1,7 +1,6 @@
 package router
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -45,8 +44,9 @@ type ClientConfig struct {
 	// which replica answers never changes a byte of the merged page.
 	// SingleReplica wraps a flat one-URL-per-shard list.
 	Shards [][]string
-	// Timeout bounds one replica request on the wall clock. <= 0 means no
-	// per-request timeout (the propagated X-Deadline-Ms still applies at
+	// Timeout bounds each replica attempt on the wall clock, so a failover
+	// or hedged attempt gets a full Timeout of its own. <= 0 means no
+	// per-attempt timeout (the propagated X-Deadline-Ms still applies at
 	// the shard).
 	Timeout time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips a
@@ -248,16 +248,24 @@ func (c *Client) Retrieve(req engine.RetrieveRequest) (engine.RetrieveResult, er
 		spans[i].SetAttr("shard", strconv.Itoa(i))
 	}
 
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			legStart := c.cfg.Clock.Now()
-			outcomes[i] = c.callShard(i, req, spans[i])
-			outcomes[i].dur = c.cfg.Clock.Now().Sub(legStart)
-		}(i)
+	// Every replica URL of every leg ends in the same query string.
+	query := SearchPath + "?q=" + url.QueryEscape(req.Query) + "&k=" + strconv.Itoa(req.K)
+	runLeg := func(i int) {
+		legStart := c.cfg.Clock.Now()
+		outcomes[i] = c.callShard(i, query, &req, spans[i])
+		outcomes[i].dur = c.cfg.Clock.Now().Sub(legStart)
 	}
+	// The caller runs leg 0 itself rather than parking while a fresh
+	// goroutine does.
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			runLeg(i)
+		}()
+	}
+	runLeg(0)
 	wg.Wait()
 	// Spans are ended sequentially after the barrier for the same reason
 	// they were started sequentially: recorder commit order must not
@@ -318,33 +326,37 @@ func (c *Client) Retrieve(req engine.RetrieveRequest) (engine.RetrieveResult, er
 	}
 }
 
-// doRequest performs one replica request and classifies the result. It
+// doRequest performs one replica attempt and classifies the result. It
 // never touches breakers or spans — the leg controller owns those — so it
-// is safe to run concurrently with a hedged sibling.
-func (c *Client) doRequest(ctx context.Context, shard, replica int, req engine.RetrieveRequest, parentSpan string) attemptResult {
-	u := c.cfg.Shards[shard][replica] + SearchPath + "?q=" + url.QueryEscape(req.Query) +
-		"&k=" + strconv.Itoa(req.K)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+// is safe to run concurrently with a hedged sibling. The request goes
+// straight to the transport under a.ctx, which carries the attempt's
+// ClientConfig.Timeout: no http.Client, so no redirect following. Shards
+// never redirect, and a 3xx fails the attempt like any status other than
+// 200 and 503.
+func (c *Client) doRequest(a *attempt) attemptResult {
+	hreq, err := http.NewRequestWithContext(a.ctx, http.MethodGet, a.url, nil)
 	if err != nil {
 		return attemptResult{outcome: outcomeError, detail: "bad_url: " + err.Error()}
 	}
-	if req.TraceID != "" {
-		hreq.Header.Set(httpheader.TraceID, req.TraceID)
+	if a.req.TraceID != "" {
+		hreq.Header.Set(httpheader.TraceID, a.req.TraceID)
 	}
-	if parentSpan != "" {
+	if id := a.span.ID(); id != "" {
 		// Name the exact replica attempt as the server span's parent, so
 		// the stitcher joins every attempt — first try, failover, or hedge
 		// — to the server span it caused.
-		hreq.Header.Set(httpheader.ParentSpan, parentSpan)
+		hreq.Header.Set(httpheader.ParentSpan, id)
 	}
-	if !req.Deadline.IsZero() {
-		hreq.Header.Set(httpheader.DeadlineMs, strconv.FormatInt(req.Deadline.UnixMilli(), 10))
-	}
+	httpheader.SetDeadline(hreq.Header, a.req.Deadline)
 
-	httpc := &http.Client{Transport: c.cfg.Transport, Timeout: c.cfg.Timeout}
-	resp, err := httpc.Do(hreq)
+	resp, err := c.cfg.Transport.RoundTrip(hreq)
 	if err != nil {
+		// Worded as http.Client words it: `Get "<url>": <cause>`.
+		err = &url.Error{Op: "Get", URL: hreq.URL.Redacted(), Err: err}
 		return attemptResult{outcome: outcomeError, detail: "transport: " + err.Error()}
+	}
+	if resp.Body == nil {
+		resp.Body = http.NoBody // as http.Client guarantees its callers
 	}
 	defer resp.Body.Close()
 
@@ -354,12 +366,12 @@ func (c *Client) doRequest(ctx context.Context, shard, replica int, req engine.R
 		if derr != nil {
 			return attemptResult{outcome: outcomeError, detail: "decode: " + derr.Error()}
 		}
-		if sr.Shard != shard {
+		if sr.Shard != a.shard {
 			// A reply from the wrong shard means the topology is
 			// misconfigured; merging it would silently corrupt rankings.
 			return attemptResult{outcome: outcomeError, detail: "misrouted: got shard " + strconv.Itoa(sr.Shard)}
 		}
-		if sr.Replica != replica {
+		if sr.Replica != a.replica {
 			return attemptResult{outcome: outcomeError, detail: "misrouted: got replica " + strconv.Itoa(sr.Replica)}
 		}
 		if sr.Corpus != c.corpus {
@@ -400,18 +412,4 @@ func (c *Client) CollectSpanz() ([]telemetry.NodeSpans, []error) {
 		}
 	}
 	return nodes, errs
-}
-
-// parseDeadline reads the propagated absolute deadline from X-Deadline-Ms
-// (unix milliseconds); absent or malformed values mean no deadline.
-func parseDeadline(r *http.Request) time.Time {
-	v := r.Header.Get(httpheader.DeadlineMs)
-	if v == "" {
-		return time.Time{}
-	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms <= 0 {
-		return time.Time{}
-	}
-	return time.UnixMilli(ms)
 }

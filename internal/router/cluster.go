@@ -47,8 +47,8 @@ type ClusterConfig struct {
 	// between the admission gate (outermost) and the shard handler — so a
 	// chaos rig can inject per-node faults.
 	ShardMiddleware func(shard, replica int, next http.Handler) http.Handler
-	// ShardTimeout bounds one fan-out request on the wall clock (<= 0: no
-	// per-shard timeout).
+	// ShardTimeout bounds each replica attempt on the wall clock (<= 0: no
+	// timeout; see ClientConfig.Timeout).
 	ShardTimeout time.Duration
 	// BreakerThreshold / BreakerCooldown configure the router's
 	// per-replica circuit breakers; threshold <= 0 disables them.

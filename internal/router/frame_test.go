@@ -2,7 +2,6 @@ package router
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"math"
 	"net/http"
@@ -108,28 +107,49 @@ func TestReadFrameBounded(t *testing.T) {
 	}
 }
 
+// roundTripFunc is a RoundTripper that answers from a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
 // TestClientRejectsBadReplies drives the client's reply checks: a body
-// that does not decode, and a frame from another corpus, are both leg
-// errors with the documented details.
+// that does not decode, a frame from another corpus, a redirect, a reply
+// without a body and a transport failure are all attempt errors with the
+// documented details.
 func TestClientRejectsBadReplies(t *testing.T) {
 	fx := newFrameFixture()
+	replying := func(h http.HandlerFunc) http.RoundTripper {
+		return &memTransport{hosts: map[string]http.Handler{"b": h}}
+	}
+	body := func(b []byte) http.RoundTripper {
+		return replying(func(w http.ResponseWriter, _ *http.Request) { w.Write(b) })
+	}
 	for _, tc := range []struct {
 		name   string
-		body   []byte
+		rt     http.RoundTripper
 		detail string
 	}{
-		{"json", []byte(`{"shard":0,"replica":1,"hits":[]}`), "decode: bad frame magic"},
-		{"other corpus", appendFrame(nil, 0, 1, fx.corpus+1, nil),
+		{"json", body([]byte(`{"shard":0,"replica":1,"hits":[]}`)), "decode: bad frame magic"},
+		{"other corpus", body(appendFrame(nil, 0, 1, fx.corpus+1, nil)),
 			"misrouted: corpus " + corpusHex(fx.corpus+1) + ", want " + corpusHex(fx.corpus)},
+		// Shards never redirect; the client does not follow one.
+		{"redirect", replying(func(w http.ResponseWriter, r *http.Request) {
+			http.Redirect(w, r, "http://a"+SearchPath, http.StatusMovedPermanently)
+		}), "status: 301 Moved Permanently"},
+		{"nil body", roundTripFunc(func(*http.Request) (*http.Response, error) {
+			return &http.Response{Status: "200 OK", StatusCode: http.StatusOK}, nil
+		}), "decode: frame of 0 bytes"},
+		{"transport", &memTransport{}, `transport: Get "http://b/shard/search?q=coffee&k=5": memtransport: no such host "b"`},
 	} {
 		c := NewClient(ClientConfig{
-			Shards: [][]string{{"http://a", "http://b"}},
-			Docs:   fx.docs,
-			Transport: &memTransport{hosts: map[string]http.Handler{
-				"b": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.Write(tc.body) }),
-			}},
+			Shards:    [][]string{{"http://a", "http://b"}},
+			Docs:      fx.docs,
+			Transport: tc.rt,
 		}, nil)
-		res := c.doRequest(context.Background(), 0, 1, engine.RetrieveRequest{Query: "coffee", K: 5}, "")
+		a := c.startAttempt(0, 1, nil, "http://b"+SearchPath+"?q=coffee&k=5",
+			&engine.RetrieveRequest{Query: "coffee", K: 5}, nil, false)
+		res := c.doRequest(a)
+		a.cancel()
 		if res.outcome != outcomeError || !strings.HasPrefix(res.detail, tc.detail) {
 			t.Errorf("%s: outcome %q detail %q, want %q with %q", tc.name, res.outcome, res.detail, outcomeError, tc.detail)
 		}

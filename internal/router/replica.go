@@ -48,31 +48,38 @@ type attemptResult struct {
 	hits    []index.Hit
 }
 
-// attempt is one in-flight replica request. The leg controller goroutine
-// owns it exclusively: it alone touches the span, applies breaker
-// effects, and appends the attempt record, so nothing about an attempt
-// depends on which goroutine's I/O finished first.
+// attempt is one replica request within a leg. The leg controller
+// goroutine owns it exclusively: it alone touches the span, applies
+// breaker effects, and appends the attempt record, so nothing about an
+// attempt depends on which goroutine's I/O finished first. Without
+// hedging the controller also runs the request itself (doRequest); only
+// a hedged leg gives its attempts goroutines of their own (launch).
 type attempt struct {
+	shard   int
 	replica int
 	hedge   bool
 	br      *breaker
 	span    *telemetry.Span
 	start   time.Time
+	url     string                  // replica base URL + the leg's shard query
+	req     *engine.RetrieveRequest // read-only, shared by the Retrieve's legs
+	ctx     context.Context         // the attempt's own: ClientConfig.Timeout, hedge cancellation
 	cancel  context.CancelFunc
-	done    chan attemptResult // buffered; the request goroutine sends exactly once
+	done    chan attemptResult // set by launch; buffered, the request goroutine sends exactly once
 }
 
 // callShard runs one shard's leg: walk the replica failover chain until a
 // replica answers or the set is exhausted, hedging stragglers when
-// configured. The leg span is annotated but NOT ended here — Retrieve
-// owns its lifecycle (and that of every attempt span, via out.attempts).
-func (c *Client) callShard(shard int, req engine.RetrieveRequest, legSpan *telemetry.Span) shardOutcome {
+// configured. query is the shard query string every replica URL ends in.
+// The leg span is annotated but NOT ended here — Retrieve owns its
+// lifecycle (and that of every attempt span, via out.attempts).
+func (c *Client) callShard(shard int, query string, req *engine.RetrieveRequest, legSpan *telemetry.Span) shardOutcome {
 	n := len(c.cfg.Shards[shard])
 	out := shardOutcome{replica: -1}
 	start := preferredReplica(req.TraceID, shard, n)
 	next := 0 // offset into the failover chain
 
-	// nextAttempt starts a request against the next replica in the
+	// nextAttempt mints an attempt on the next replica in the
 	// deterministic chain (preferred first, then successors mod n).
 	// Replicas whose breakers fail fast are recorded as breaker_open
 	// attempts and skipped without a request. Returns nil when the chain
@@ -90,7 +97,7 @@ func (c *Client) callShard(shard int, req engine.RetrieveRequest, legSpan *telem
 				})
 				continue
 			}
-			return c.startAttempt(shard, r, br, req, legSpan, hedge)
+			return c.startAttempt(shard, r, br, c.cfg.Shards[shard][r]+query, req, legSpan, hedge)
 		}
 		return nil
 	}
@@ -149,24 +156,37 @@ func startAttemptSpan(legSpan *telemetry.Span, replica int, hedge bool) *telemet
 	return sp
 }
 
-// startAttempt launches one replica request in its own goroutine and
-// returns the controller's handle to it.
-func (c *Client) startAttempt(shard, replica int, br *breaker, req engine.RetrieveRequest, legSpan *telemetry.Span, hedge bool) *attempt {
-	sp := startAttemptSpan(legSpan, replica, hedge)
-	ctx, cancel := context.WithCancel(context.Background())
+// startAttempt mints one replica attempt — its span, its start instant
+// and its context, which expires after ClientConfig.Timeout when one is
+// set — and returns the controller's handle to it. The request has not
+// been sent yet: the controller runs it inline or launches it.
+func (c *Client) startAttempt(shard, replica int, br *breaker, u string, req *engine.RetrieveRequest, legSpan *telemetry.Span, hedge bool) *attempt {
 	a := &attempt{
+		shard:   shard,
 		replica: replica,
 		hedge:   hedge,
 		br:      br,
-		span:    sp,
+		span:    startAttemptSpan(legSpan, replica, hedge),
 		start:   c.cfg.Clock.Now(),
-		cancel:  cancel,
-		done:    make(chan attemptResult, 1),
+		url:     u,
+		req:     req,
 	}
-	go func() {
-		a.done <- c.doRequest(ctx, shard, replica, req, sp.ID())
-	}()
+	// The timeout is per attempt, not per Retrieve, so a failover attempt
+	// gets a full budget of its own.
+	if c.cfg.Timeout > 0 {
+		a.ctx, a.cancel = context.WithTimeout(context.Background(), c.cfg.Timeout)
+	} else {
+		a.ctx, a.cancel = context.WithCancel(context.Background())
+	}
 	return a
+}
+
+// launch sends the attempt's request from its own goroutine; the result
+// arrives on a.done. Only a hedged leg, which must watch its primary and
+// its backup at once, needs this.
+func (c *Client) launch(a *attempt) {
+	a.done = make(chan attemptResult, 1)
+	go func() { a.done <- c.doRequest(a) }()
 }
 
 // awaitLeg waits out one primary attempt, hedging it with the next
@@ -177,10 +197,11 @@ func (c *Client) startAttempt(shard, replica int, br *breaker, req engine.Retrie
 // replica that served an OK result (-1 otherwise).
 func (c *Client) awaitLeg(prim *attempt, nextAttempt func(bool) *attempt, out *shardOutcome) (attemptResult, int) {
 	if c.cfg.HedgeAfter <= 0 {
-		res := <-prim.done
+		res := c.doRequest(prim)
 		c.settle(prim, res, out)
 		return res, prim.replica
 	}
+	c.launch(prim)
 
 	// The timer goroutine parks on the campaign clock. When the primary
 	// answers before the delay elapses the firing is simply never read;
@@ -197,7 +218,9 @@ func (c *Client) awaitLeg(prim *attempt, nextAttempt func(bool) *attempt, out *s
 	case r := <-prim.done:
 		primRes = &r
 	case <-hedgeFire:
-		hedge = nextAttempt(true)
+		if hedge = nextAttempt(true); hedge != nil {
+			c.launch(hedge)
+		}
 	}
 	if primRes != nil || hedge == nil {
 		// Primary answered in time, or the hedge found no healthy backup

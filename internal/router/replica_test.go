@@ -3,6 +3,7 @@ package router
 import (
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"geoserp/internal/engine"
 	"geoserp/internal/simclock"
 )
 
@@ -259,6 +261,55 @@ func TestHedgedRequestsDeterministic(t *testing.T) {
 	// marked hedge and a cancelled loser.
 	if !strings.Contains(tracez1, `"hedge"`) || !strings.Contains(tracez1, `"canceled"`) {
 		t.Fatalf("hedged trace export missing hedge/canceled attempts:\n%s", tracez1)
+	}
+}
+
+// TestAttemptTimeoutFailsOver pins ClientConfig.Timeout as a bound on
+// each replica attempt: a preferred replica that never answers costs its
+// leg one timeout, and the other replica then serves the leg in full.
+func TestAttemptTimeoutFailsOver(t *testing.T) {
+	trace := hedgeTrace() // prefers replica 0, the hanging one
+	req := engine.RetrieveRequest{Query: "coffee", K: 48, TraceID: trace}
+	healthy := NewLocalCluster(ClusterConfig{Shards: 1, Replicas: 2, Engine: testConfig(7),
+		Clock: simclock.NewManual(epoch)})
+	want, err := healthy.Client.Retrieve(req)
+	if err != nil || len(want.Hits) == 0 {
+		t.Fatalf("healthy cluster: %d hits, err %v", len(want.Hits), err)
+	}
+
+	cl := NewLocalCluster(ClusterConfig{
+		Shards:          1,
+		Replicas:        2,
+		Engine:          testConfig(7),
+		Clock:           simclock.NewManual(epoch),
+		ShardTimeout:    50 * time.Millisecond,
+		ShardMiddleware: hangingReplica,
+	})
+	type retrieved struct {
+		res engine.RetrieveResult
+		err error
+	}
+	done := make(chan retrieved, 1)
+	go func() {
+		res, err := cl.Client.Retrieve(req)
+		done <- retrieved{res, err}
+	}()
+	var got engine.RetrieveResult
+	select {
+	case r := <-done:
+		got, err = r.res, r.err
+	case <-time.After(time.Second):
+		t.Fatal("Retrieve still blocked 1s into a 50ms attempt timeout")
+	}
+	if err != nil || got.Partial {
+		t.Fatalf("Retrieve: partial %v, err %v; want the other replica's full answer", got.Partial, err)
+	}
+	if !slices.Equal(got.Hits, want.Hits) {
+		t.Fatalf("hits differ from the unblocked cluster's:\n got  %v\n want %v", got.Hits, want.Hits)
+	}
+	outcomes := cl.Client.perReplica.Values()
+	if len(outcomes) != 2 || outcomes[outcomeError] != 1 || outcomes[outcomeOK] != 1 {
+		t.Fatalf("replica attempt outcomes = %v, want one error (the timed-out attempt) and one ok", outcomes)
 	}
 }
 

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -339,7 +341,7 @@ func TestShardHandlerSurface(t *testing.T) {
 
 	// An already-expired propagated deadline is refused as a shed.
 	r = httptest.NewRequest(http.MethodGet, SearchPath+"?q=pizza", nil)
-	r.Header.Set(httpheader.DeadlineMs, strconv.FormatInt(epoch.Add(-time.Second).UnixMilli(), 10))
+	httpheader.SetDeadline(r.Header, epoch.Add(-time.Second))
 	w = httptest.NewRecorder()
 	sh.ServeHTTP(w, r)
 	if w.Code != http.StatusServiceUnavailable {
@@ -353,6 +355,47 @@ func TestShardHandlerSurface(t *testing.T) {
 		sh.ServeHTTP(w, r)
 		if w.Code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", path, w.Code)
+		}
+	}
+
+	// The rest of the surface, recorded when every request went through
+	// the handler's ServeMux, so a direct /shard/search dispatch cannot
+	// change what any other request gets. A frame body is pinned by its
+	// SHA-256.
+	const text = "text/plain; charset=utf-8"
+	surface := []struct {
+		method, target     string
+		code               int
+		allow, ctype, body string
+	}{
+		{http.MethodHead, SearchPath + "?q=coffee&k=5", http.StatusOK, "", "application/octet-stream",
+			"sha256:5fa243d9f6d954beb4654608d920a05830e5329a5513beb6324fa4bce2444b46"},
+		{http.MethodPost, SearchPath + "?q=coffee&k=5", http.StatusMethodNotAllowed, "GET, HEAD", text,
+			"Method Not Allowed\n"},
+		{http.MethodGet, SearchPath + "/?q=coffee&k=5", http.StatusNotFound, "", text, "404 page not found\n"},
+		{http.MethodGet, "/shard//search?q=coffee&k=5", http.StatusMovedPermanently, "", "text/html; charset=utf-8",
+			"<a href=\"/shard/search?q=coffee&amp;k=5\">Moved Permanently</a>.\n\n"},
+		{http.MethodGet, SearchPath + "?q=coffee&k=0", http.StatusBadRequest, "", text, "bad k\n"},
+		// 626 of this shard's documents match "local": the frame is
+		// clamped to maxShardK hits, 24 + 12*512 = 6168 bytes.
+		{http.MethodGet, SearchPath + "?q=local&k=9999", http.StatusOK, "", "application/octet-stream",
+			"sha256:e2fe0a4b871d7d1ffeb4eb88f2554d49da84615a31db3e6bb9d8f9d4723b3a17"},
+		{http.MethodGet, "/healthz", http.StatusOK, "", "application/json",
+			`{"corpus":"8f7edab2810e2616","docs":2194,"replica":0,"shard":0,"status":"ok"}` + "\n"},
+		{http.MethodGet, "/nope", http.StatusNotFound, "", text, "404 page not found\n"},
+	}
+	for _, c := range surface {
+		w = httptest.NewRecorder()
+		sh.ServeHTTP(w, httptest.NewRequest(c.method, c.target, nil))
+		body := w.Body.String()
+		if strings.HasPrefix(c.body, "sha256:") {
+			body = fmt.Sprintf("sha256:%x", sha256.Sum256(w.Body.Bytes()))
+		}
+		if w.Code != c.code || w.Header().Get("Allow") != c.allow ||
+			w.Header().Get("Content-Type") != c.ctype || body != c.body {
+			t.Errorf("%s %s: got %d, Allow %q, Content-Type %q, body %q; want %d, %q, %q, %q",
+				c.method, c.target, w.Code, w.Header().Get("Allow"), w.Header().Get("Content-Type"), body,
+				c.code, c.allow, c.ctype, c.body)
 		}
 	}
 

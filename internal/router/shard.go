@@ -171,7 +171,17 @@ func (h *ShardHandler) retryAfterSeconds() string {
 	return "1"
 }
 
+// ServeHTTP sends a router's fan-out request — a GET of exactly
+// SearchPath — straight to the search handler. Every other request goes
+// through the ServeMux, which answers HEAD, 405 with Allow, 404 and
+// cleaned-path redirects; the condition only admits requests the mux
+// would route to handleSearch too (an empty RawPath means the path has
+// no escapes for the mux to read differently).
 func (h *ShardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodGet && r.URL.Path == SearchPath && r.URL.RawPath == "" {
+		h.handleSearch(w, r)
+		return
+	}
 	h.mux.ServeHTTP(w, r)
 }
 
@@ -200,7 +210,7 @@ func (h *ShardHandler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// A propagated deadline that already passed means the router (or its
 	// client) has given up; refuse the work instead of ranking a partition
 	// nobody will merge.
-	if dl := parseDeadline(r); !dl.IsZero() && h.clock.Now().After(dl) {
+	if dl := httpheader.Deadline(r.Header); !dl.IsZero() && h.clock.Now().After(dl) {
 		h.errors.With("deadline").Inc()
 		sp.SetAttr("error", "deadline")
 		w.Header().Set("Retry-After", h.retryAfterSeconds())
@@ -208,7 +218,8 @@ func (h *ShardHandler) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		h.errors.With("empty_query").Inc()
 		sp.SetAttr("error", "empty_query")
@@ -218,7 +229,7 @@ func (h *ShardHandler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	sp.SetAttr("query", q)
 
 	k := defaultShardK
-	if v := r.URL.Query().Get("k"); v != "" {
+	if v := params.Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
 			h.errors.With("bad_k").Inc()

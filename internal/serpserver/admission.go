@@ -119,7 +119,7 @@ func (a *Admission) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		a.next.ServeHTTP(w, r)
 		return
 	}
-	deadline := parseDeadline(r)
+	deadline := httpheader.Deadline(r.Header)
 	now := a.cfg.Clock.Now()
 	if !deadline.IsZero() && now.After(deadline) {
 		// Already dead on arrival: even an idle server cannot answer in
@@ -229,20 +229,6 @@ func (a *Admission) shedSpan(r *http.Request, reason string, ra time.Duration) {
 		s.SetAttr("retry_after", ra.String())
 	}
 	s.End()
-}
-
-// parseDeadline reads the propagated absolute deadline from X-Deadline-Ms
-// (unix milliseconds); absent or malformed values mean no deadline.
-func parseDeadline(r *http.Request) time.Time {
-	v := r.Header.Get(httpheader.DeadlineMs)
-	if v == "" {
-		return time.Time{}
-	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms <= 0 {
-		return time.Time{}
-	}
-	return time.UnixMilli(ms)
 }
 
 // gate verdicts from acquire.

@@ -164,7 +164,7 @@ func TestAdmissionShedsDeadOnArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(httpheader.DeadlineMs, strconv.FormatInt(time.Now().Add(-time.Second).UnixMilli(), 10))
+	httpheader.SetDeadline(req.Header, time.Now().Add(-time.Second))
 	resp, err := srv.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestAdmissionShedsDeadOnArrival(t *testing.T) {
 		t.Fatal("dead-on-arrival request still consumed a slot")
 	}
 	// The same request with a live deadline sails through an idle gate.
-	req.Header.Set(httpheader.DeadlineMs, strconv.FormatInt(time.Now().Add(time.Hour).UnixMilli(), 10))
+	httpheader.SetDeadline(req.Header, time.Now().Add(time.Hour))
 	resp, err = srv.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestAdmissionRefusesToQueueDoomedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(httpheader.DeadlineMs, strconv.FormatInt(time.Now().Add(time.Second).UnixMilli(), 10))
+	httpheader.SetDeadline(req.Header, time.Now().Add(time.Second))
 	resp, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -266,25 +266,6 @@ func TestAdmissionGatesOnlySearch(t *testing.T) {
 	close(release)
 	if c := <-done; c != http.StatusOK {
 		t.Fatalf("admitted request finished %d", c)
-	}
-}
-
-func TestParseDeadline(t *testing.T) {
-	mk := func(v string) *http.Request {
-		r := httptest.NewRequest(http.MethodGet, "/search", nil)
-		if v != "" {
-			r.Header.Set(httpheader.DeadlineMs, v)
-		}
-		return r
-	}
-	for _, v := range []string{"", "garbage", "-5", "0", "1.5e3"} {
-		if got := parseDeadline(mk(v)); !got.IsZero() {
-			t.Fatalf("parseDeadline(%q) = %v, want zero", v, got)
-		}
-	}
-	want := time.UnixMilli(1433116800000)
-	if got := parseDeadline(mk("1433116800000")); !got.Equal(want) {
-		t.Fatalf("parseDeadline = %v, want %v", got, want)
 	}
 }
 

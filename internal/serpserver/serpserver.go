@@ -327,7 +327,7 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 		UserAgent:  r.UserAgent(),
 		TraceID:    telemetry.TraceID(r.Context()),
 		Span:       telemetry.SpanFrom(r.Context()),
-		Deadline:   parseDeadline(r),
+		Deadline:   httpheader.Deadline(r.Header),
 		Wide:       wide,
 	}
 	resp, err := h.eng.Search(req)
