@@ -71,10 +71,14 @@ chaos:
 #   extracted URL lists.
 # - FuzzParseHTML, the crawler's HTML parser (internal/serp): no document may
 #   panic it, and every page it accepts must re-render and re-parse unchanged.
+# - FuzzPlacesNear, the Places lookup (internal/webcorpus): no coordinate may
+#   panic it, an invalid point gets nil, and a valid one the full-rectangle
+#   scan over the fmt-built reference generator, cold and warm.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime 20s ./internal/router
 	go test -run '^$$' -fuzz '^FuzzComparePages$$' -fuzztime 20s ./internal/metrics
 	go test -run '^$$' -fuzz '^FuzzParseHTML$$' -fuzztime 20s ./internal/serp
+	go test -run '^$$' -fuzz '^FuzzPlacesNear$$' -fuzztime 20s ./internal/webcorpus
 
 build:
 	go build ./...

@@ -1,6 +1,8 @@
 package webcorpus
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"geoserp/internal/geo"
@@ -174,6 +176,66 @@ func TestPlacesUnknownKindAndBadRadius(t *testing.T) {
 	if got := p.Near(cleveland, "coffee", -5); got != nil {
 		t.Fatalf("negative radius returned %d businesses", len(got))
 	}
+	for _, pt := range []geo.Point{
+		{Lat: math.NaN(), Lon: cleveland.Lon},
+		{Lat: cleveland.Lat, Lon: math.NaN()},
+		{Lat: math.Inf(1), Lon: cleveland.Lon},
+		{Lat: cleveland.Lat, Lon: math.Inf(-1)},
+		{Lat: 91},
+		{Lat: -95},
+		{Lon: 181},
+	} {
+		if got := p.Near(pt, "coffee", 10); got != nil {
+			t.Fatalf("invalid point %v returned %d businesses", pt, len(got))
+		}
+	}
+}
+
+// TestPlaceStoreHoldsNoPointers walks the types of a store's index, blocks
+// and records: none may hold a pointer, or every garbage collection would
+// scan the whole store.
+func TestPlaceStoreHoldsNoPointers(t *testing.T) {
+	if !holdsPointer(reflect.TypeFor[Business]()) {
+		t.Fatal("holdsPointer misses the strings of Business")
+	}
+	store := reflect.TypeFor[placeStore]()
+	for _, name := range []string{"index", "blocks", "recs"} {
+		f, ok := store.FieldByName(name)
+		if !ok {
+			t.Fatalf("placeStore has no field %s", name)
+		}
+		types := []reflect.Type{f.Type.Elem()}
+		if f.Type.Kind() == reflect.Map {
+			types = append(types, f.Type.Key())
+		}
+		for _, typ := range types {
+			if holdsPointer(typ) {
+				t.Errorf("placeStore.%s: %v holds a pointer", name, typ)
+			}
+		}
+	}
+}
+
+// holdsPointer reports whether a value of type t holds a pointer the
+// garbage collector must follow.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return holdsPointer(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	default: // pointers, slices, maps, strings, interfaces, channels, funcs
+		return true
+	}
 }
 
 func TestPlacesKindsCoverAllLocalTerms(t *testing.T) {
@@ -229,5 +291,18 @@ func BenchmarkPlacesNear(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := i % (len(kinds) * len(locs))
 		nearSink = p.Near(locs[n/len(kinds)].Point, kinds[n%len(kinds)], 10)
+	}
+}
+
+// BenchmarkPlacesNearCold measures one Near on a fresh Places, cycling
+// through the study's local mix at 10 km: the cell generation and storing
+// that the first request for a kind at a location pays for.
+func BenchmarkPlacesNearCold(b *testing.B) {
+	kinds := NewPlaces(1).Kinds()
+	locs := geo.StudyLocations()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := i % (len(kinds) * len(locs))
+		nearSink = NewPlaces(1).Near(locs[n/len(kinds)].Point, kinds[n%len(kinds)], 10)
 	}
 }
