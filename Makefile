@@ -74,11 +74,23 @@ chaos:
 # - FuzzPlacesNear, the Places lookup (internal/webcorpus): no coordinate may
 #   panic it, an invalid point gets nil, and a valid one the full-rectangle
 #   scan over the fmt-built reference generator, cold and warm.
+# - FuzzRenderHTML, the page renderers (internal/serp): for any query,
+#   location, datacenter, day and card stack, both surfaces, appended after
+#   a prefix, must be the fmt-built reference renderers' bytes.
+# - FuzzParsePoint, the ll= parameter (internal/geo): no input may panic
+#   ParsePoint, an accepted point is valid and survives String and
+#   ParsePoint, and String is "%.6f,%.6f" for any float64 pair.
+# - FuzzDeadline, the X-Deadline-Ms codec (internal/httpheader): no value
+#   may panic Deadline, a deadline is read exactly from a positive base-10
+#   int64, and SetDeadline writes back what Deadline reads.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime 20s ./internal/router
 	go test -run '^$$' -fuzz '^FuzzComparePages$$' -fuzztime 20s ./internal/metrics
 	go test -run '^$$' -fuzz '^FuzzParseHTML$$' -fuzztime 20s ./internal/serp
 	go test -run '^$$' -fuzz '^FuzzPlacesNear$$' -fuzztime 20s ./internal/webcorpus
+	go test -run '^$$' -fuzz '^FuzzRenderHTML$$' -fuzztime 20s ./internal/serp
+	go test -run '^$$' -fuzz '^FuzzParsePoint$$' -fuzztime 20s ./internal/geo
+	go test -run '^$$' -fuzz '^FuzzDeadline$$' -fuzztime 20s ./internal/httpheader
 
 build:
 	go build ./...

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -305,7 +306,7 @@ type bucketParams struct {
 }
 
 func (e *Engine) bucket(i int, baseMapsProb float64) bucketParams {
-	rng := detrand.NewKeyed(e.cfg.Seed, "bucket", fmt.Sprint(i))
+	rng := detrand.NewKeyed(e.cfg.Seed, "bucket", strconv.Itoa(i))
 	bp := bucketParams{
 		placeMult: 1 + e.cfg.BucketWeightSpread*(2*rng.Float64()-1),
 		mapsProb:  clamp01(baseMapsProb + rng.Range(-0.06, 0.06)),
@@ -387,6 +388,7 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	}
 	qRegion := e.region(loc)
 	day := e.Day()
+	dayKey := strconv.Itoa(day) // keys the day's news presence and slot
 
 	class, topic := e.classify(req.Query)
 	parseDur := e.wall.Now().Sub(parseStart)
@@ -418,7 +420,7 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	}
 	noiseKey := req.TraceID
 	if noiseKey == "" {
-		noiseKey = fmt.Sprint(seqNo)
+		noiseKey = strconv.FormatUint(seqNo, 10)
 	}
 	rrng := detrand.NewKeyed(e.cfg.Seed, "request", noiseKey)
 	baseMapsProb, baseNewsProb := 0.0, 0.0
@@ -557,7 +559,7 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	// noise of §3.1 comes only from article selection within the card.
 	var newsCard *serp.Card
 	hasNews := baseNewsProb > 0 &&
-		detrand.NewKeyed(e.cfg.Seed, "newspresence", topic, fmt.Sprint(day)).Bool(baseNewsProb)
+		detrand.NewKeyed(e.cfg.Seed, "newspresence", topic, dayKey).Bool(baseNewsProb)
 	if hasNews {
 		arts := e.news.Topical(topic, day)
 		type scoredArt struct {
@@ -632,7 +634,7 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	// The News card's slot is a property of the day's layout, not of the
 	// request: randomizing it per request would shift every link below it
 	// and register as large phantom noise.
-	newsPos := 2 + int(detrand.Hash("newspos", topic, fmt.Sprint(day))%3)
+	newsPos := 2 + int(detrand.Hash("newspos", topic, dayKey)%3)
 	placed := 0
 	for _, c := range cands {
 		if placed >= nOrganic {

@@ -36,7 +36,11 @@ func (p Point) Valid() bool {
 // "latitude/longitude pair as input" contract of the paper's PhantomJS
 // script.
 func (p Point) String() string {
-	return fmt.Sprintf("%.6f,%.6f", p.Lat, p.Lon)
+	var buf [64]byte
+	b := strconv.AppendFloat(buf[:0], p.Lat, 'f', 6, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, p.Lon, 'f', 6, 64)
+	return string(b)
 }
 
 func deg2rad(d float64) float64 { return d * math.Pi / 180 }

@@ -3,6 +3,7 @@ package serp
 import (
 	"fmt"
 	"html"
+	"strconv"
 	"strings"
 )
 
@@ -21,47 +22,57 @@ const desktopMarker = `<body class="desktop-serp">`
 
 // RenderDesktopHTML renders the page as a desktop results document.
 func RenderDesktopHTML(p *Page) string {
-	var b strings.Builder
-	b.Grow(4096)
-	b.WriteString("<!doctype html>\n<html><head><meta charset=\"utf-8\">")
-	fmt.Fprintf(&b, "<title>%s - Search</title></head>\n", html.EscapeString(p.Query))
-	b.WriteString(desktopMarker + "\n")
-	fmt.Fprintf(&b, "<div id=\"searchform\"><input value=\"%s\"></div>\n",
-		html.EscapeString(p.Query))
-	b.WriteString("<div id=\"res\">\n")
+	return string(AppendDesktopHTML(make([]byte, 0, 4096), p))
+}
+
+// AppendDesktopHTML appends the page's desktop results document to b and
+// returns the extended buffer. The appended bytes are the ones
+// RenderDesktopHTML returns.
+func AppendDesktopHTML(b []byte, p *Page) []byte {
+	b = append(b, "<!doctype html>\n<html><head><meta charset=\"utf-8\"><title>"...)
+	b = appendEscaped(b, p.Query)
+	b = append(b, " - Search</title></head>\n"+desktopMarker+"\n<div id=\"searchform\"><input value=\""...)
+	b = appendEscaped(b, p.Query)
+	b = append(b, "\"></div>\n<div id=\"res\">\n"...)
 	for i, c := range p.Cards {
 		switch c.Type {
 		case Maps:
-			fmt.Fprintf(&b, "<div class=\"onebox maps-onebox\" data-type=\"maps\" data-index=\"%d\">\n", i)
-			b.WriteString("  <div class=\"lu-map\"></div>\n  <table class=\"lu-results\">\n")
+			b = append(b, "<div class=\"onebox maps-onebox\" data-type=\"maps\" data-index=\""...)
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, "\">\n  <div class=\"lu-map\"></div>\n  <table class=\"lu-results\">\n"...)
 			for _, r := range c.Results {
-				fmt.Fprintf(&b, "    <tr><td><a class=\"res-link\" href=\"%s\">%s</a></td></tr>\n",
-					html.EscapeString(r.URL), html.EscapeString(r.Title))
+				b = append(b, "    <tr><td>"...)
+				b = appendLink(b, "res-link", r)
+				b = append(b, "</td></tr>\n"...)
 			}
-			b.WriteString("  </table>\n</div><!--/onebox-->\n")
+			b = append(b, "  </table>\n</div><!--/onebox-->\n"...)
 		case News:
-			fmt.Fprintf(&b, "<div class=\"onebox news-onebox\" data-type=\"news\" data-index=\"%d\">\n", i)
-			b.WriteString("  <h3>In the news</h3>\n")
+			b = append(b, "<div class=\"onebox news-onebox\" data-type=\"news\" data-index=\""...)
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, "\">\n  <h3>In the news</h3>\n"...)
 			for _, r := range c.Results {
-				fmt.Fprintf(&b, "  <div class=\"news-row\"><a class=\"res-link\" href=\"%s\">%s</a></div>\n",
-					html.EscapeString(r.URL), html.EscapeString(r.Title))
+				b = append(b, "  <div class=\"news-row\">"...)
+				b = appendLink(b, "res-link", r)
+				b = append(b, "</div>\n"...)
 			}
-			b.WriteString("</div><!--/onebox-->\n")
+			b = append(b, "</div><!--/onebox-->\n"...)
 		default:
-			fmt.Fprintf(&b, "<div class=\"g\" data-type=\"organic\" data-index=\"%d\">\n", i)
+			b = append(b, "<div class=\"g\" data-type=\"organic\" data-index=\""...)
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, "\">\n"...)
 			for _, r := range c.Results {
-				fmt.Fprintf(&b, "  <h3><a class=\"res-link\" href=\"%s\">%s</a></h3>\n",
-					html.EscapeString(r.URL), html.EscapeString(r.Title))
+				b = append(b, "  <h3>"...)
+				b = appendLink(b, "res-link", r)
+				b = append(b, "</h3>\n"...)
 			}
-			b.WriteString("</div><!--/g-->\n")
+			b = append(b, "</div><!--/g-->\n"...)
 		}
 	}
-	b.WriteString("</div>\n")
-	fmt.Fprintf(&b, "<div id=\"foot\" data-location=\"%s\" data-datacenter=\"%s\" data-day=\"%d\">Location used: %s</div>\n",
-		html.EscapeString(p.Location), html.EscapeString(p.Datacenter), p.Day,
-		html.EscapeString(p.Location))
-	b.WriteString("</body></html>\n")
-	return b.String()
+	b = append(b, "</div>\n<div id=\"foot\""...)
+	b = appendFooterAttrs(b, p)
+	b = append(b, ">Location used: "...)
+	b = appendEscaped(b, p.Location)
+	return append(b, "</div>\n</body></html>\n"...)
 }
 
 // IsDesktopHTML reports whether the document is a desktop results page.

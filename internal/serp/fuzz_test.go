@@ -5,12 +5,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
-	"geoserp/internal/engine"
-	"geoserp/internal/geo"
 	"geoserp/internal/serp"
-	"geoserp/internal/simclock"
 )
 
 // FuzzParseHTML fuzzes the crawler's parser, which reads every page a
@@ -19,15 +15,9 @@ import (
 // parses into something its own rendering does not say would be a
 // misparse, indistinguishable downstream from personalization.
 func FuzzParseHTML(f *testing.F) {
-	eng := engine.New(engine.DefaultConfig(), simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)))
-	gps := geo.Point{Lat: 41.4993, Lon: -81.6944}
-	for _, term := range []string{"School", "Starbucks", "Gay Marriage", "Barack Obama"} {
-		r, err := eng.Search(engine.Request{Query: term, GPS: &gps, ClientIP: "10.0.0.1"})
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(serp.RenderHTML(r.Page))
-		f.Add(serp.RenderDesktopHTML(r.Page))
+	for _, p := range studyPages(f) {
+		f.Add(serp.RenderHTML(p))
+		f.Add(serp.RenderDesktopHTML(p))
 	}
 	for _, rejects := range []map[string]string{serp.HTMLRejects(), serp.DesktopRejects()} {
 		for _, name := range slices.Sorted(maps.Keys(rejects)) {

@@ -15,31 +15,38 @@ import (
 // extraction work rather than reading a convenient JSON blob.
 
 // RenderHTML renders the page as a mobile results document.
-func RenderHTML(p *Page) string {
-	var b strings.Builder
-	b.Grow(4096)
-	b.WriteString("<!doctype html>\n<html><head><meta charset=\"utf-8\">")
-	fmt.Fprintf(&b, "<title>%s - Search</title>", html.EscapeString(p.Query))
-	b.WriteString("<meta name=\"viewport\" content=\"width=device-width\"></head>\n<body>\n")
-	fmt.Fprintf(&b, "<header class=\"searchbox\"><input value=\"%s\"></header>\n",
-		html.EscapeString(p.Query))
-	b.WriteString("<main id=\"results\">\n")
+func RenderHTML(p *Page) string { return string(AppendHTML(make([]byte, 0, 4096), p)) }
+
+// AppendHTML appends the page's mobile results document to b and returns
+// the extended buffer. The appended bytes are the ones RenderHTML returns.
+func AppendHTML(b []byte, p *Page) []byte {
+	b = append(b, "<!doctype html>\n<html><head><meta charset=\"utf-8\"><title>"...)
+	b = appendEscaped(b, p.Query)
+	b = append(b, " - Search</title><meta name=\"viewport\" content=\"width=device-width\"></head>\n<body>\n"+
+		"<header class=\"searchbox\"><input value=\""...)
+	b = appendEscaped(b, p.Query)
+	b = append(b, "\"></header>\n<main id=\"results\">\n"...)
 	for i, c := range p.Cards {
-		fmt.Fprintf(&b, "<div class=\"card\" data-type=\"%s\" data-index=\"%d\">\n", c.Type, i)
+		b = append(b, "<div class=\"card\" data-type=\""...)
+		b = append(b, c.Type.String()...)
+		b = append(b, "\" data-index=\""...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, "\">\n"...)
 		switch c.Type {
 		case Maps:
-			b.WriteString("  <div class=\"map-frame\"><span class=\"map-pin\">&#9679;</span></div>\n")
-			b.WriteString("  <ul class=\"map-list\">\n")
+			b = append(b, "  <div class=\"map-frame\"><span class=\"map-pin\">&#9679;</span></div>\n  <ul class=\"map-list\">\n"...)
 			for _, r := range c.Results {
-				fmt.Fprintf(&b, "    <li><a class=\"serp-link\" href=\"%s\">%s</a><span class=\"biz-meta\">&#9733;</span></li>\n",
-					html.EscapeString(r.URL), html.EscapeString(r.Title))
+				b = append(b, "    <li>"...)
+				b = appendLink(b, "serp-link", r)
+				b = append(b, "<span class=\"biz-meta\">&#9733;</span></li>\n"...)
 			}
-			b.WriteString("  </ul>\n")
+			b = append(b, "  </ul>\n"...)
 		case News:
-			b.WriteString("  <h3 class=\"news-header\">In the News</h3>\n")
+			b = append(b, "  <h3 class=\"news-header\">In the News</h3>\n"...)
 			for _, r := range c.Results {
-				fmt.Fprintf(&b, "  <div class=\"news-item\"><a class=\"serp-link\" href=\"%s\">%s</a></div>\n",
-					html.EscapeString(r.URL), html.EscapeString(r.Title))
+				b = append(b, "  <div class=\"news-item\">"...)
+				b = appendLink(b, "serp-link", r)
+				b = append(b, "</div>\n"...)
 			}
 		default:
 			for j, r := range c.Results {
@@ -47,18 +54,70 @@ func RenderHTML(p *Page) string {
 				if j > 0 {
 					cls = "serp-link sublink"
 				}
-				fmt.Fprintf(&b, "  <a class=\"%s\" href=\"%s\">%s</a>\n",
-					cls, html.EscapeString(r.URL), html.EscapeString(r.Title))
+				b = append(b, "  "...)
+				b = appendLink(b, cls, r)
+				b = append(b, '\n')
 			}
 		}
-		b.WriteString("</div><!--/card-->\n")
+		b = append(b, "</div><!--/card-->\n"...)
 	}
-	b.WriteString("</main>\n")
-	fmt.Fprintf(&b, "<footer id=\"geo-footer\" data-location=\"%s\" data-datacenter=\"%s\" data-day=\"%d\">Results for <b>%s</b></footer>\n",
-		html.EscapeString(p.Location), html.EscapeString(p.Datacenter), p.Day,
-		html.EscapeString(p.Location))
-	b.WriteString("</body></html>\n")
-	return b.String()
+	b = append(b, "</main>\n<footer id=\"geo-footer\""...)
+	b = appendFooterAttrs(b, p)
+	b = append(b, ">Results for <b>"...)
+	b = appendEscaped(b, p.Location)
+	return append(b, "</b></footer>\n</body></html>\n"...)
+}
+
+// appendLink appends <a class="cls" href="URL">Title</a>, both escaped.
+func appendLink(b []byte, cls string, r Result) []byte {
+	b = append(b, "<a class=\""...)
+	b = append(b, cls...)
+	b = append(b, "\" href=\""...)
+	b = appendEscaped(b, r.URL)
+	b = append(b, "\">"...)
+	b = appendEscaped(b, r.Title)
+	return append(b, "</a>"...)
+}
+
+// appendFooterAttrs appends the footer's data-location, data-datacenter
+// and data-day attributes, each after a space: the attributes parseFooter
+// reads back on both surfaces.
+func appendFooterAttrs(b []byte, p *Page) []byte {
+	b = append(b, " data-location=\""...)
+	b = appendEscaped(b, p.Location)
+	b = append(b, "\" data-datacenter=\""...)
+	b = appendEscaped(b, p.Datacenter)
+	b = append(b, "\" data-day=\""...)
+	b = strconv.AppendInt(b, int64(p.Day), 10)
+	return append(b, '"')
+}
+
+// appendEscaped appends s to b with the five bytes html.EscapeString
+// escapes replaced by the same entities; every other byte, invalid UTF-8
+// included, is copied unchanged.
+func appendEscaped(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '&':
+			esc = "&amp;"
+		case '\'':
+			esc = "&#39;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			esc = "&#34;"
+		default:
+			continue
+		}
+		b = append(b, s[last:i]...)
+		b = append(b, esc...)
+		last = i + 1
+	}
+	return append(b, s[last:]...)
 }
 
 // ParseHTML parses a rendered results document back into a Page. It is a

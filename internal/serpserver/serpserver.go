@@ -59,12 +59,25 @@ type Handler struct {
 	// ID — the flat record the continuous-audit pipeline greps.
 	wideLog  *slog.Logger
 	widePool sync.Pool // of *wideSlot
+	// pagePool holds the buffers HTML pages are appended into, bounded
+	// by maxPooledPage.
+	pagePool sync.Pool // of *[]byte
 	// wall times request handling for the duration histogram and access
 	// log: those measure real hardware latency regardless of the virtual
 	// campaign clock driving the engine.
 	wall simclock.Clock
 	inst httpInstruments
 }
+
+// pageBufSize is a fresh page buffer's capacity: a study page is 3–3.5 KB
+// on either surface.
+const pageBufSize = 4 << 10
+
+// maxPooledPage bounds the page-buffer pool: a buffer grown past it by an
+// outsized page is dropped, not pooled, so one huge page cannot pin its
+// buffer for the life of the process (the rule fmt applies to its own
+// printer pool, golang.org/issue/23199).
+const maxPooledPage = 64 << 10
 
 // wideSlot is a pooled wide event plus its formatting buffer, so steady-
 // state wide logging allocates only inside slog itself.
@@ -125,6 +138,10 @@ func NewHandler(eng *engine.Engine, opts ...HandlerOption) *Handler {
 		o(h)
 	}
 	h.widePool.New = func() any { return &wideSlot{buf: make([]byte, 0, 512)} }
+	h.pagePool.New = func() any {
+		b := make([]byte, 0, pageBufSize)
+		return &b
+	}
 	h.inst = httpInstruments{
 		requests: h.tel.Counter("serpd_http_requests_total", "HTTP requests received."),
 		errors:   h.tel.Counter("serpd_http_errors_total", "Requests answered with an error status."),
@@ -282,7 +299,8 @@ func clientIP(r *http.Request) string {
 }
 
 func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	query := r.URL.Query()
+	q := query.Get("q")
 	if strings.TrimSpace(q) == "" {
 		h.inst.errors.Inc()
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
@@ -296,7 +314,7 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// limited to desktop, could only study IP geolocation.
 	desktop := isDesktopUA(r.UserAgent())
 	var gps *geo.Point
-	if ll := r.URL.Query().Get("ll"); ll != "" && !desktop {
+	if ll := query.Get("ll"); ll != "" && !desktop {
 		pt, err := geo.ParsePoint(ll)
 		if err != nil {
 			h.inst.errors.Inc()
@@ -314,7 +332,7 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if c, err := r.Cookie(SessionCookie); err == nil && c.Value != "" {
 		session = c.Value
 	} else {
-		session = fmt.Sprintf("sid-%d", h.inst.sessions.Inc())
+		session = "sid-" + strconv.FormatUint(h.inst.sessions.Inc(), 10)
 	}
 
 	wide := telemetry.WideEventFrom(r.Context())
@@ -380,19 +398,30 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(httpheader.SerpPartial, "web")
 	}
 
-	if r.URL.Query().Get("format") == "json" {
+	if query.Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
 		if err := json.NewEncoder(w).Encode(resp.Page); err != nil {
 			h.inst.errors.Inc()
 		}
 		return
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	// The page is appended into a pooled buffer and written once with its
+	// Content-Length, so net/http sends it unchunked.
+	buf := h.pagePool.Get().(*[]byte)
+	page := (*buf)[:0]
 	if desktop {
-		fmt.Fprint(w, serp.RenderDesktopHTML(resp.Page))
-		return
+		page = serp.AppendDesktopHTML(page, resp.Page)
+	} else {
+		page = serp.AppendHTML(page, resp.Page)
 	}
-	fmt.Fprint(w, serp.RenderHTML(resp.Page))
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(page)))
+	// A failed write means the client has gone: there is no one to tell.
+	_, _ = w.Write(page)
+	if cap(page) <= maxPooledPage {
+		*buf = page
+		h.pagePool.Put(buf)
+	}
 }
 
 func (h *Handler) handleHealth(w http.ResponseWriter, _ *http.Request) {

@@ -200,6 +200,9 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
+// TestRealServerOverTCP serves a mobile and a desktop page through a real
+// server. Each is written once with its length, so it arrives unchunked
+// with a Content-Length equal to the body's.
 func TestRealServerOverTCP(t *testing.T) {
 	h := testHandler(t, nil)
 	srv, err := Listen("127.0.0.1:0", h)
@@ -215,24 +218,38 @@ func TestRealServerOverTCP(t *testing.T) {
 		}
 	}()
 
-	resp, err := http.Get(srv.URL() + "/search?q=Hospital&ll=41.4993,-81.6944")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	page, err := serp.ParseHTML(string(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if page.Query != "Hospital" {
-		t.Fatalf("query = %q", page.Query)
+	for _, ua := range []string{mobileUA, desktopUA} {
+		req, err := http.NewRequest("GET", srv.URL()+"/search?q=Hospital&ll=41.4993,-81.6944", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("User-Agent", ua)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d", ua, resp.StatusCode)
+		}
+		if serp.IsDesktopHTML(string(body)) != (ua == desktopUA) {
+			t.Fatalf("%s: served the wrong surface", ua)
+		}
+		page, err := serp.ParseAnyHTML(string(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if page.Query != "Hospital" {
+			t.Fatalf("%s: query = %q", ua, page.Query)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: ContentLength = %d, TransferEncoding = %q for a %d B page; want the page's length, unchunked",
+				ua, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
 	}
 }
 

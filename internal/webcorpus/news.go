@@ -1,8 +1,8 @@
 package webcorpus
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"geoserp/internal/detrand"
 )
@@ -74,16 +74,20 @@ func (n *NewsWire) Topical(topic string, day int) []Article {
 // publishedOn generates the articles for topic published on day pub, scored
 // for an observer age days later.
 func (n *NewsWire) publishedOn(topic string, pub, age int) []Article {
-	rng := detrand.NewKeyed(n.seed, "news", topic, fmt.Sprintf("day%d", pub))
+	day := strconv.Itoa(pub)
+	dayKey := "day" + day
+	rng := n.nationalRNG(topic, dayKey)
 	// 1–3 national stories per topic per day.
 	count := 1 + rng.Intn(3)
 	decay := 1.0 / float64(1+age)
+	title := TitleCase(topic)
+	nationalTitle := title + ": developments (day " + day + ")"
 	out := make([]Article, 0, count+1)
 	for k := 0; k < count; k++ {
 		src := detrand.Pick(rng, nationalOutlets)
 		out = append(out, Article{
-			URL:       fmt.Sprintf("https://%s.example/%s/day%d-%d", src, topic, pub, k),
-			Title:     fmt.Sprintf("%s: developments (day %d)", TitleCase(topic), pub),
+			URL:       "https://" + src + ".example/" + topic + "/" + dayKey + "-" + strconv.Itoa(k),
+			Title:     nationalTitle,
 			Source:    src,
 			Topic:     topic,
 			Day:       pub,
@@ -95,17 +99,39 @@ func (n *NewsWire) publishedOn(topic string, pub, age int) []Article {
 	// the engine, which is why the News share of personalization grows
 	// with distance for controversial terms (Fig. 7).
 	for _, r := range n.regions {
-		if detrand.NewKeyed(n.seed, "regionalnews", topic, r.Slug, fmt.Sprintf("day%d", pub)).Bool(0.04) {
-			out = append(out, Article{
-				URL:       fmt.Sprintf("https://%s-observer.example/news/%s/day%d", r.Slug, topic, pub),
-				Title:     fmt.Sprintf("%s: what it means for %s", TitleCase(topic), r.Name),
-				Source:    r.Slug + "-observer",
-				Region:    r.Slug,
-				Topic:     topic,
-				Day:       pub,
-				Freshness: detrand.NewKeyed(n.seed, "regfresh", topic, r.Slug, fmt.Sprintf("day%d", pub)).Range(0.35, 0.8) * decay,
-			})
+		covers := n.regionalRNG(topic, r.Slug, dayKey)
+		if !covers.Bool(0.04) {
+			continue
 		}
+		fresh := n.regionalFreshRNG(topic, r.Slug, dayKey)
+		out = append(out, Article{
+			URL:       "https://" + r.Slug + "-observer.example/news/" + topic + "/" + dayKey,
+			Title:     title + ": what it means for " + r.Name,
+			Source:    r.Slug + "-observer",
+			Region:    r.Slug,
+			Topic:     topic,
+			Day:       pub,
+			Freshness: fresh.Range(0.35, 0.8) * decay,
+		})
 	}
 	return out
+}
+
+// nationalRNG opens the stream of a topic's national stories published on
+// the day dayKey ("day<pub>") names: their count, outlets and freshness.
+func (n *NewsWire) nationalRNG(topic, dayKey string) *detrand.RNG {
+	return detrand.NewKeyed(n.seed, "news", topic, dayKey)
+}
+
+// regionalRNG opens the stream that decides whether the outlet of region
+// slug covers the topic's story of that day. It and regionalFreshRNG
+// return the generator by value: they are too large to inline, and a
+// returned pointer would put one generator per region on the heap.
+func (n *NewsWire) regionalRNG(topic, slug, dayKey string) detrand.RNG {
+	return *detrand.NewKeyed(n.seed, "regionalnews", topic, slug, dayKey)
+}
+
+// regionalFreshRNG opens the stream of that regional story's freshness.
+func (n *NewsWire) regionalFreshRNG(topic, slug, dayKey string) detrand.RNG {
+	return *detrand.NewKeyed(n.seed, "regfresh", topic, slug, dayKey)
 }
