@@ -83,6 +83,11 @@ chaos:
 # - FuzzDeadline, the X-Deadline-Ms codec (internal/httpheader): no value
 #   may panic Deadline, a deadline is read exactly from a positive base-10
 #   int64, and SetDeadline writes back what Deadline reads.
+# - FuzzSpanz, the /spanz span export (internal/telemetry): FetchSpanz over
+#   fuzzed pages never panics or refetches a page that ends the fetch, and
+#   SpanzHandler answers any cursor and limit with a 400 or SnapshotRange's
+#   page. A run takes a few hundred µs through net/http, so a new input is
+#   minimized for at most 1 s; the default 60 s would spend the budget.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime 20s ./internal/router
 	go test -run '^$$' -fuzz '^FuzzComparePages$$' -fuzztime 20s ./internal/metrics
@@ -91,6 +96,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzRenderHTML$$' -fuzztime 20s ./internal/serp
 	go test -run '^$$' -fuzz '^FuzzParsePoint$$' -fuzztime 20s ./internal/geo
 	go test -run '^$$' -fuzz '^FuzzDeadline$$' -fuzztime 20s ./internal/httpheader
+	go test -run '^$$' -fuzz '^FuzzSpanz$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/telemetry
 
 build:
 	go build ./...

@@ -130,7 +130,7 @@ func main() {
 	}
 
 	if opts.PprofAddr != "" {
-		pprofSrv, pprofAddr, perr := startPprof(opts.PprofAddr)
+		pprofSrv, pprofAddr, perr := telemetry.ServePprof(opts.PprofAddr)
 		if perr != nil {
 			logger.Error("pprof startup failed", "err", perr)
 			os.Exit(1)

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"strings"
 	"time"
@@ -195,17 +194,4 @@ func buildServer(opts options) (*serpserver.Server, *engine.Engine, *router.Clie
 		return nil, nil, nil, err
 	}
 	return srv, eng, client, nil
-}
-
-// startPprof binds addr and serves the net/http/pprof endpoints on it in
-// the background, returning the server for shutdown. Profiling gets its
-// own listener so it never shares a port with production traffic.
-func startPprof(addr string) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("pprof: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: telemetry.PprofMux()}
-	go srv.Serve(ln)
-	return srv, ln.Addr().String(), nil
 }

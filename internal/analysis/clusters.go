@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"geoserp/internal/metrics"
-	"geoserp/internal/stats"
-)
+import "sort"
 
 // The paper observes (§3.2, Figure 8a) that at county granularity "some
 // locations cluster at the county-level, indicating that some locations
@@ -25,7 +20,7 @@ type SimilarityMatrix struct {
 }
 
 // LocationSimilarity computes the similarity matrix for one granularity
-// and category over all terms and days.
+// and category over all terms and days, from the stream's pair sums.
 func (d *Dataset) LocationSimilarity(granularity, category string) SimilarityMatrix {
 	locs := d.locationsByGranularity[granularity]
 	m := SimilarityMatrix{
@@ -33,37 +28,11 @@ func (d *Dataset) LocationSimilarity(granularity, category string) SimilarityMat
 		Locations:   append([]string{}, locs...),
 		Dist:        make([][]float64, len(locs)),
 	}
-	accs := make([][]*stats.Accumulator, len(locs))
-	for i := range accs {
+	sums := d.stream.pairSums(granularity, category)
+	for i, a := range locs {
 		m.Dist[i] = make([]float64, len(locs))
-		accs[i] = make([]*stats.Accumulator, len(locs))
-		for j := range accs[i] {
-			accs[i][j] = &stats.Accumulator{}
-		}
-	}
-	for _, term := range d.termsByCategory[category] {
-		for _, day := range d.days {
-			for i := 0; i < len(locs); i++ {
-				pa, ok := d.lookup(granularity, term, day, locs[i])
-				if !ok || pa.treatment == nil {
-					continue
-				}
-				for j := i + 1; j < len(locs); j++ {
-					pb, ok := d.lookup(granularity, term, day, locs[j])
-					if !ok || pb.treatment == nil {
-						continue
-					}
-					e := float64(metrics.ComparePages(pa.treatment, pb.treatment).EditDistance)
-					accs[i][j].Add(e)
-				}
-			}
-		}
-	}
-	for i := range locs {
-		for j := i + 1; j < len(locs); j++ {
-			v := accs[i][j].Mean()
-			m.Dist[i][j] = v
-			m.Dist[j][i] = v
+		for j, b := range locs {
+			m.Dist[i][j] = sums[locPair{min(a, b), max(a, b)}].mean()
 		}
 	}
 	return m

@@ -30,14 +30,20 @@ type obsKey struct {
 type pair struct {
 	treatment *serp.Page
 	control   *serp.Page
-	category  string
 }
 
-// Dataset indexes a crawl's observations for analysis. The scorecard
-// figures (2, 5, 6, 7 and 8) and the scorecard are reads of a Stream that
-// NewDataset feeds with the crawl's sweeps; the pair index serves the
-// analyses that need every page (Figures 3 and 4, clusters, content,
-// scopes, validation, reordering).
+// Dataset indexes a crawl's observations for analysis. NewDataset replays
+// the crawl's sweeps through a Stream, and Figures 2–8, the scorecard, the
+// location-similarity matrix, the demographics study and the politician
+// noise floors and common-name means are reads of it: each page pair is
+// compared once, at ingest. The page index (pairs) serves the analyses no
+// integer fold reproduces:
+//   - DomainBiasByLocation parses every link's URL; as a fold it would put
+//     a url.Parse per link on the crawl path;
+//   - DistanceDecay reports medians and a least-squares fit over per-pair
+//     floats;
+//   - ReorderingVsComposition summarizes Kendall τ and RBO with medians;
+//   - PoliticianScopeBreakdown's Edit and Jaccard summaries carry medians.
 type Dataset struct {
 	pairs  map[obsKey]*pair
 	stream *Stream
@@ -76,7 +82,7 @@ func NewDataset(obs []storage.Observation) (*Dataset, error) {
 		k := obsKey{o.Granularity, o.Term, o.Day, o.LocationID}
 		p := d.pairs[k]
 		if p == nil {
-			p = &pair{category: o.Category}
+			p = &pair{}
 			d.pairs[k] = p
 		}
 		switch o.Role {

@@ -3,8 +3,6 @@ package analysis
 import (
 	"sort"
 
-	"geoserp/internal/metrics"
-	"geoserp/internal/serp"
 	"geoserp/internal/stats"
 )
 
@@ -84,39 +82,6 @@ func (d *Dataset) PersonalizationByGranularity() []PersonalizationCell {
 	return d.stream.PersonalizationByGranularity()
 }
 
-// pairwiseByTerm collects Jaccard and edit-distance samples over all
-// unordered location pairs for every (term, day) at granularity g. When
-// filterTerm is non-nil only matching terms contribute.
-func (d *Dataset) pairwiseByTerm(g, category string, filterTerm func(string) bool) (js, es []float64) {
-	locs := d.locationsByGranularity[g]
-	for _, cat := range d.categories {
-		if category != "" && cat != category {
-			continue
-		}
-		for _, term := range d.termsByCategory[cat] {
-			if filterTerm != nil && !filterTerm(term) {
-				continue
-			}
-			for _, day := range d.days {
-				var pages []*serp.Page
-				for _, loc := range locs {
-					if p, ok := d.lookup(g, term, day, loc); ok && p.treatment != nil {
-						pages = append(pages, p.treatment)
-					}
-				}
-				for i := 0; i < len(pages); i++ {
-					for j := i + 1; j < len(pages); j++ {
-						cmp := metrics.ComparePages(pages[i], pages[j])
-						js = append(js, cmp.Jaccard)
-						es = append(es, float64(cmp.EditDistance))
-					}
-				}
-			}
-		}
-	}
-	return js, es
-}
-
 // TermSeries is one term's x-position in Figures 3 and 6: its average edit
 // distance (noise or personalization) at each granularity.
 type TermSeries struct {
@@ -130,34 +95,7 @@ type TermSeries struct {
 // NoisePerTerm reproduces Figure 3 for the given category (the paper plots
 // local queries): per-term noise at each granularity, sorted ascending by
 // the national-level value as the paper sorts its x-axis.
-func (d *Dataset) NoisePerTerm(category string) []TermSeries {
-	var out []TermSeries
-	for _, term := range d.termsByCategory[category] {
-		ts := TermSeries{
-			Term:                 term,
-			EditByGranularity:    map[string]float64{},
-			JaccardByGranularity: map[string]float64{},
-		}
-		for _, g := range d.orderedGranularities() {
-			var js, es []float64
-			d.eachSlot(g, category, func(tm string, _ int, _ string, p *pair) {
-				if tm != term || p.treatment == nil || p.control == nil {
-					return
-				}
-				cmp := metrics.ComparePages(p.treatment, p.control)
-				js = append(js, cmp.Jaccard)
-				es = append(es, float64(cmp.EditDistance))
-			})
-			if len(es) > 0 {
-				ts.EditByGranularity[g] = stats.Mean(es)
-				ts.JaccardByGranularity[g] = stats.Mean(js)
-			}
-		}
-		out = append(out, ts)
-	}
-	sortTermSeries(out, "national")
-	return out
-}
+func (d *Dataset) NoisePerTerm(category string) []TermSeries { return d.stream.NoisePerTerm(category) }
 
 // PersonalizationPerTerm reproduces Figure 6: per-term cross-location
 // personalization at each granularity, sorted by the national values.
@@ -189,35 +127,7 @@ type TypeAttribution struct {
 // plots local queries at county granularity and notes the same trends
 // elsewhere.
 func (d *Dataset) NoiseByResultType(category, granularity string) []TypeAttribution {
-	var out []TypeAttribution
-	for _, term := range d.termsByCategory[category] {
-		var all, maps, news []float64
-		d.eachSlot(granularity, category, func(tm string, _ int, _ string, p *pair) {
-			if tm != term || p.treatment == nil || p.control == nil {
-				return
-			}
-			bd := metrics.BreakdownPages(p.treatment, p.control)
-			all = append(all, float64(bd.All))
-			maps = append(maps, float64(bd.Maps))
-			news = append(news, float64(bd.News))
-		})
-		if len(all) == 0 {
-			continue
-		}
-		out = append(out, TypeAttribution{
-			Term: term,
-			All:  stats.Mean(all),
-			Maps: stats.Mean(maps),
-			News: stats.Mean(news),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].All != out[j].All {
-			return out[i].All < out[j].All
-		}
-		return out[i].Term < out[j].Term
-	})
-	return out
+	return d.stream.NoiseByResultType(category, granularity)
 }
 
 // BreakdownCell is one bar stack of Figure 7: the personalization edit

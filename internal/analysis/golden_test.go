@@ -69,18 +69,6 @@ func figureDigests(t *testing.T, variant string, obs []storage.Observation) []st
 	return out
 }
 
-// everySeventhFailed copies obs with every 7th observation turned into a
-// failed fetch, so the golden pins the skip-failed path as well.
-func everySeventhFailed(obs []storage.Observation) []storage.Observation {
-	out := append([]storage.Observation(nil), obs...)
-	for i := 6; i < len(out); i += 7 {
-		out[i].Page = nil
-		out[i].Failed = true
-		out[i].Err = "browser: fetch: synthetic fault"
-	}
-	return out
-}
-
 // TestFiguresMatchGolden compares the figures of the integration campaign,
 // whole and with every 7th observation failed, against the committed
 // digests. Regenerate them with -update-golden only for an intended change

@@ -3,6 +3,7 @@ package analysis
 import (
 	"geoserp/internal/metrics"
 	"geoserp/internal/queries"
+	"geoserp/internal/serp"
 	"geoserp/internal/stats"
 )
 
@@ -48,24 +49,45 @@ func (d *Dataset) PoliticianScopeBreakdown(corpus *queries.Corpus) []ScopeCell {
 			if len(es) == 0 {
 				continue
 			}
-			// Noise floor for the same term subset.
-			var noise []float64
-			d.eachSlot(g, "politician", func(term string, _ int, _ string, p *pair) {
-				if !inScope[term] || p.treatment == nil || p.control == nil {
-					return
-				}
-				noise = append(noise, float64(metrics.ComparePages(p.treatment, p.control).EditDistance))
-			})
+			noise := d.stream.pooledEdit(d.stream.noiseTerm, g, "politician", filter)
 			out = append(out, ScopeCell{
 				Scope:       scope.String(),
 				Granularity: g,
 				Edit:        stats.Summarize(es),
 				Jaccard:     stats.Summarize(js),
-				NoiseEdit:   stats.Mean(noise),
+				NoiseEdit:   noise.mean(),
 			})
 		}
 	}
 	return out
+}
+
+// pairwiseByTerm collects Jaccard and edit-distance samples over all
+// unordered location pairs for every (term, day) of category at
+// granularity g whose term keep accepts.
+func (d *Dataset) pairwiseByTerm(g, category string, keep func(string) bool) (js, es []float64) {
+	locs := d.locationsByGranularity[g]
+	for _, term := range d.termsByCategory[category] {
+		if !keep(term) {
+			continue
+		}
+		for _, day := range d.days {
+			var pages []*serp.Page
+			for _, loc := range locs {
+				if p, ok := d.lookup(g, term, day, loc); ok && p.treatment != nil {
+					pages = append(pages, p.treatment)
+				}
+			}
+			for i := 0; i < len(pages); i++ {
+				for j := i + 1; j < len(pages); j++ {
+					cmp := metrics.ComparePages(pages[i], pages[j])
+					js = append(js, cmp.Jaccard)
+					es = append(es, float64(cmp.EditDistance))
+				}
+			}
+		}
+	}
+	return js, es
 }
 
 // CommonNameCell contrasts ambiguous politician names against the rest of
@@ -91,17 +113,17 @@ func (d *Dataset) CommonNameAmbiguity(corpus *queries.Corpus) []CommonNameCell {
 	}
 	var out []CommonNameCell
 	for _, g := range d.orderedGranularities() {
-		_, ce := d.pairwiseByTerm(g, "politician", func(t string) bool { return common[t] })
-		_, oe := d.pairwiseByTerm(g, "politician", func(t string) bool { return !common[t] })
-		if len(ce) == 0 && len(oe) == 0 {
+		c := d.stream.pooledEdit(d.stream.persTerm, g, "politician", func(t string) bool { return common[t] })
+		o := d.stream.pooledEdit(d.stream.persTerm, g, "politician", func(t string) bool { return !common[t] })
+		if c.n == 0 && o.n == 0 {
 			continue
 		}
 		out = append(out, CommonNameCell{
 			Granularity: g,
-			CommonEdit:  stats.Mean(ce),
-			OtherEdit:   stats.Mean(oe),
-			CommonN:     len(ce),
-			OtherN:      len(oe),
+			CommonEdit:  c.mean(),
+			OtherEdit:   o.mean(),
+			CommonN:     c.n,
+			OtherN:      o.n,
 		})
 	}
 	return out

@@ -12,10 +12,13 @@ import (
 )
 
 // Stream folds completed lock-step sweeps into per-scope running
-// aggregates, and it is the one implementation of the scorecard figures
-// (2, 5, 6, 7 and 8): the crawler feeds it live as a campaign executes,
-// and NewDataset replays a stored campaign through it. It never holds a
-// page past the sweep that carried it.
+// aggregates, and it is the one implementation of Figures 2–8, of the
+// scorecard and of the location-pair means that clustering and the
+// demographics study read: the crawler feeds it live as a campaign
+// executes, and NewDataset replays a stored campaign through it. It never
+// holds a page past the sweep that carried it, and it compares each
+// treatment/control pair and each cross-location treatment pair of a sweep
+// once.
 //
 // Every scorecard claim reads only edit-distance means, and edit distances
 // are small integers, so the stream keeps integer sums whose float64 means
@@ -34,9 +37,10 @@ import (
 // Memory is bounded by the campaign's grid, not by its observations: the
 // largest state is the Figure 8 pair sums, granularities × categories ×
 // days × vantage pairs (about 8.5k counters for the study: 3 granularities
-// × 3 categories × 5 days × 567 pairs of its 15/22/22 vantages); the
-// per-term cells add granularities × categories × terms, and drift
-// tracking at most one event per sweep.
+// × 3 categories × 5 days × 567 pairs of its 15/22/22 vantages); the three
+// per-term maps (Figure 6's persTerm, Figure 3's noiseTerm and Figure 4's
+// noiseTypes) add granularities × terms each (720 cells apiece for the
+// study's 240 terms), and drift tracking at most one event per sweep.
 //
 // A sweep's pages are compared through one metrics.Comparer. Ingest
 // prepares each successful page once (its link lists, every URL interned
@@ -73,6 +77,10 @@ type Stream struct {
 	pers      map[scopeKey]*editAgg
 	persTerm  map[streamTermKey]*editAgg
 	breakdown map[scopeKey]*breakdownAgg
+	// noiseTerm and noiseTypes are the Figure 3 and 4 cells: per term, the
+	// treatment-vs-control comparisons and their card-type edit sums.
+	noiseTerm  map[streamTermKey]*editAgg
+	noiseTypes map[streamTermKey]*breakdownAgg
 	// consNoise and consPair are the Figure 8 sums: per location, its
 	// treatment-vs-control edit distance; per location pair (sorted), the
 	// edit distance between their treatments.
@@ -162,13 +170,21 @@ func (a *editAgg) editSummary() stats.Summary {
 }
 
 // breakdownAgg folds BreakdownPages results with integer sums, keeping
-// the Figure 7 card-type means exact.
+// the Figure 4 and 7 card-type means exact.
 type breakdownAgg struct {
 	n     int
 	all   uint64
 	maps  uint64
 	news  uint64
 	other uint64
+}
+
+func (a *breakdownAgg) add(bd metrics.TypeBreakdown) {
+	a.n++
+	a.all += uint64(bd.All)
+	a.maps += uint64(bd.Maps)
+	a.news += uint64(bd.News)
+	a.other += uint64(bd.Other)
 }
 
 // intAgg is an exact running mean over integer samples.
@@ -249,6 +265,8 @@ func NewStream(opts ...StreamOption) *Stream {
 		pers:          map[scopeKey]*editAgg{},
 		persTerm:      map[streamTermKey]*editAgg{},
 		breakdown:     map[scopeKey]*breakdownAgg{},
+		noiseTerm:     map[streamTermKey]*editAgg{},
+		noiseTypes:    map[streamTermKey]*breakdownAgg{},
 		consNoise:     map[streamLocDayKey]*intAgg{},
 		consPair:      map[streamPairDayKey]*intAgg{},
 		anchor:        map[scopeKey]float64{},
@@ -355,7 +373,7 @@ func (s *Stream) IngestSweep(at time.Time, obs []storage.Observation) error {
 	sweep := s.sweeps
 	s.sweeps++
 
-	sk := scopeKey{g, cat}
+	sk, tk := scopeKey{g, cat}, streamTermKey{g, cat, term}
 	var withTreatment []string
 	var treatments []*metrics.PageLinks
 	for _, loc := range sortedKeys(slots) {
@@ -365,23 +383,21 @@ func (s *Stream) IngestSweep(at time.Time, obs []storage.Observation) error {
 			treatments = append(treatments, sl.treatment)
 		}
 		if sl.treatment != nil && sl.control != nil {
-			cmp := s.cmp.Compare(sl.treatment, sl.control)
+			cmp, bd := s.cmp.CompareWithBreakdown(sl.treatment, sl.control)
 			getOrNew(s.noise, sk).add(cmp)
+			getOrNew(s.noiseTerm, tk).add(cmp)
+			getOrNew(s.noiseTypes, tk).add(bd)
 			getOrNew(s.consNoise, streamLocDayKey{g, cat, day, loc}).add(cmp.EditDistance)
 		}
 	}
 	if len(treatments) > 1 {
-		pers, persTerm, b := getOrNew(s.pers, sk), getOrNew(s.persTerm, streamTermKey{g, cat, term}), getOrNew(s.breakdown, sk)
+		pers, persTerm, b := getOrNew(s.pers, sk), getOrNew(s.persTerm, tk), getOrNew(s.breakdown, sk)
 		for i := 0; i < len(treatments); i++ {
 			for j := i + 1; j < len(treatments); j++ {
 				cmp, bd := s.cmp.CompareWithBreakdown(treatments[i], treatments[j])
 				pers.add(cmp)
 				persTerm.add(cmp)
-				b.n++
-				b.all += uint64(bd.All)
-				b.maps += uint64(bd.Maps)
-				b.news += uint64(bd.News)
-				b.other += uint64(bd.Other)
+				b.add(bd)
 				getOrNew(s.consPair, streamPairDayKey{g, cat, day, withTreatment[i], withTreatment[j]}).add(cmp.EditDistance)
 				s.pairs++
 			}
@@ -543,9 +559,21 @@ func (s *Stream) PersonalizationByGranularity() []PersonalizationCell {
 	return out
 }
 
-// PersonalizationPerTerm is Figure 6, sorted by the national-granularity
-// values as the paper sorts its x-axis.
+// NoisePerTerm is Figure 3: per-term treatment-vs-control noise.
+func (s *Stream) NoisePerTerm(category string) []TermSeries {
+	return s.perTerm(s.noiseTerm, category)
+}
+
+// PersonalizationPerTerm is Figure 6: per-term cross-location
+// personalization.
 func (s *Stream) PersonalizationPerTerm(category string) []TermSeries {
+	return s.perTerm(s.persTerm, category)
+}
+
+// perTerm reads one series per term of category from the per-term cells,
+// sorted by the national-granularity values as the paper sorts its x-axis.
+// Edit means are exact; Jaccard means are Welford running values.
+func (s *Stream) perTerm(cells map[streamTermKey]*editAgg, category string) []TermSeries {
 	var out []TermSeries
 	for _, term := range sortedKeys(s.terms[category]) {
 		ts := TermSeries{
@@ -554,7 +582,7 @@ func (s *Stream) PersonalizationPerTerm(category string) []TermSeries {
 			JaccardByGranularity: map[string]float64{},
 		}
 		for _, g := range s.orderedGranularities() {
-			if a := s.persTerm[streamTermKey{g, category, term}]; a != nil && a.n > 0 {
+			if a := cells[streamTermKey{g, category, term}]; a != nil && a.n > 0 {
 				ts.EditByGranularity[g] = a.mean()
 				ts.JaccardByGranularity[g] = a.jaccard.Mean()
 			}
@@ -562,6 +590,33 @@ func (s *Stream) PersonalizationPerTerm(category string) []TermSeries {
 		out = append(out, ts)
 	}
 	sortTermSeries(out, "national")
+	return out
+}
+
+// NoiseByResultType is Figure 4: per term of category, the exact mean
+// treatment-vs-control edit distance over all results, Maps and News at
+// one granularity, sorted by the all-results mean.
+func (s *Stream) NoiseByResultType(category, granularity string) []TypeAttribution {
+	var out []TypeAttribution
+	for _, term := range sortedKeys(s.terms[category]) {
+		b := s.noiseTypes[streamTermKey{granularity, category, term}]
+		if b == nil || b.n == 0 {
+			continue
+		}
+		n := float64(b.n)
+		out = append(out, TypeAttribution{
+			Term: term,
+			All:  float64(b.all) / n,
+			Maps: float64(b.maps) / n,
+			News: float64(b.news) / n,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].All != out[j].All {
+			return out[i].All < out[j].All
+		}
+		return out[i].Term < out[j].Term
+	})
 	return out
 }
 
@@ -617,6 +672,37 @@ func (s *Stream) ConsistencyOverTime(category string) []ConsistencySeries {
 		out = append(out, series)
 	}
 	return out
+}
+
+// locPair is an unordered location pair, its IDs in sorted order.
+type locPair struct{ a, b string }
+
+// pairSums is every location pair's treatment edit sum and count at
+// (granularity, category) over all terms and days: the Figure 8 pair sums
+// added over days. Pairs that never shared a sweep are absent.
+func (s *Stream) pairSums(granularity, category string) map[locPair]*intAgg {
+	sums := map[locPair]*intAgg{}
+	for k, a := range s.consPair {
+		if k.granularity == granularity && k.category == category {
+			p := getOrNew(sums, locPair{k.a, k.b})
+			p.n += a.n
+			p.sum += a.sum
+		}
+	}
+	return sums
+}
+
+// pooledEdit pools the per-term cells at (granularity, category) of the
+// terms keep accepts: one integer edit sum over one pair count.
+func (s *Stream) pooledEdit(cells map[streamTermKey]*editAgg, granularity, category string, keep func(string) bool) intAgg {
+	var p intAgg
+	for term := range s.terms[category] {
+		if a := cells[streamTermKey{granularity, category, term}]; a != nil && keep(term) {
+			p.n += a.n
+			p.sum += a.editSum
+		}
+	}
+	return p
 }
 
 // ScopeSummary is one row of the live scorecard's scope table: the

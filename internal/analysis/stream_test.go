@@ -114,9 +114,9 @@ func campaignFixture(failEvery int) []storage.Observation {
 	return out
 }
 
-// exactFigures prints every exact value of the scorecard figures and the
-// scorecard, leaving out the Welford display statistics (Jaccard, standard
-// deviations), whose last bits depend on ingestion order.
+// exactFigures prints every exact value of Figures 2–8, the location-pair
+// means and the scorecard, leaving out the Welford display statistics
+// (Jaccard, standard deviations), whose last bits depend on ingestion order.
 func exactFigures(s *Stream) string {
 	var b strings.Builder
 	for _, c := range s.NoiseByGranularity() {
@@ -126,8 +126,19 @@ func exactFigures(s *Stream) string {
 		fmt.Fprintf(&b, "pers %s/%s n=%d edit=%v floor=%v\n", c.Granularity, c.Category, c.Edit.N, c.Edit.Mean, c.NoiseEdit)
 	}
 	for _, cat := range []string{"local", "controversial"} {
+		for _, ts := range s.NoisePerTerm(cat) {
+			fmt.Fprintf(&b, "noise term %s %s %v\n", cat, ts.Term, ts.EditByGranularity)
+		}
 		for _, ts := range s.PersonalizationPerTerm(cat) {
 			fmt.Fprintf(&b, "term %s %s %v\n", cat, ts.Term, ts.EditByGranularity)
+		}
+		for _, g := range GranularityOrder {
+			fmt.Fprintf(&b, "noise types %s %s %+v\n", cat, g, s.NoiseByResultType(cat, g))
+			sums := map[locPair]intAgg{}
+			for p, a := range s.pairSums(g, cat) {
+				sums[p] = *a
+			}
+			fmt.Fprintf(&b, "pair sums %s %s %v\n", cat, g, sums)
 		}
 		fmt.Fprintf(&b, "consistency %s %+v\n", cat, s.ConsistencyOverTime(cat))
 	}
@@ -385,8 +396,9 @@ func TestStreamMetricsCounters(t *testing.T) {
 
 // TestStreamStateBoundedByGrid pins the stated memory bound: state is keyed
 // by the grid (here 3 granularities × 2 categories × 2 days × 3 vantages, and
-// as many pairs), so ingesting the same sweeps again adds no state, and the
-// comparer's intern table never holds more than one sweep's URLs.
+// as many pairs; 3 granularities × 8 terms per per-term map), so ingesting
+// the same sweeps again adds no state, and the comparer's intern table never
+// holds more than one sweep's URLs.
 func TestStreamStateBoundedByGrid(t *testing.T) {
 	data := campaignFixture(0)
 	s := NewStream()
@@ -394,8 +406,13 @@ func TestStreamStateBoundedByGrid(t *testing.T) {
 	if len(s.consNoise) != 36 || len(s.consPair) != 36 {
 		t.Fatalf("Figure 8 sums: %d per-location, %d per-pair, want 36 each", len(s.consNoise), len(s.consPair))
 	}
+	if len(s.persTerm) != 24 || len(s.noiseTerm) != 24 || len(s.noiseTypes) != 24 {
+		t.Fatalf("per-term cells: %d personalization, %d noise, %d noise-type, want 24 each",
+			len(s.persTerm), len(s.noiseTerm), len(s.noiseTypes))
+	}
 	size := func() int {
-		return len(s.noise) + len(s.pers) + len(s.persTerm) + len(s.breakdown) + len(s.consNoise) + len(s.consPair)
+		return len(s.noise) + len(s.pers) + len(s.persTerm) + len(s.breakdown) + len(s.consNoise) + len(s.consPair) +
+			len(s.noiseTerm) + len(s.noiseTypes)
 	}
 	before := size()
 	ingestAll(t, s, data)

@@ -1,7 +1,11 @@
 package analysis
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 
 	"geoserp/internal/geo"
 	"geoserp/internal/metrics"
@@ -78,55 +82,21 @@ type FeatureCorrelation struct {
 // feature explains the result clustering — shows up as uniformly small
 // coefficients.
 func (d *Dataset) DemographicCorrelations(locs *geo.Dataset, category string) []FeatureCorrelation {
-	const g = "county"
-	ids := d.locationsByGranularity[g]
-	// Mean pairwise edit distance for each location pair.
-	type locPair struct{ a, b string }
-	sums := map[locPair]*stats.Accumulator{}
-	for _, term := range d.termsByCategory[category] {
-		for _, day := range d.days {
-			for i := 0; i < len(ids); i++ {
-				pa, ok := d.lookup(g, term, day, ids[i])
-				if !ok || pa.treatment == nil {
-					continue
-				}
-				for j := i + 1; j < len(ids); j++ {
-					pb, ok := d.lookup(g, term, day, ids[j])
-					if !ok || pb.treatment == nil {
-						continue
-					}
-					key := locPair{ids[i], ids[j]}
-					if sums[key] == nil {
-						sums[key] = &stats.Accumulator{}
-					}
-					sums[key].Add(float64(metrics.ComparePages(pa.treatment, pb.treatment).EditDistance))
-				}
-			}
-		}
-	}
-
-	// Assemble per-feature vectors across pairs.
-	pairsSorted := make([]locPair, 0, len(sums))
-	for k := range sums {
-		pairsSorted = append(pairsSorted, k)
-	}
-	sort.Slice(pairsSorted, func(i, j int) bool {
-		if pairsSorted[i].a != pairsSorted[j].a {
-			return pairsSorted[i].a < pairsSorted[j].a
-		}
-		return pairsSorted[i].b < pairsSorted[j].b
+	sums := d.stream.pairSums("county", category)
+	pairs := slices.SortedFunc(maps.Keys(sums), func(x, y locPair) int {
+		return cmp.Or(strings.Compare(x.a, y.a), strings.Compare(x.b, y.b))
 	})
 
 	features := append([]string{"distance_miles"}, geo.FeatureNames...)
 	xs := map[string][]float64{}
 	var ys []float64
-	for _, lp := range pairsSorted {
+	for _, lp := range pairs {
 		la, okA := locs.ByID(lp.a)
 		lb, okB := locs.ByID(lp.b)
 		if !okA || !okB {
 			continue
 		}
-		ys = append(ys, sums[lp].Mean())
+		ys = append(ys, sums[lp].mean())
 		xs["distance_miles"] = append(xs["distance_miles"], geo.DistanceMiles(la.Point, lb.Point))
 		delta := la.Demographics.Delta(lb.Demographics)
 		for _, f := range geo.FeatureNames {

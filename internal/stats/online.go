@@ -33,37 +33,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddAll folds every element of xs into the accumulator.
-func (a *Accumulator) AddAll(xs []float64) {
-	for _, x := range xs {
-		a.Add(x)
-	}
-}
-
-// Merge folds another accumulator into a (parallel aggregation), using the
-// Chan et al. pairwise-merge formulation.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	na, nb := float64(a.n), float64(b.n)
-	delta := b.mean - a.mean
-	total := na + nb
-	a.m2 += b.m2 + delta*delta*na*nb/total
-	a.mean += delta * nb / total
-	a.n += b.n
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-}
-
 // N returns the number of samples folded so far.
 func (a *Accumulator) N() int { return a.n }
 

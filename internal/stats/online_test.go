@@ -4,13 +4,14 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestAccumulatorMatchesBatch(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	var a Accumulator
-	a.AddAll(xs)
+	for _, x := range xs {
+		a.Add(x)
+	}
 	if a.N() != len(xs) {
 		t.Fatalf("N = %d, want %d", a.N(), len(xs))
 	}
@@ -25,61 +26,6 @@ func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
 	if a.N() != 0 || a.Mean() != 0 || a.Variance() != 0 {
 		t.Fatalf("zero-value accumulator is not empty: %+v", a)
-	}
-}
-
-func TestAccumulatorMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	var whole, left, right Accumulator
-	whole.AddAll(xs)
-	left.AddAll(xs[:3])
-	right.AddAll(xs[3:])
-	left.Merge(&right)
-	approx(t, left.Mean(), whole.Mean(), 1e-12, "merged mean")
-	approx(t, left.Variance(), whole.Variance(), 1e-12, "merged variance")
-	approx(t, left.Min(), whole.Min(), 0, "merged min")
-	approx(t, left.Max(), whole.Max(), 0, "merged max")
-	if left.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", left.N(), whole.N())
-	}
-}
-
-func TestAccumulatorMergeEmpty(t *testing.T) {
-	var a, empty Accumulator
-	a.Add(5)
-	a.Merge(&empty)
-	approx(t, a.Mean(), 5, 0, "merge empty into non-empty")
-	empty.Merge(&a)
-	approx(t, empty.Mean(), 5, 0, "merge non-empty into empty")
-}
-
-// Property: for any split point, merging two accumulators equals
-// accumulating the whole slice.
-func TestAccumulatorMergeProperty(t *testing.T) {
-	f := func(raw []float64, split uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			xs = append(xs, math.Mod(x, 1e6))
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		k := int(split) % (len(xs) + 1)
-		var whole, a, b Accumulator
-		whole.AddAll(xs)
-		a.AddAll(xs[:k])
-		b.AddAll(xs[k:])
-		a.Merge(&b)
-		tol := 1e-6 * (1 + math.Abs(whole.Mean()))
-		return a.N() == whole.N() &&
-			math.Abs(a.Mean()-whole.Mean()) < tol &&
-			math.Abs(a.Variance()-whole.Variance()) < 1e-4*(1+whole.Variance())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

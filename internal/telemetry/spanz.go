@@ -126,9 +126,11 @@ func FetchSpanz(c *http.Client, base string) (NodeSpans, error) {
 		if page.NextCursor >= page.Total {
 			return out, nil
 		}
-		if page.NextCursor <= cursor && len(page.Spans) == 0 {
-			// A server that stops making progress would loop forever;
-			// treat it as a protocol violation instead.
+		if page.NextCursor <= cursor {
+			// A page that is not the last must advance the cursor: a ring
+			// starts each page at or after the cursor, and a page short of
+			// the total carries at least one span. A server that does not
+			// would be fetched forever; treat it as a protocol violation.
 			return out, fmt.Errorf("%s: cursor stuck at %d of %d", url, page.NextCursor, page.Total)
 		}
 		cursor = page.NextCursor

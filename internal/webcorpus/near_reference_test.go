@@ -75,12 +75,12 @@ func (p *Places) cellBusinesses(c cell, kind PlaceKind) []Business {
 			if display == "" {
 				display = TitleCase(kind.Key)
 			}
-			hood := detrand.Pick(rng, neighborhoodNames)
+			hood := detrand.Pick(&rng, neighborhoodNames)
 			name = fmt.Sprintf("%s — %s", display, hood)
 			url = fmt.Sprintf("https://locations.%s.example/store/%d-%d-%d", kind.Key, c.i, c.j, k)
 		} else {
-			hood := detrand.Pick(rng, neighborhoodNames)
-			suffix := detrand.Pick(rng, kind.NameSuffixes)
+			hood := detrand.Pick(&rng, neighborhoodNames)
+			suffix := detrand.Pick(&rng, kind.NameSuffixes)
 			name = fmt.Sprintf("%s %s", hood, suffix)
 			url = fmt.Sprintf("https://%s.%s.example/", slug(name), kind.Key)
 		}

@@ -618,13 +618,15 @@ func (st *placeStore) insert(kind *PlaceKind, cells []cell, gen []placeRec) {
 }
 
 // cellRNG opens the stream that generates one kind's businesses in cell c.
-// Its key ends in "<i>:<j>".
-func (p *Places) cellRNG(c cell, kindKey string) *detrand.RNG {
+// Its key ends in "<i>:<j>". It returns the generator by value, as the news
+// wire's regionalRNG does: it is too large to inline, and a returned
+// pointer would put one generator per generated cell on the heap.
+func (p *Places) cellRNG(c cell, kindKey string) detrand.RNG {
 	var key [2*len("-2147483648") + 1]byte
 	b := strconv.AppendInt(key[:0], int64(c.i), 10)
 	b = append(b, ':')
 	b = strconv.AppendInt(b, int64(c.j), 10)
-	return detrand.NewKeyed(p.seed, "places", kindKey, string(b))
+	return *detrand.NewKeyed(p.seed, "places", kindKey, string(b))
 }
 
 // appendCell deterministically generates the businesses of one kind in
