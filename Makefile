@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test check lint lint-sarif chaos fuzz soak soak-legacy soak-mono bench bench-json bench-check perfbench-check repro repro-full examples clean
+.PHONY: all build vet test check lint lint-sarif chaos fuzz soak bench bench-json bench-check perfbench-check repro repro-full examples clean
 
 all: build vet test
 
@@ -26,32 +26,25 @@ lint-sarif:
 	go run ./cmd/geoserplint -format sarif ./... > lint.sarif || true
 	@echo "wrote lint.sarif"
 
-# soak runs the chaos soak harness under the race detector against the
-# full replicated cluster topology — a serprouter-style coordinator
-# scatter-gathering over 3 in-process shards x 2 replicas — through a
-# multi-phase fault schedule that includes a deterministic 26-hour outage
-# of replica 0 on every shard, asserting the overload-resilience
-# invariants (no deadlock, breakers re-close, shed fraction within
-# budget, zero terminal failures) plus the replication invariants (zero
-# partial pages — failover absorbs every replica fault — background
-# health probes re-admit the replicas, breaker ledger balanced), and
-# writing the full span timeline to soak-trace.json. Cluster runs
-# additionally assert the trace-stitching invariants (every sampled
-# request stitches completely, fault attribution matches the schedule)
-# and export the post-campaign probes' stitched critical-path reports and
-# multi-process Chrome trace. `make soak-legacy` runs the single-replica
-# cluster (whole-day shard-0 outage, graded degradation to partial
-# pages); `make soak-mono` keeps the original single-node rig.
+# soak runs the chaos soak harness (cmd/soak, the repo's one soak rig)
+# under the race detector against the replicated cluster topology — a
+# serprouter-style coordinator scatter-gathering over 3 in-process shards
+# x 2 replicas — through a multi-phase fault schedule that includes a
+# deterministic 26-hour outage of replica 0 on every shard, asserting the
+# overload-resilience invariants (no deadlock, breakers re-close, shed
+# fraction within budget, zero terminal failures) plus the replication
+# invariants (zero partial pages — failover absorbs every replica fault —
+# background health probes re-admit the replicas, breaker ledger
+# balanced), and writing the full span timeline to soak-trace.json. It
+# also asserts the trace-stitching invariants (every sampled request
+# stitches completely, fault attribution matches the schedule) and
+# exports the post-campaign probes' stitched critical-path reports and
+# multi-process Chrome trace. Graded degradation to partial pages, when
+# every replica of a shard is down, is TestClusterPartialDegradation in
+# internal/router.
 soak:
-	go run -race ./cmd/soak -cluster-shards 3 -trace-out soak-trace.json \
+	go run -race ./cmd/soak -trace-out soak-trace.json \
 		-clustertracez-out soak-clustertracez.json -cluster-trace-out soak-cluster-trace.json
-
-soak-legacy:
-	go run -race ./cmd/soak -cluster-shards 3 -cluster-replicas 1 -trace-out soak-trace.json \
-		-clustertracez-out soak-clustertracez.json -cluster-trace-out soak-cluster-trace.json
-
-soak-mono:
-	go run -race ./cmd/soak -trace-out soak-trace.json
 
 # chaos runs the fault-injection suite under the race detector: chaos
 # transport/middleware, retry classification, failure budgets, and

@@ -1,8 +1,10 @@
 // Command soak is the chaos soak harness: it runs a virtual-time crawl
-// campaign against an in-process engine throttled by admission control
-// while a seeded, multi-phase fault schedule (calm, error burst, latency
-// spike, recovery) batters the wire — then asserts the overload-resilience
-// invariants held:
+// campaign against an in-process replicated cluster — a serprouter-style
+// coordinator scatter-gathering over 3 shards x 2 replicas, throttled by
+// admission control — while a seeded, multi-phase fault schedule (calm,
+// error burst, latency spike, recovery) batters the wire and replica 0 of
+// every shard goes dark (retrieval and /healthz) for a 26-hour window
+// spanning the error-burst day. It then asserts the invariants held:
 //
 //   - the rig never deadlocks (a wall-clock watchdog crashes a wedged run);
 //   - the admission gate sheds under overload, within the shed budget;
@@ -11,43 +13,28 @@
 //     cooldowns recover every fault inside its lock-step round;
 //   - the live /statz audit surface, polled from a wall-clock goroutine
 //     for the whole campaign, always parses and its live scorecard
-//     exactly matches a replay of the stored observations at campaign end.
+//     exactly matches a replay of the stored observations at campaign end;
+//   - not one page goes partial: every fan-out leg fails over to the
+//     surviving replica, per-replica breakers trip, and the background
+//     health prober re-admits the healed replicas (balanced ledger).
 //
 // Usage:
 //
-//	soak [-seed 1] [-terms 4] [-max-inflight 4] [-queue-depth 8]
-//	     [-retries 20] [-breaker-threshold 3] [-breaker-cooldown 45s]
-//	     [-deadline 10m] [-shed-fraction-budget 0.75] [-watchdog 4m]
-//	     [-cluster-shards 3] [-cluster-replicas 2]
-//	     [-out obs.jsonl] [-trace-out soak-trace.json]
+//	soak [-seed 1] [-terms 4] [-out obs.jsonl] [-trace-out soak-trace.json]
 //	     [-clustertracez-out probes.json] [-cluster-trace-out cluster.json]
-//
-// With -cluster-shards N the soak targets the full sharded topology — a
-// serprouter-style coordinator scatter-gathering over N in-process shard
-// nodes. With -cluster-replicas R > 1 (the default is 2) every shard runs
-// R replica nodes and the injected fault is a replica-level outage:
-// replica 0 of every shard goes dark (retrieval and /healthz) for a
-// 26-hour window spanning the error-burst day, and the soak asserts the
-// replication invariants — ZERO partial pages (every leg fails over to the
-// surviving replica), per-replica breakers trip and are re-admitted by the
-// background health prober (balanced ledger), and same-seed runs stay
-// byte-identical. With -cluster-replicas 1 the legacy shard-0 outage
-// applies instead, asserting graded degradation: pages go partial, never
-// unavailable, and the router breaker trips and re-closes. When spans are
-// recorded (any trace artifact flag), the cluster soak also stitches every
-// node's /spanz export into cross-process traces and asserts the
-// observability invariants: every sampled request yields a complete
-// stitched trace (router plus all contacted shards), critical-path
-// attribution matches the injected fault schedule, and the post-campaign
-// probes' /clustertracez and Chrome bodies reproduce byte-identically
-// across same-seed runs.
+//	     [-log-format text] [-v]
 //
 // The campaign's observations can be written with -out, and -trace-out
 // dumps the full span timeline (admission sheds included) in Chrome
-// trace-event format. In cluster mode, -clustertracez-out writes the
-// probes' stitched critical-path reports and -cluster-trace-out the
-// stitched multi-process Chrome trace (one lane per node). Exit status is
-// non-zero when any invariant fails.
+// trace-event format. -clustertracez-out writes the post-campaign probes'
+// stitched critical-path reports and -cluster-trace-out their stitched
+// multi-process Chrome trace (one lane per node). When spans are recorded
+// (any trace artifact flag) the soak also stitches every node's /spanz
+// export into cross-process traces and asserts the observability
+// invariants: every sampled request yields a complete stitched trace,
+// critical-path attribution matches the injected fault schedule, and the
+// probe exports reproduce byte-identically across same-seed runs. Exit
+// status is non-zero when any invariant fails.
 //
 // Same-seed soak runs produce byte-identical observation output; the
 // package's test runs the harness twice and enforces it.
@@ -65,27 +52,13 @@ import (
 )
 
 func main() {
-	opts := defaultSoakOptions()
+	opts := soakOptions{Seed: 1, Terms: 4}
 	flag.Uint64Var(&opts.Seed, "seed", opts.Seed, "seed for the engine and the fault schedule")
 	flag.IntVar(&opts.Terms, "terms", opts.Terms, "terms in the soak phase")
-	flag.DurationVar(&opts.Wait, "wait", opts.Wait, "lock-step slot width between terms")
-	flag.IntVar(&opts.MaxInflight, "max-inflight", opts.MaxInflight, "admission gate concurrency bound")
-	flag.IntVar(&opts.QueueDepth, "queue-depth", opts.QueueDepth, "admission gate queue depth")
-	flag.DurationVar(&opts.ServiceTime, "service-time", opts.ServiceTime, "per-request service estimate behind Retry-After hints")
-	flag.DurationVar(&opts.ServiceLatency, "service-latency", opts.ServiceLatency, "wall-clock latency injected per admitted request so the gate saturates")
-	flag.IntVar(&opts.Retries, "retries", opts.Retries, "fetch attempts per query")
-	flag.DurationVar(&opts.RetryBackoff, "retry-backoff", opts.RetryBackoff, "linear backoff base between attempts")
-	flag.IntVar(&opts.BreakerThreshold, "breaker-threshold", opts.BreakerThreshold, "consecutive failures that open a browser's breaker")
-	flag.DurationVar(&opts.BreakerCooldown, "breaker-cooldown", opts.BreakerCooldown, "breaker open-state dwell")
-	flag.DurationVar(&opts.Deadline, "deadline", opts.Deadline, "end-to-end fetch deadline propagated to the server")
-	flag.IntVar(&opts.ClusterShards, "cluster-shards", opts.ClusterShards, "soak a sharded cluster (router + N shard nodes) instead of a monolith; 0 = monolith")
-	flag.IntVar(&opts.ClusterReplicas, "cluster-replicas", opts.ClusterReplicas, "replicas per shard in cluster mode; > 1 switches to the replica-outage schedule and failover invariants")
-	flag.Float64Var(&opts.ShedFractionBudget, "shed-fraction-budget", opts.ShedFractionBudget, "max tolerated fraction of admission decisions ending in a shed")
-	flag.DurationVar(&opts.Watchdog, "watchdog", opts.Watchdog, "wall-clock deadline after which the run counts as deadlocked (0 = off)")
 	out := flag.String("out", "", "write the campaign observations as JSONL")
 	traceOut := flag.String("trace-out", "", "write the soak timeline as Chrome trace-event JSON")
-	clusterTracezOut := flag.String("clustertracez-out", "", "write the post-campaign probes' stitched /clustertracez JSON (cluster mode)")
-	clusterTraceOut := flag.String("cluster-trace-out", "", "write the probes' stitched multi-process Chrome trace (cluster mode)")
+	clusterTracezOut := flag.String("clustertracez-out", "", "write the post-campaign probes' stitched /clustertracez JSON")
+	clusterTraceOut := flag.String("cluster-trace-out", "", "write the probes' stitched multi-process Chrome trace")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	verbose := flag.Bool("v", false, "debug logging: one record per fetch")
 	flag.Parse()
@@ -136,14 +109,18 @@ func main() {
 		logger.Error("soak failed", "err", err)
 		os.Exit(1)
 	}
-	if *out != "" && sum != nil {
-		if werr := os.WriteFile(*out, sum.JSONL, 0o644); werr != nil {
-			logger.Error("write observations", "err", werr)
+	writeArtifact := func(path, what string, body []byte) {
+		if path == "" {
+			return
+		}
+		if werr := os.WriteFile(path, body, 0o644); werr != nil {
+			logger.Error("write "+what, "err", werr)
 			os.Exit(1)
 		}
-		logger.Info("observations written", "path", *out, "bytes", len(sum.JSONL))
+		logger.Info(what+" written", "path", path, "bytes", len(body))
 	}
-	if *traceOut != "" && sum != nil && sum.Spans != nil {
+	writeArtifact(*out, "observations", sum.JSONL)
+	if *traceOut != "" {
 		f, cerr := os.Create(*traceOut)
 		if cerr == nil {
 			cerr = telemetry.WriteChromeTrace(f, sum.Spans.Snapshot())
@@ -156,20 +133,6 @@ func main() {
 			os.Exit(1)
 		}
 		logger.Info("soak trace written", "path", *traceOut, "spans", sum.Spans.Len())
-	}
-	writeArtifact := func(path, what string, body []byte) {
-		if path == "" || sum == nil {
-			return
-		}
-		if len(body) == 0 {
-			logger.Error("write "+what, "err", "no cluster trace data (need -cluster-shards > 0)")
-			os.Exit(1)
-		}
-		if werr := os.WriteFile(path, body, 0o644); werr != nil {
-			logger.Error("write "+what, "err", werr)
-			os.Exit(1)
-		}
-		logger.Info(what+" written", "path", path, "bytes", len(body))
 	}
 	writeArtifact(*clusterTracezOut, "clustertracez export", sum.ClusterTracezJSON)
 	writeArtifact(*clusterTraceOut, "stitched cluster trace", sum.ClusterChrome)

@@ -5,56 +5,16 @@ import (
 	"testing"
 )
 
-// TestSoakInvariantsAndDeterminism runs the full chaos soak twice with the
-// same seed: both runs must hold every overload-resilience invariant
-// (runSoak returns an error naming any violation) and write byte-identical
-// observation output. A third run with a different seed guards against the
-// comparison passing vacuously.
-func TestSoakInvariantsAndDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak takes a few wall-clock seconds")
-	}
-	opts := defaultSoakOptions()
-	opts.Terms = 2 // half-size campaign: same 30-wide overload per round, faster CI
-
-	first, err := runSoak(opts)
-	if err != nil {
-		t.Fatalf("first soak run violated invariants: %v", err)
-	}
-	second, err := runSoak(opts)
-	if err != nil {
-		t.Fatalf("second soak run violated invariants: %v", err)
-	}
-	if !bytes.Equal(first.JSONL, second.JSONL) {
-		t.Fatalf("same-seed soak runs diverged: %d vs %d JSONL bytes",
-			len(first.JSONL), len(second.JSONL))
-	}
-	// The final /statz snapshot is keyed to the virtual clock, never wall
-	// time, so it must be byte-identical across same-seed runs even though
-	// each run polled the live endpoint on its own wall-clock cadence.
-	if !bytes.Equal(first.StatzJSON, second.StatzJSON) {
-		t.Fatalf("same-seed soak runs served different final /statz snapshots:\n%s\nvs\n%s",
-			first.StatzJSON, second.StatzJSON)
-	}
-
-	opts.Seed = 7
-	other, err := runSoak(opts)
-	if err != nil {
-		t.Fatalf("seed-7 soak run violated invariants: %v", err)
-	}
-	if bytes.Equal(first.JSONL, other.JSONL) {
-		t.Fatal("different seeds produced identical observations — the determinism check is vacuous")
-	}
-}
-
 // TestClusterSoakInvariantsAndDeterminism runs the soak against the full
 // replicated topology (router + 3 shards x 2 replicas, replica 0 of every
 // shard dark for a 26-hour window) twice with the same seed: both runs
-// must hold every monolith invariant PLUS the replication invariants (zero
-// partial pages — every leg fails over to the surviving replica — breaker
-// trips re-admitted by the background health prober, balanced ledger) and
-// still write byte-identical observations — merge determinism under
-// concurrency, failover, overload, and -race all at once.
+// must hold every overload-resilience invariant PLUS the replication
+// invariants (zero partial pages — every leg fails over to the surviving
+// replica — breaker trips re-admitted by the background health prober,
+// balanced ledger) and still write byte-identical observations — merge
+// determinism under concurrency, failover, overload, and -race all at
+// once. A third run with a different seed guards against the comparison
+// passing vacuously.
 //
 // With TraceCapacity set the runs additionally enforce the cluster-tracing
 // invariants: every sampled request stitches into a complete cross-process
@@ -64,10 +24,8 @@ func TestClusterSoakInvariantsAndDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos soak takes a few wall-clock seconds")
 	}
-	opts := defaultSoakOptions()
-	opts.Terms = 2
-	opts.ClusterShards = 3
-	opts.TraceCapacity = 1 << 17
+	// Half-size campaign: the same 30-wide overload per round, faster CI.
+	opts := soakOptions{Seed: 1, Terms: 2, TraceCapacity: 1 << 17}
 
 	first, err := runSoak(opts)
 	if err != nil {
@@ -91,6 +49,9 @@ func TestClusterSoakInvariantsAndDeterminism(t *testing.T) {
 		t.Fatalf("same-seed cluster soak runs diverged: %d vs %d JSONL bytes",
 			len(first.JSONL), len(second.JSONL))
 	}
+	// The final /statz snapshot is keyed to the virtual clock, never wall
+	// time, so it must be byte-identical across same-seed runs even though
+	// each run polled the live endpoint on its own wall-clock cadence.
 	if !bytes.Equal(first.StatzJSON, second.StatzJSON) {
 		t.Fatalf("same-seed cluster soak runs served different final /statz snapshots:\n%s\nvs\n%s",
 			first.StatzJSON, second.StatzJSON)
@@ -121,5 +82,14 @@ func TestClusterSoakInvariantsAndDeterminism(t *testing.T) {
 	if !bytes.Equal(first.ClusterChrome, second.ClusterChrome) {
 		t.Fatalf("same-seed Chrome trace exports diverged: %d vs %d bytes",
 			len(first.ClusterChrome), len(second.ClusterChrome))
+	}
+
+	opts.Seed = 7
+	other, err := runSoak(opts)
+	if err != nil {
+		t.Fatalf("seed-7 cluster soak run violated invariants: %v", err)
+	}
+	if bytes.Equal(first.JSONL, other.JSONL) {
+		t.Fatal("different seeds produced identical observations — the determinism check is vacuous")
 	}
 }

@@ -5,20 +5,18 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"time"
 
 	"geoserp/internal/httpheader"
 	"geoserp/internal/router"
 	"geoserp/internal/telemetry"
 )
 
-// Cluster-mode trace stitching checks: after the campaign the soak drains
-// every node's span ring through the same /clustertracez machinery
-// cmd/serprouter serves, and asserts the observability invariants — every
-// sampled request left a complete stitched trace (router plus all contacted
-// shards), the critical-path attribution matches the injected fault
-// schedule exactly, and probe exports are byte-identical across same-seed
-// runs.
+// Trace stitching checks: after the campaign the soak drains every node's
+// span ring through the same /clustertracez machinery cmd/serprouter
+// serves, and asserts the observability invariants — every sampled request
+// left a complete stitched trace (router plus all contacted shards), the
+// critical-path attribution matches the injected fault schedule exactly,
+// and probe exports are byte-identical across same-seed runs.
 
 // clusterProbes is how many post-campaign probe requests are issued against
 // the quiesced cluster. Probes run on the frozen campaign clock with fixed
@@ -84,7 +82,7 @@ func collectClusterTraces(h http.Handler, ct *router.ClusterTracez, sum *soakSum
 
 // clusterTraceViolations checks the stitched-trace postconditions, one
 // message per violated invariant.
-func clusterTraceViolations(opts soakOptions, sum *soakSummary) []string {
+func clusterTraceViolations(sum *soakSummary) []string {
 	var bad []string
 	for i, e := range sum.ClusterLaneErrors {
 		if e != "" {
@@ -117,77 +115,43 @@ func clusterTraceViolations(opts soakOptions, sum *soakSummary) []string {
 		bad = append(bad, fmt.Sprintf("%d of %d sampled requests stitched incompletely (ok legs missing their shard span)", incomplete, len(sum.ObsTraceIDs)))
 	}
 
-	if opts.ClusterReplicas > 1 {
-		// Fault attribution, replicated topology: the only injected fault
-		// is the replica-0 outage window, and failover absorbs it — so
-		// every fan-out LEG must read ok, while the error and breaker_open
-		// records live on router.attempt spans that must all point at
-		// replica 0 (errors only inside the outage window; an open breaker
-		// can linger past it until the prober re-closes it).
-		errorAttempts, misattributed, badLegs := 0, 0, 0
-		for _, tr := range sum.ClusterTraces {
-			for _, s := range tr.Spans {
-				switch s.Name {
-				case "router.shard":
-					if out := s.Attr("outcome"); out != "" && out != "ok" {
-						badLegs++
-					}
-				case "router.attempt":
-					switch s.Attr("outcome") {
-					case "error":
-						errorAttempts++
-						if s.Attr("replica") != "0" || !inReplicaOutage(s.Start) {
-							misattributed++
-						}
-					case "breaker_open":
-						if s.Attr("replica") != "0" {
-							misattributed++
-						}
-					}
+	// Fault attribution: the only injected server-side fault is the
+	// replica-0 outage window, and failover absorbs it — so every fan-out
+	// LEG must read ok, while the error and breaker_open records live on
+	// router.attempt spans that must all point at replica 0 (errors only
+	// inside the outage window; an open breaker can linger past it until
+	// the prober re-closes it).
+	errorAttempts, misattributed, badLegs := 0, 0, 0
+	for _, tr := range sum.ClusterTraces {
+		for _, s := range tr.Spans {
+			switch s.Name {
+			case "router.shard":
+				if out := s.Attr("outcome"); out != "" && out != "ok" {
+					badLegs++
 				}
-			}
-		}
-		if badLegs > 0 {
-			bad = append(bad, fmt.Sprintf("%d stitched fan-out legs ended non-ok (replication must absorb every replica fault)", badLegs))
-		}
-		if errorAttempts == 0 {
-			bad = append(bad, "no stitched trace carries an error attempt despite the replica-outage window")
-		}
-		if misattributed > 0 {
-			bad = append(bad, fmt.Sprintf("%d attempts attribute faults outside the injected schedule (errors must hit replica 0 inside the outage window, open breakers only replica 0)", misattributed))
-		}
-	} else {
-		// Fault attribution, legacy single-replica topology: the only
-		// injected server-side fault is the shard-0 outage on the
-		// error-burst day, so every error leg must point at shard 0 during
-		// day 1, and every breaker_open leg at shard 0 (the breaker can
-		// linger into the next day until its half-open probe re-closes it).
-		errorLegs, misattributed := 0, 0
-		for _, tr := range sum.ClusterTraces {
-			for _, s := range tr.Spans {
-				if s.Name != "router.shard" {
-					continue
-				}
-				day := int(s.Start.Sub(soakEpoch) / (24 * time.Hour))
+			case "router.attempt":
 				switch s.Attr("outcome") {
 				case "error":
-					errorLegs++
-					if s.Attr("shard") != "0" || day != 1 {
+					errorAttempts++
+					if s.Attr("replica") != "0" || !inReplicaOutage(s.Start) {
 						misattributed++
 					}
 				case "breaker_open":
-					if s.Attr("shard") != "0" {
+					if s.Attr("replica") != "0" {
 						misattributed++
 					}
 				}
 			}
 		}
-		if errorLegs == 0 {
-			bad = append(bad, "no stitched trace carries an error leg despite the shard-outage day")
-		}
-		if misattributed > 0 {
-			bad = append(bad, fmt.Sprintf("%d legs attribute faults outside the injected schedule (errors must hit shard 0 on day 1, open breakers only shard 0)", misattributed))
-		}
+	}
+	if badLegs > 0 {
+		bad = append(bad, fmt.Sprintf("%d stitched fan-out legs ended non-ok (replication must absorb every replica fault)", badLegs))
+	}
+	if errorAttempts == 0 {
+		bad = append(bad, "no stitched trace carries an error attempt despite the replica-outage window")
+	}
+	if misattributed > 0 {
+		bad = append(bad, fmt.Sprintf("%d attempts attribute faults outside the injected schedule (errors must hit replica 0 inside the outage window, open breakers only replica 0)", misattributed))
 	}
 
 	// Probe traces: the healed cluster must answer each probe from every
@@ -199,7 +163,7 @@ func clusterTraceViolations(opts soakOptions, sum *soakSummary) []string {
 			continue
 		}
 		rep := router.Analyze(tr)
-		if !rep.Complete || rep.Outcomes["ok"] != opts.ClusterShards {
+		if !rep.Complete || rep.Outcomes["ok"] != shards {
 			bad = append(bad, fmt.Sprintf("probe trace %s degenerate: complete=%v outcomes=%v", id, rep.Complete, rep.Outcomes))
 		}
 	}

@@ -575,9 +575,16 @@ func (c *Crawler) sweepTerm(ctx context.Context, phase string, q queries.Query, 
 	// Hold the virtual clock per worker from *before* launch: the driver
 	// may not hop to a parked retry deadline while any fetch in this round
 	// is still runnable but not yet on the wire. Workers release on exit;
-	// backoff sleeps inside SearchContext go through SleepHeld.
+	// backoff sleeps inside SearchContext go through SleepHeld. The
+	// dispatcher also holds the clock until the last worker is launched: a
+	// worker whose first attempt fails at once drops its hold in SleepHeld,
+	// and without this one DriveUntil could then advance the clock before
+	// the later workers are even held.
 	holder := simclock.HolderOf(c.clock)
 	fetchCtx := simclock.WithHeld(ctx, holder)
+	if holder != nil {
+		holder.Hold()
+	}
 	for _, v := range vans {
 		for _, role := range []storage.Role{storage.Treatment, storage.Control} {
 			b := v.treatment
@@ -636,6 +643,9 @@ func (c *Crawler) sweepTerm(ctx context.Context, phase string, q queries.Query, 
 				results <- fetchResult{obs: obs, retries: b.Retries() - retriesBefore}
 			}(v, role, b, trace)
 		}
+	}
+	if holder != nil {
+		holder.Release()
 	}
 	wg.Wait()
 	close(results)
@@ -736,6 +746,11 @@ func (c *Crawler) RunValidation(terms []queries.Query, gps geo.Point, nVantage i
 		var wg sync.WaitGroup
 		holder := simclock.HolderOf(c.clock)
 		fetchCtx := simclock.WithHeld(context.Background(), holder)
+		// As in sweepTerm: the dispatcher holds the clock until every
+		// vantage is launched and holding its own.
+		if holder != nil {
+			holder.Hold()
+		}
 		for i, b := range browsers {
 			wg.Add(1)
 			if holder != nil {
@@ -756,6 +771,9 @@ func (c *Crawler) RunValidation(terms []queries.Query, gps geo.Point, nVantage i
 				}
 				pages[i], errs[i] = p, err
 			}(i, b)
+		}
+		if holder != nil {
+			holder.Release()
 		}
 		wg.Wait()
 		for i, err := range errs {

@@ -14,6 +14,7 @@ import (
 	"geoserp/internal/httpheader"
 	"geoserp/internal/serpserver"
 	"geoserp/internal/simclock"
+	"geoserp/internal/telemetry"
 )
 
 var epoch = time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -229,16 +230,22 @@ func (f *shardFault) middleware(next http.Handler) http.Handler {
 // TestClusterPartialDegradation covers the graded-degradation ladder: a
 // failing shard yields 200s marked partial (never an error), the breaker
 // trips after the threshold and fails fast, and after the shard heals the
-// half-open probe recloses the breaker and pages go complete again.
+// half-open probe recloses the breaker and pages go complete again. The
+// router's metrics and leg spans must tell the same story: partial but
+// never unavailable retrievals, every leg outcome exercised, a balanced
+// breaker ledger, and every fault attributed to the broken shard.
 func TestClusterPartialDegradation(t *testing.T) {
 	clock := simclock.NewManual(epoch)
 	fault := &shardFault{}
+	reg := telemetry.NewRegistry()
 	cl := NewLocalCluster(ClusterConfig{
 		Shards:           3,
 		Engine:           testConfig(7),
 		Clock:            clock,
 		BreakerThreshold: 3,
 		BreakerCooldown:  45 * time.Second,
+		SpanCapacity:     256,
+		Registry:         reg,
 		ShardMiddleware: func(shard, replica int, next http.Handler) http.Handler {
 			if shard == 1 {
 				return fault.middleware(next)
@@ -285,6 +292,46 @@ func TestClusterPartialDegradation(t *testing.T) {
 	}
 	if s := cl.Client.BreakerStates()[1][0]; s != "closed" {
 		t.Fatalf("shard 1 breaker = %q after successful probe, want closed", s)
+	}
+
+	retrievals := reg.Counter("router_retrievals_total", "").Value()
+	partials := reg.Counter("router_partial_results_total", "").Value()
+	if partials == 0 || partials >= retrievals {
+		t.Fatalf("router_partial_results_total = %d of %d retrievals, want some but not all (healthy fetches merge complete)", partials, retrievals)
+	}
+	if n := reg.Counter("router_unavailable_total", "").Value(); n != 0 {
+		t.Fatalf("router_unavailable_total = %d, want 0: healthy shards must keep answering", n)
+	}
+	legs := reg.CounterVec("router_shard_requests_total", "", "outcome").Values()
+	if legs[outcomeOK] == 0 || legs[outcomeError] == 0 || legs[outcomeBreakerOpen] == 0 {
+		t.Fatalf("router_shard_requests_total = %v, want ok, error and breaker_open all exercised", legs)
+	}
+	trans := reg.CounterVec("router_breaker_transitions_total", "", "event").Values()
+	if trans[breakerTransOpen] == 0 || trans[breakerTransOpen] != trans[breakerTransClose] {
+		t.Fatalf("router_breaker_transitions_total = %v, want open == close > 0 once the shard healed", trans)
+	}
+
+	// Fault attribution: every error leg hit shard 1 while it was broken
+	// (all at the epoch), and only shard 1's breaker ever failed fast.
+	errorLegs := 0
+	for _, sp := range cl.Spans.Snapshot() {
+		if sp.Name != spanShardLeg {
+			continue
+		}
+		switch sp.Attr("outcome") {
+		case outcomeError:
+			errorLegs++
+			if sp.Attr("shard") != "1" || !sp.Start.Equal(epoch) {
+				t.Fatalf("error leg on shard %s at %s, want shard 1 at %s", sp.Attr("shard"), sp.Start, epoch)
+			}
+		case outcomeBreakerOpen:
+			if sp.Attr("shard") != "1" {
+				t.Fatalf("breaker_open leg on shard %s, want only shard 1", sp.Attr("shard"))
+			}
+		}
+	}
+	if errorLegs == 0 {
+		t.Fatal("no leg span carries an error outcome despite the broken shard")
 	}
 }
 
