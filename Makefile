@@ -28,7 +28,7 @@ lint-sarif:
 
 # soak runs the chaos soak harness (cmd/soak, the repo's one soak rig)
 # under the race detector against the replicated cluster topology — a
-# serprouter-style coordinator scatter-gathering over 3 in-process shards
+# coordinator like serpd -shards, scatter-gathering over 3 in-process shards
 # x 2 replicas — through a multi-phase fault schedule that includes a
 # deterministic 26-hour outage of replica 0 on every shard, asserting the
 # overload-resilience invariants (no deadlock, breakers re-close, shed

@@ -134,22 +134,7 @@ func runCrawl(opts options) (int, error) {
 	ccfg.DeadlineBudget = opts.Deadline
 	ccfg.MaxBodyBytes = opts.MaxBody
 
-	take := func(qs []queries.Query) []queries.Query {
-		if opts.TermsPerCategory > 0 && len(qs) > opts.TermsPerCategory {
-			return qs[:opts.TermsPerCategory]
-		}
-		return qs
-	}
-	days := opts.Days
-	if days <= 0 {
-		days = 5
-	}
-	lc := append([]queries.Query{}, take(corpus.Category(queries.Local))...)
-	lc = append(lc, take(corpus.Category(queries.Controversial))...)
-	phases := []crawler.Phase{
-		{Name: "local+controversial", Terms: lc, Granularities: geo.Granularities, Days: days},
-		{Name: "politicians", Terms: take(corpus.Category(queries.Politician)), Granularities: geo.Granularities, Days: days},
-	}
+	phases := crawler.ScaledPhases(corpus, opts.TermsPerCategory, opts.Days)
 
 	// The campaign checkpoints after every completed term sweep: the
 	// cursor goes to ckptPath, partial observations accumulate beside the

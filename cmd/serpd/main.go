@@ -10,37 +10,56 @@
 //	      [-chaos-latency 0] [-chaos-seed 1]
 //	      [-max-inflight 0] [-queue-depth 0] [-admission-service-time 1s]
 //	      [-shard-count 0] [-shard-id 0] [-shard-replica 0] [-virtual-nodes 0]
+//	      [-shards URL,... [-replicas 1] [-shard-timeout 2s]
+//	       [-breaker-threshold 3] [-breaker-cooldown 45s] [-hedge-after 0]
+//	       [-probe-interval 45s]]
 //
-// The -chaos-* flags make /search deliberately unreliable (fault
-// injection) so crawler deployments can rehearse retries, failure budgets,
-// and checkpoint resume against a real wire.
+// A node takes one of three roles:
 //
-// The -max-inflight and -queue-depth flags arm admission control: at most
-// max-inflight /search requests execute at once, queue-depth more wait in
-// FIFO order, and the rest are shed with 503 plus a Retry-After hint
-// derived from the backlog and -admission-service-time.
+//   - Monolith (the default): the full engine over the whole corpus.
+//   - Shard (-shard-count N -shard-id K): one retrieval shard of an N-node
+//     cluster. It regenerates the deterministic corpus from -seed, keeps
+//     the document slice the consistent-hash ring assigns shard K, and
+//     serves GET /shard/search to a coordinator. With -shard-replica R it
+//     identifies as replica R of shard K; replicas serve byte-identical
+//     slices. -virtual-nodes tunes the ring. Engine flags (-datacenters,
+//     -rate-burst, ...) are ignored in this role.
+//   - Coordinator (-shards): the monolith's engine and front end, whose
+//     web vertical is scatter-gathered from the listed shard nodes and
+//     merged deterministically, so a same-seed cluster serves the bytes a
+//     monolith serves. -shards lists the URLs in shard-ID order, each
+//     shard's -replicas URLs adjacent (s0r0,s0r1,s1r0,...). A leg fails
+//     over across its replica set behind per-replica circuit breakers
+//     (-breaker-*), may hedge a straggler (-hedge-after), and a
+//     -probe-interval /healthz loop re-admits recovered replicas. A shard
+//     whose every replica fails narrows the web vertical (X-Serp-Partial);
+//     with no shard left, /search sheds 503. -shards and -shard-count
+//     exclude each other.
 //
-// With -shard-count N (and -shard-id K), serpd runs as one retrieval
-// shard of an N-node cluster instead of a full engine: it regenerates the
-// deterministic corpus from -seed, keeps the document slice the
-// consistent-hash ring assigns shard K, and serves GET /shard/search for
-// a cmd/serprouter coordinator to scatter-gather. With -shard-replica R
-// the node additionally identifies as replica R of shard K — replicas
-// serve byte-identical slices, so a router can spread load and fail over
-// between them without changing any page. -virtual-nodes tunes the hash
-// ring's virtual-node count.
-// The chaos, admission, and tracez flags apply to the shard endpoint
-// unchanged; engine flags (-datacenters, -rate-burst, ...) are ignored in
-// shard mode.
+// Every node of one cluster must share -seed and -corpus (and the shards
+// -virtual-nodes): each shard reply carries its corpus fingerprint, and a
+// shard of another world fails its legs.
+//
+// The -chaos-* flags make the node's search endpoint deliberately
+// unreliable (fault injection) so clients can rehearse retries, failure
+// budgets, and checkpoint resume against a real wire. The -max-inflight
+// and -queue-depth flags arm admission control: at most max-inflight
+// requests execute at once, queue-depth more wait in FIFO order, and the
+// rest are shed with 503 plus a Retry-After hint derived from the backlog
+// and -admission-service-time. Both apply in every role.
 //
 // Endpoints:
 //
 //	GET /search?q=<term>&ll=<lat>,<lon>[&format=json]
+//	GET /shard/search?q=<term>&k=<n>   (shard role)
 //	GET /healthz
 //	GET /statz         JSON counters (backward-compatible shape)
 //	GET /metricsz      Prometheus text exposition
 //	GET /tracez        recent request spans (JSON; ?format=html for a
 //	                   browsable view, ?limit=N to cap traces)
+//	GET /spanz         the span ring as a paginated export for stitching
+//	GET /clustertracez?trace=<id>   (coordinator role) the trace stitched
+//	                   across every node, with critical-path attribution
 //
 // With -pprof-addr, the net/http/pprof endpoints are served on a separate
 // listener under /debug/pprof/.
@@ -85,6 +104,13 @@ func main() {
 	flag.IntVar(&opts.ShardID, "shard-id", 0, "this node's shard ID (0-based, requires -shard-count)")
 	flag.IntVar(&opts.ShardReplica, "shard-replica", 0, "this node's replica ID within its shard's replica set (0-based; replicas serve identical slices)")
 	flag.IntVar(&opts.VirtualNodes, "virtual-nodes", 0, "consistent-hash virtual nodes per shard (0 selects the default; all cluster nodes must agree)")
+	flag.StringVar(&opts.Shards, "shards", "", "run as the cluster coordinator over these comma-separated shard base URLs, in shard-ID order, replicas adjacent")
+	flag.IntVar(&opts.Replicas, "replicas", 1, "replicas per shard: how many consecutive -shards URLs form one shard's replica set")
+	flag.DurationVar(&opts.ShardTimeout, "shard-timeout", 2*time.Second, "timeout per replica attempt: a failover or hedged attempt gets its own (0 disables)")
+	flag.IntVar(&opts.BreakerThreshold, "breaker-threshold", 3, "consecutive shard failures that open its circuit breaker (0 disables breakers)")
+	flag.DurationVar(&opts.BreakerCooldown, "breaker-cooldown", 45*time.Second, "open-breaker dwell before a half-open probe")
+	flag.DurationVar(&opts.HedgeAfter, "hedge-after", 0, "fire a hedged backup request to another replica after this in-flight delay (0 disables hedging)")
+	flag.DurationVar(&opts.ProbeInterval, "probe-interval", 45*time.Second, "background /healthz probe cadence re-admitting recovered replicas (0 disables)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	verbose := flag.Bool("verbose", false, "log every request")
 	wideEvents := flag.Bool("wide-events", false, "emit one wide-event request log line per /search")
@@ -99,9 +125,10 @@ func main() {
 	}
 
 	var (
-		srv *serpserver.Server
-		eng *engine.Engine
-		err error
+		srv    *serpserver.Server
+		eng    *engine.Engine
+		client *router.Client
+		err    error
 	)
 	if opts.ShardCount > 0 {
 		var sh *router.ShardHandler
@@ -115,10 +142,16 @@ func main() {
 				"metrics", srv.URL()+"/metricsz")
 		}
 	} else {
-		srv, eng, err = buildServer(opts)
+		srv, eng, client, err = buildServer(opts)
 		if err == nil {
-			logger.Info("serving synthetic search",
-				"url", srv.URL(), "seed", opts.Seed, "datacenters", opts.Datacenters)
+			if client != nil {
+				logger.Info("routing sharded search",
+					"url", srv.URL(), "seed", opts.Seed, "shards", client.Shards(),
+					"replicas", max(opts.Replicas, 1))
+			} else {
+				logger.Info("serving synthetic search",
+					"url", srv.URL(), "seed", opts.Seed, "datacenters", opts.Datacenters)
+			}
 			logger.Info("endpoints ready",
 				"try", srv.URL()+"/search?q=Coffee&ll=41.4993,-81.6944",
 				"metrics", srv.URL()+"/metricsz")
@@ -127,6 +160,10 @@ func main() {
 	if err != nil {
 		logger.Error("startup failed", "err", err)
 		os.Exit(1)
+	}
+	if client != nil {
+		stopProber := client.StartProber()
+		defer stopProber()
 	}
 
 	if opts.PprofAddr != "" {
@@ -148,12 +185,14 @@ func main() {
 	}()
 	<-done
 	fmt.Fprintln(os.Stderr)
+	var stats []any
 	if eng != nil {
-		logger.Info("shutting down",
-			"served", eng.Served(), "rate_limited", eng.RateLimited())
-	} else {
-		logger.Info("shutting down")
+		stats = append(stats, "served", eng.Served(), "rate_limited", eng.RateLimited())
 	}
+	if client != nil {
+		stats = append(stats, "breakers", fmt.Sprint(client.BreakerStates()))
+	}
+	logger.Info("shutting down", stats...)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

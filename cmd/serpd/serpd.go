@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strings"
+	"time"
 
 	"geoserp/internal/engine"
 	"geoserp/internal/queries"
@@ -45,8 +47,8 @@ type options struct {
 	TracezCapacity int
 	// ShardCount > 0 switches serpd into shard-node mode: instead of a
 	// full engine it serves GET /shard/search over its slice of a
-	// ShardCount-way document partition, for a cmd/serprouter coordinator
-	// to scatter-gather. ShardID selects which slice (0-based). Chaos,
+	// ShardCount-way document partition, for a coordinator (Shards) to
+	// scatter-gather. ShardID selects which slice (0-based). Chaos,
 	// admission, and tracez flags apply to the shard endpoint unchanged.
 	ShardCount int
 	ShardID    int
@@ -61,12 +63,30 @@ type options struct {
 	// ShardReplica: virtual nodes spread one shard around the hash ring,
 	// replicas are extra physical copies of a shard.
 	VirtualNodes int
+	// Shards, when set, makes the node the cluster coordinator: the
+	// comma-separated shard base URLs in shard-ID order, each shard's
+	// Replicas URLs adjacent in replica-ID order (s0r0,s0r1,s1r0,...).
+	// Replicas <= 0 means 1.
+	Shards   string
+	Replicas int
+	// ShardTimeout bounds each replica attempt of a fan-out leg (<= 0
+	// disables it); the rest configure the client's per-replica circuit
+	// breakers (threshold <= 0 disables them), hedged backup requests and
+	// background re-admission probes, as router.ClientConfig documents.
+	ShardTimeout     time.Duration
+	BreakerThreshold int
+	BreakerCooldown  time.Duration
+	HedgeAfter       time.Duration
+	ProbeInterval    time.Duration
 }
 
 // buildServer constructs the engine and a bound (not yet serving) server.
 // Engine and HTTP front end share one telemetry registry, exposed at
-// /metricsz on the returned server.
-func buildServer(opts options) (*serpserver.Server, *engine.Engine, error) {
+// /metricsz on the returned server. With opts.Shards set, the node is the
+// cluster coordinator: the returned client (nil on a monolith) is the
+// engine's retrieval backend, and /clustertracez is mounted beside the
+// front end.
+func buildServer(opts options) (*serpserver.Server, *engine.Engine, *router.Client, error) {
 	cfg := engine.DefaultConfig()
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
@@ -93,24 +113,53 @@ func buildServer(opts options) (*serpserver.Server, *engine.Engine, error) {
 	}
 	reg := telemetry.NewRegistry()
 	eopts := []engine.Option{engine.WithTelemetry(reg)}
+	var corpus *queries.Corpus
 	if opts.CorpusPath != "" {
-		corpus, err := queries.LoadCorpus(opts.CorpusPath)
+		c, err := queries.LoadCorpus(opts.CorpusPath)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
+		corpus = c
 		eopts = append(eopts, engine.WithCorpus(corpus))
 	}
+	var (
+		client *router.Client
+		hopts  []serpserver.HandlerOption
+	)
+	if opts.Shards != "" {
+		flat, err := splitShards(opts.Shards)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		shards, err := groupReplicas(flat, opts.Replicas)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		client = router.NewClient(router.ClientConfig{
+			Shards:           shards,
+			Timeout:          opts.ShardTimeout,
+			BreakerThreshold: opts.BreakerThreshold,
+			BreakerCooldown:  opts.BreakerCooldown,
+			HedgeAfter:       opts.HedgeAfter,
+			ProbeInterval:    opts.ProbeInterval,
+			// The shards' document table, regenerated from the same seed and
+			// corpus; their replies are checked against its fingerprint.
+			Docs: router.CorpusDocs(cfg.Seed, corpus),
+		}, reg)
+		eopts = append(eopts, engine.WithRetriever(client))
+		hopts = append(hopts, serpserver.WithNode("router"))
+	}
 	eng := engine.NewCustom(cfg, simclock.Wall(), eopts...)
-	var hopts []serpserver.HandlerOption
 	if opts.Logger != nil {
 		hopts = append(hopts, serpserver.WithLogger(opts.Logger))
 	}
 	if opts.WideLogger != nil {
 		hopts = append(hopts, serpserver.WithWideEvents(opts.WideLogger))
 	}
+	var spans *telemetry.SpanRecorder
 	if opts.TracezCapacity > 0 {
-		hopts = append(hopts,
-			serpserver.WithSpans(telemetry.NewSpanRecorder(opts.TracezCapacity, simclock.Wall())))
+		spans = telemetry.NewSpanRecorder(opts.TracezCapacity, simclock.Wall())
+		hopts = append(hopts, serpserver.WithSpans(spans))
 	}
 	handler := serpserver.NewHandler(eng, hopts...)
 	var root http.Handler = handler
@@ -122,11 +171,56 @@ func buildServer(opts options) (*serpserver.Server, *engine.Engine, error) {
 		// bypass the concurrency gate.
 		root = serpserver.WithAdmission(opts.Admission, handler, root)
 	}
+	if client != nil {
+		// The cluster trace surface sits outside the admission gate: it
+		// must answer while /search sheds, exactly when stitched traces
+		// matter most.
+		mux := http.NewServeMux()
+		mux.Handle("GET "+router.ClusterTracezPath, router.NewClusterTracez(spans, client))
+		mux.Handle("/", root)
+		root = mux
+	}
 	srv, err := serpserver.Listen(opts.Addr, root)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return srv, eng, nil
+	return srv, eng, client, nil
+}
+
+// splitShards parses the -shards list.
+func splitShards(s string) ([]string, error) {
+	var out []string
+	for _, u := range strings.Split(s, ",") {
+		u = strings.TrimSpace(u)
+		if u == "" {
+			continue
+		}
+		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
+			return nil, fmt.Errorf("shard URL %q: must start with http:// or https://", u)
+		}
+		out = append(out, strings.TrimRight(u, "/"))
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no shard URLs given (-shards)")
+	}
+	return out, nil
+}
+
+// groupReplicas slices the flat -shards URL list into per-shard replica
+// sets: replicas are adjacent, so with -replicas 2 the list
+// s0r0,s0r1,s1r0,s1r1 yields [[s0r0 s0r1] [s1r0 s1r1]].
+func groupReplicas(flat []string, replicas int) ([][]string, error) {
+	if replicas <= 0 {
+		replicas = 1
+	}
+	if len(flat)%replicas != 0 {
+		return nil, fmt.Errorf("-shards lists %d URLs, not divisible into replica sets of %d (-replicas)", len(flat), replicas)
+	}
+	out := make([][]string, 0, len(flat)/replicas)
+	for i := 0; i < len(flat); i += replicas {
+		out = append(out, flat[i:i+replicas])
+	}
+	return out, nil
 }
 
 // buildShardServer constructs a shard node: the deterministic corpus is
@@ -135,6 +229,9 @@ func buildServer(opts options) (*serpserver.Server, *engine.Engine, error) {
 // are bit-identical to a monolith's), and the /shard/search endpoint is
 // wrapped in the same chaos and admission middleware a full serpd gets.
 func buildShardServer(opts options) (*serpserver.Server, *router.ShardHandler, error) {
+	if opts.Shards != "" {
+		return nil, nil, fmt.Errorf("-shards and -shard-count are exclusive: a node is a coordinator or a shard")
+	}
 	if opts.ShardID < 0 || opts.ShardID >= opts.ShardCount {
 		return nil, nil, fmt.Errorf("shard-id %d out of range for shard-count %d", opts.ShardID, opts.ShardCount)
 	}

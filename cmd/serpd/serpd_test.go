@@ -19,7 +19,7 @@ import (
 )
 
 func TestBuildServerAndServe(t *testing.T) {
-	srv, eng, err := buildServer(options{
+	srv, eng, _, err := buildServer(options{
 		Addr:        "127.0.0.1:0",
 		Seed:        7,
 		Datacenters: 2,
@@ -57,7 +57,7 @@ func TestBuildServerAndServe(t *testing.T) {
 }
 
 func TestBuildServerQuietModeDeterministic(t *testing.T) {
-	srv, _, err := buildServer(options{Addr: "127.0.0.1:0", Quiet: true,
+	srv, _, _, err := buildServer(options{Addr: "127.0.0.1:0", Quiet: true,
 		RateBurst: 1000, RatePerMin: 100000})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestBuildServerQuietModeDeterministic(t *testing.T) {
 
 func TestBuildServerAccessLog(t *testing.T) {
 	var buf syncBuffer
-	srv, _, err := buildServer(options{Addr: "127.0.0.1:0",
+	srv, _, _, err := buildServer(options{Addr: "127.0.0.1:0",
 		RateBurst: 1000, RatePerMin: 100000,
 		Logger: telemetry.NewLogger(&buf, "text")})
 	if err != nil {
@@ -118,7 +118,7 @@ func (b *syncBuffer) String() string {
 }
 
 func TestMetricszAndPprofEndpoints(t *testing.T) {
-	srv, _, err := buildServer(options{Addr: "127.0.0.1:0",
+	srv, _, _, err := buildServer(options{Addr: "127.0.0.1:0",
 		RateBurst: 1000, RatePerMin: 100000})
 	if err != nil {
 		t.Fatal(err)
@@ -161,14 +161,15 @@ func TestMetricszAndPprofEndpoints(t *testing.T) {
 }
 
 func TestBuildServerBadAddr(t *testing.T) {
-	if _, _, err := buildServer(options{Addr: "256.256.256.256:99999"}); err == nil {
+	if _, _, _, err := buildServer(options{Addr: "256.256.256.256:99999"}); err == nil {
 		t.Fatal("bad address accepted")
 	}
 }
 
 // TestBuildShardServer exercises serpd's shard mode end to end: the node
 // serves its partition over /shard/search with the standard operability
-// endpoints, and rejects an out-of-range shard ID at startup.
+// endpoints, and refuses to start with an out-of-range shard ID or with
+// -shards, which would make it a coordinator too.
 func TestBuildShardServer(t *testing.T) {
 	srv, sh, err := buildShardServer(options{
 		Addr: "127.0.0.1:0", Seed: 7, ShardID: 1, ShardCount: 3,
@@ -223,7 +224,12 @@ func TestBuildShardServer(t *testing.T) {
 		t.Fatalf("healthz corpus = %q, want %q", health.Corpus, want)
 	}
 
-	if _, _, err := buildShardServer(options{Addr: "127.0.0.1:0", ShardID: 3, ShardCount: 3}); err == nil {
-		t.Fatal("out-of-range shard ID accepted")
+	for name, bad := range map[string]options{
+		"out-of-range shard ID":         {Addr: "127.0.0.1:0", ShardID: 3, ShardCount: 3},
+		"both -shards and -shard-count": {Addr: "127.0.0.1:0", ShardCount: 3, Shards: srv.URL()},
+	} {
+		if _, _, err := buildShardServer(bad); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Command soak is the chaos soak harness: it runs a virtual-time crawl
-// campaign against an in-process replicated cluster — a serprouter-style
-// coordinator scatter-gathering over 3 shards x 2 replicas, throttled by
+// campaign against an in-process replicated cluster — a coordinator like
+// serpd -shards, scatter-gathering over 3 shards x 2 replicas, throttled by
 // admission control — while a seeded, multi-phase fault schedule (calm,
 // error burst, latency spike, recovery) batters the wire and replica 0 of
 // every shard goes dark (retrieval and /healthz) for a 26-hour window

@@ -12,7 +12,7 @@ import (
 )
 
 // Trace stitching checks: after the campaign the soak drains every node's
-// span ring through the same /clustertracez machinery cmd/serprouter
+// span ring through the same /clustertracez machinery a coordinator serpd
 // serves, and asserts the observability invariants — every sampled request
 // left a complete stitched trace (router plus all contacted shards), the
 // critical-path attribution matches the injected fault schedule exactly,

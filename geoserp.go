@@ -192,29 +192,14 @@ func (s *Study) Close() error {
 // StudyPhases returns the paper's two campaign phases (local+controversial
 // then politicians, 5 days each at all three granularities).
 func (s *Study) StudyPhases() []Phase {
-	return crawler.StudyPhases(queries.StudyCorpus())
+	return crawler.ScaledPhases(queries.StudyCorpus(), 0, 0)
 }
 
 // ScaledPhases returns a proportionally reduced campaign: terms-per-
 // category and days are capped, granularities kept. Scale 1 reproduces the
 // full study; smaller inputs make quick demos.
 func (s *Study) ScaledPhases(termsPerCategory, days int) []Phase {
-	corpus := queries.StudyCorpus()
-	take := func(qs []Query) []Query {
-		if termsPerCategory > 0 && len(qs) > termsPerCategory {
-			return qs[:termsPerCategory]
-		}
-		return qs
-	}
-	if days <= 0 {
-		days = 5
-	}
-	lc := append([]Query{}, take(corpus.Category(queries.Local))...)
-	lc = append(lc, take(corpus.Category(queries.Controversial))...)
-	return []Phase{
-		{Name: "local+controversial", Terms: lc, Granularities: geo.Granularities, Days: days},
-		{Name: "politicians", Terms: take(corpus.Category(queries.Politician)), Granularities: geo.Granularities, Days: days},
-	}
+	return crawler.ScaledPhases(queries.StudyCorpus(), termsPerCategory, days)
 }
 
 // RunPhases executes a campaign under virtual time and returns the

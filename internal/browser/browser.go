@@ -676,7 +676,7 @@ func (b *Browser) fetchOnce(ctx context.Context, term string, attempt int, deadl
 	}
 	if b.traceID != "" {
 		req.Header.Set(httpheader.TraceID, b.traceID)
-		req.Header.Set(httpheader.TraceAttempt, fmt.Sprint(attempt))
+		httpheader.SetAttempt(req.Header, attempt)
 	}
 	httpheader.SetDeadline(req.Header, deadline)
 

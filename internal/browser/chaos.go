@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -87,10 +86,8 @@ func (c *ChaosTransport) attemptKey(req *http.Request) string {
 	if trace == "" {
 		return fmt.Sprintf("seq-%d", c.seq.Add(1))
 	}
-	if v := req.Header.Get(httpheader.TraceAttempt); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return fmt.Sprintf("%s-%d", trace, n)
-		}
+	if n, ok := httpheader.Attempt(req.Header); ok && n > 0 {
+		return fmt.Sprintf("%s-%d", trace, n)
 	}
 	c.mu.Lock()
 	if len(c.attempts) >= maxTrackedTraces {

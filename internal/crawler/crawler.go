@@ -111,24 +111,25 @@ type Phase struct {
 	Days int
 }
 
-// StudyPhases returns the paper's two campaign phases over the given
-// corpus.
-func StudyPhases(corpus *queries.Corpus) []Phase {
-	localAndControversial := append([]queries.Query{}, corpus.Category(queries.Local)...)
-	localAndControversial = append(localAndControversial, corpus.Category(queries.Controversial)...)
+// ScaledPhases plans the paper's two campaign phases over corpus: its
+// local and controversial terms, then its politicians, at all three
+// granularities. termsPerCategory caps each category (0 takes every term)
+// and days sets each phase's length (<= 0 takes the study's 5 days).
+func ScaledPhases(corpus *queries.Corpus, termsPerCategory, days int) []Phase {
+	take := func(qs []queries.Query) []queries.Query {
+		if termsPerCategory > 0 && len(qs) > termsPerCategory {
+			return qs[:termsPerCategory]
+		}
+		return qs
+	}
+	if days <= 0 {
+		days = 5
+	}
+	lc := append([]queries.Query{}, take(corpus.Category(queries.Local))...)
+	lc = append(lc, take(corpus.Category(queries.Controversial))...)
 	return []Phase{
-		{
-			Name:          "local+controversial",
-			Terms:         localAndControversial,
-			Granularities: geo.Granularities,
-			Days:          5,
-		},
-		{
-			Name:          "politicians",
-			Terms:         corpus.Category(queries.Politician),
-			Granularities: geo.Granularities,
-			Days:          5,
-		},
+		{Name: "local+controversial", Terms: lc, Granularities: geo.Granularities, Days: days},
+		{Name: "politicians", Terms: take(corpus.Category(queries.Politician)), Granularities: geo.Granularities, Days: days},
 	}
 }
 

@@ -275,7 +275,7 @@ func TestRunValidationGPSDominates(t *testing.T) {
 }
 
 func TestStudyPhases(t *testing.T) {
-	phases := StudyPhases(queries.StudyCorpus())
+	phases := ScaledPhases(queries.StudyCorpus(), 0, 0)
 	if len(phases) != 2 {
 		t.Fatalf("phases = %d, want 2", len(phases))
 	}

@@ -9,7 +9,7 @@
 // Constants are named after the header's suffix (X-Trace-Id -> TraceID)
 // so call sites read as the wire protocol does. Add new headers here,
 // never inline. A header with a structured value keeps its codec here
-// too (SetDeadline, Deadline).
+// too (SetDeadline/Deadline, SetAttempt/Attempt).
 package httpheader
 
 import (
@@ -83,4 +83,21 @@ func Deadline(h http.Header) time.Time {
 		return time.Time{}
 	}
 	return time.UnixMilli(ms)
+}
+
+// SetAttempt stamps the fetch attempt number n on h as TraceAttempt
+// carries it: base 10.
+func SetAttempt(h http.Header, n int) {
+	h.Set(TraceAttempt, strconv.Itoa(n))
+}
+
+// Attempt reads the attempt number from h's TraceAttempt. ok is true only
+// when the value is a base-10 int (strconv.Atoi's syntax and range); n is
+// 0 whenever ok is false. Callers that need a positive attempt check n.
+func Attempt(h http.Header) (n int, ok bool) {
+	n, err := strconv.Atoi(h.Get(TraceAttempt))
+	if err != nil {
+		return 0, false
+	}
+	return n, true
 }

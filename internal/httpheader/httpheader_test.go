@@ -48,3 +48,32 @@ func TestSetDeadlineRoundTrip(t *testing.T) {
 		t.Fatalf("zero deadline round-trips to %v", got)
 	}
 }
+
+func TestAttempt(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		h      http.Header
+		want   int
+		wantOK bool
+	}{
+		{"absent", http.Header{}, 0, false},
+		{"empty", http.Header{TraceAttempt: {""}}, 0, false},
+		{"zero", http.Header{TraceAttempt: {"0"}}, 0, true},
+		{"negative", http.Header{TraceAttempt: {"-3"}}, -3, true},
+		{"attempt", http.Header{TraceAttempt: {"7"}}, 7, true},
+		{"leading space", http.Header{TraceAttempt: {" 7"}}, 0, false},
+		{"trailing garbage", http.Header{TraceAttempt: {"7x"}}, 0, false},
+		{"out of range", http.Header{TraceAttempt: {"99999999999999999999"}}, 0, false},
+	} {
+		if n, ok := Attempt(tc.h); n != tc.want || ok != tc.wantOK {
+			t.Errorf("%s: Attempt = %d, %v, want %d, %v", tc.name, n, ok, tc.want, tc.wantOK)
+		}
+	}
+	for _, n := range []int{1, 3, 0, -2} {
+		h := http.Header{}
+		SetAttempt(h, n)
+		if got, ok := Attempt(h); got != n || !ok {
+			t.Errorf("SetAttempt(%d) reads back as %d, %v (header %q)", n, got, ok, h.Get(TraceAttempt))
+		}
+	}
+}

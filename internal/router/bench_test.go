@@ -8,14 +8,15 @@ import (
 	"geoserp/internal/simclock"
 )
 
-// BenchmarkRouterMerge measures the full scatter-gather retrieval at
-// serprouter's serving defaults, the topology perfbench's cluster-news
-// workload serves: fan-out to three in-process shards of two replicas
-// each, one replica attempt per leg under the 2 s attempt timeout and
-// the 3-failure/45 s breakers, HTTP round-trip and reply frame decode per
-// leg (doc IDs resolved through the router's document table), and the
-// deterministic merge of the per-shard rankings. This is the router's
-// per-query overhead versus a monolithic in-process index lookup.
+// BenchmarkRouterMerge measures the full scatter-gather retrieval at the
+// serving defaults of a coordinator (serpd -shards), the topology
+// perfbench's cluster-news workload serves: fan-out to three in-process
+// shards of two replicas each, one replica attempt per leg under the 2 s
+// attempt timeout and the 3-failure/45 s breakers, HTTP round-trip and
+// reply frame decode per leg (doc IDs resolved through the router's
+// document table), and the deterministic merge of the per-shard rankings.
+// This is the router's per-query overhead versus a monolithic in-process
+// index lookup.
 func BenchmarkRouterMerge(b *testing.B) {
 	cl := NewLocalCluster(ClusterConfig{
 		Shards:           3,

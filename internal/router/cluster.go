@@ -18,8 +18,8 @@ import (
 // ClusterConfig assembles a complete in-process cluster: N shard nodes plus
 // a router front end, wired through an in-memory transport so no sockets
 // are involved. The soak harness and the cluster tests both drive this —
-// it is the same code path cmd/serprouter and cmd/serpd take, minus the
-// network.
+// it is the same code path cmd/serpd's coordinator and shard roles take,
+// minus the network.
 type ClusterConfig struct {
 	// Shards is the shard count (>= 1).
 	Shards int

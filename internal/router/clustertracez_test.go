@@ -44,13 +44,15 @@ func TestAnalyzeAttribution(t *testing.T) {
 			attr("shard", "2"), attr("outcome", "error"), attr("error", "status: 500")),
 		span("router", "leg-0", "ret-1", "router.shard", 10, 40,
 			attr("shard", "0"), attr("outcome", "ok"), attr("hits", "7")),
+		span("router", "att-0", "leg-0", "router.attempt", 10, 40,
+			attr("replica", "0"), attr("outcome", "ok")),
 		span("router", "leg-1", "ret-1", "router.shard", 10, 15,
 			attr("shard", "1"), attr("outcome", "shed")),
 		// Breaker-open leg with the longest client duration: must never be
 		// named the straggler (it was skipped, not waited on).
 		span("router", "leg-3", "ret-1", "router.shard", 10, 80,
 			attr("shard", "3"), attr("outcome", "breaker_open")),
-		span("shard-0", "srv-0", "leg-0", "shard.search", 12, 38,
+		span("shard-0", "srv-0", "att-0", "shard.search", 12, 38,
 			attr("shard", "0")),
 	}}
 
@@ -111,7 +113,9 @@ func TestAnalyzeStragglerSkipsShedLegs(t *testing.T) {
 			attr("shard", "1"), attr("outcome", "shed")),
 		span("router", "leg-0", "ret-1", "router.shard", 10, 40,
 			attr("shard", "0"), attr("outcome", "ok"), attr("hits", "3")),
-		span("shard-0", "srv-0", "leg-0", "shard.search", 12, 38,
+		span("router", "att-0", "leg-0", "router.attempt", 10, 40,
+			attr("replica", "0"), attr("outcome", "ok")),
+		span("shard-0", "srv-0", "att-0", "shard.search", 12, 38,
 			attr("shard", "0")),
 	}}
 	rep := Analyze(tr)

@@ -48,7 +48,7 @@ type ShardLeg struct {
 	Shard   int    `json:"shard"`
 	Outcome string `json:"outcome"`
 	// Replica is the replica that delivered the leg's answer; -1 when
-	// unknown (failed legs, or traces recorded before replica attempts).
+	// unknown (failed legs).
 	Replica int `json:"replica"`
 	// ClientDur is the leg's duration as the router's span saw it.
 	ClientDur time.Duration `json:"client_dur_ns"`
@@ -58,8 +58,8 @@ type ShardLeg struct {
 	Node      string        `json:"node,omitempty"`
 	ServerDur time.Duration `json:"server_dur_ns,omitempty"`
 	Error     string        `json:"error,omitempty"`
-	// Attempts is the leg's replica failover chain (empty for legacy
-	// traces recorded before per-replica attempts).
+	// Attempts is the leg's replica failover chain (empty when its
+	// attempt spans were evicted from the ring).
 	Attempts []LegAttempt `json:"attempts,omitempty"`
 	// Hedge summarizes hedging on this leg: "" (none fired), "won" (the
 	// hedged backup delivered the page), or "lost".
@@ -104,9 +104,8 @@ type TraceReport struct {
 func Analyze(tr telemetry.StitchedTrace) TraceReport {
 	rep := TraceReport{TraceID: tr.TraceID, Outcomes: map[string]int{}}
 
-	// Index shard-side server spans by the router span that caused them
-	// (their remote parent — a replica attempt span, or the leg span
-	// itself in legacy pre-replica traces). Attempts that never reached a
+	// Index shard-side server spans by the replica attempt span that
+	// caused them (their remote parent). Attempts that never reached a
 	// replica (breaker open, transport error) have no entry. Attempt spans
 	// are indexed by their leg so each leg can render its failover chain.
 	serverByParent := make(map[string]telemetry.StitchedSpan)
@@ -151,45 +150,38 @@ func Analyze(tr telemetry.StitchedTrace) TraceReport {
 			if rv, rerr := strconv.Atoi(leg.Attr("replica")); rerr == nil {
 				l.Replica = rv
 			}
-			if atts := attemptsByLeg[leg.SpanID]; len(atts) > 0 {
-				for _, as := range atts {
-					la := LegAttempt{
-						Replica: -1,
-						Hedge:   as.Attr("hedge") == "true",
-						Outcome: as.Attr("outcome"),
-						Error:   as.Attr("error"),
-					}
-					if rv, rerr := strconv.Atoi(as.Attr("replica")); rerr == nil {
-						la.Replica = rv
-					}
-					if srv, ok := serverByParent[as.SpanID]; ok {
-						la.Stitched = true
-						la.Node = srv.Node
-						la.ServerDur = srv.Dur()
-					}
-					if la.Outcome == outcomeOK {
-						// The serving attempt lends the leg its server-side
-						// join, and its replica when the leg span lacks one.
-						l.Stitched = la.Stitched
-						l.Node = la.Node
-						l.ServerDur = la.ServerDur
-						if l.Replica < 0 {
-							l.Replica = la.Replica
-						}
-					}
-					if la.Hedge && l.Hedge == "" {
-						l.Hedge = "lost"
-					}
-					if la.Hedge && la.Outcome == outcomeOK {
-						l.Hedge = "won"
-					}
-					l.Attempts = append(l.Attempts, la)
+			for _, as := range attemptsByLeg[leg.SpanID] {
+				la := LegAttempt{
+					Replica: -1,
+					Hedge:   as.Attr("hedge") == "true",
+					Outcome: as.Attr("outcome"),
+					Error:   as.Attr("error"),
 				}
-			} else if srv, ok := serverByParent[leg.SpanID]; ok {
-				// Legacy trace: the server span joined the leg directly.
-				l.Stitched = true
-				l.Node = srv.Node
-				l.ServerDur = srv.Dur()
+				if rv, rerr := strconv.Atoi(as.Attr("replica")); rerr == nil {
+					la.Replica = rv
+				}
+				if srv, ok := serverByParent[as.SpanID]; ok {
+					la.Stitched = true
+					la.Node = srv.Node
+					la.ServerDur = srv.Dur()
+				}
+				if la.Outcome == outcomeOK {
+					// The serving attempt lends the leg its server-side
+					// join, and its replica when the leg span lacks one.
+					l.Stitched = la.Stitched
+					l.Node = la.Node
+					l.ServerDur = la.ServerDur
+					if l.Replica < 0 {
+						l.Replica = la.Replica
+					}
+				}
+				if la.Hedge && l.Hedge == "" {
+					l.Hedge = "lost"
+				}
+				if la.Hedge && la.Outcome == outcomeOK {
+					l.Hedge = "won"
+				}
+				l.Attempts = append(l.Attempts, la)
 			}
 			rep.Outcomes[l.Outcome]++
 			if l.Outcome != outcomeOK {

@@ -192,12 +192,7 @@ func (h *ShardHandler) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	var sp *telemetry.Span
 	if h.spans != nil {
-		attempt := 0
-		if v := r.Header.Get(httpheader.TraceAttempt); v != "" {
-			if n, err := strconv.Atoi(v); err == nil {
-				attempt = n
-			}
-		}
+		attempt, _ := httpheader.Attempt(r.Header)
 		// The router names its fan-out leg in X-Parent-Span, so this span
 		// joins the caller's trace as a remote child — the stitcher needs
 		// no heuristics. Callers without the header still get a root.

@@ -217,12 +217,7 @@ func (a *Admission) shedSpan(r *http.Request, reason string, ra time.Duration) {
 	if a.spans == nil {
 		return
 	}
-	attempt := 0
-	if v := r.Header.Get(httpheader.TraceAttempt); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			attempt = n
-		}
-	}
+	attempt, _ := httpheader.Attempt(r.Header)
 	s := a.spans.StartRootSeq(r.Header.Get(httpheader.TraceID), "serpd.shed", attempt)
 	s.SetAttr("reason", reason)
 	if ra > 0 {

@@ -117,10 +117,8 @@ func (c *chaosMiddleware) attempt(r *http.Request) (trace string, n int, key str
 		n = int(c.seq.Add(1))
 		return "", n, fmt.Sprintf("seq-%d", n)
 	}
-	if v := r.Header.Get(httpheader.TraceAttempt); v != "" {
-		if an, err := strconv.Atoi(v); err == nil && an > 0 {
-			return trace, an, fmt.Sprintf("%s-%d", trace, an)
-		}
+	if an, ok := httpheader.Attempt(r.Header); ok && an > 0 {
+		return trace, an, fmt.Sprintf("%s-%d", trace, an)
 	}
 	c.mu.Lock()
 	if len(c.attempts) >= maxTrackedTraces {

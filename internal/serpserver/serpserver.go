@@ -218,12 +218,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// One server span per fetch attempt: the attempt header folds into
 		// the span ID, so each retry of a trace is a distinct span even
 		// though trace ID and span name repeat.
-		attempt := 0
-		if v := r.Header.Get(httpheader.TraceAttempt); v != "" {
-			if n, err := strconv.Atoi(v); err == nil {
-				attempt = n
-			}
-		}
+		attempt, _ := httpheader.Attempt(r.Header)
 		span = h.spans.StartRootSeq(trace, "serpd.request", attempt)
 		r = r.WithContext(telemetry.WithSpan(
 			telemetry.WithSpanRecorder(r.Context(), h.spans), span))

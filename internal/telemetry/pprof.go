@@ -8,8 +8,8 @@ import (
 )
 
 // PprofMux returns a mux exposing the standard net/http/pprof endpoints
-// under /debug/pprof/. Serving it is opt-in (the -pprof-addr flag of serpd
-// and serprouter) and on a separate listener, so profiling never shares a
+// under /debug/pprof/. Serving it is opt-in (serpd's -pprof-addr flag, in
+// every role) and on a separate listener, so profiling never shares a
 // port with production traffic.
 func PprofMux() *http.ServeMux {
 	mux := http.NewServeMux()

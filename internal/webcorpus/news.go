@@ -1,7 +1,8 @@
 package webcorpus
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 
 	"geoserp/internal/detrand"
@@ -53,6 +54,7 @@ func NewNewsWire(seed uint64, regions []Region) *NewsWire {
 // window spans the article's publication day and the following two days.
 func (n *NewsWire) Topical(topic string, day int) []Article {
 	var out []Article
+	title := TitleCase(topic)
 	// Articles published on day d remain in the pool through day d+2
 	// with decaying freshness.
 	for age := 0; age <= 2; age++ {
@@ -60,27 +62,28 @@ func (n *NewsWire) Topical(topic string, day int) []Article {
 		if pub < 0 {
 			continue
 		}
-		out = append(out, n.publishedOn(topic, pub, age)...)
+		out = append(out, n.publishedOn(topic, title, pub, age)...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Freshness != out[j].Freshness {
-			return out[i].Freshness > out[j].Freshness
+	// URLs are unique, so the order is total.
+	slices.SortFunc(out, func(a, b Article) int {
+		if c := cmp.Compare(b.Freshness, a.Freshness); c != 0 {
+			return c
 		}
-		return out[i].URL < out[j].URL
+		return cmp.Compare(a.URL, b.URL)
 	})
 	return out
 }
 
-// publishedOn generates the articles for topic published on day pub, scored
-// for an observer age days later.
-func (n *NewsWire) publishedOn(topic string, pub, age int) []Article {
+// publishedOn generates the articles for topic, headlined with its title
+// case title, published on day pub and scored for an observer age days
+// later.
+func (n *NewsWire) publishedOn(topic, title string, pub, age int) []Article {
 	day := strconv.Itoa(pub)
 	dayKey := "day" + day
 	rng := n.nationalRNG(topic, dayKey)
 	// 1–3 national stories per topic per day.
 	count := 1 + rng.Intn(3)
 	decay := 1.0 / float64(1+age)
-	title := TitleCase(topic)
 	nationalTitle := title + ": developments (day " + day + ")"
 	out := make([]Article, 0, count+1)
 	for k := 0; k < count; k++ {

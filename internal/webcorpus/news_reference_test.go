@@ -61,7 +61,7 @@ func TestNewsMatchesReference(t *testing.T) {
 			topic := q.ID()
 			for pub := 0; pub <= 30; pub++ {
 				for age := 0; age <= 2; age++ {
-					got, want := n.publishedOn(topic, pub, age), referencePublishedOn(n, topic, pub, age)
+					got, want := n.publishedOn(topic, TitleCase(topic), pub, age), referencePublishedOn(n, topic, pub, age)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d, %s, day %d, age %d:\n got %+v\nwant %+v", seed, topic, pub, age, got, want)
 					}
