@@ -59,6 +59,12 @@ chaos:
 #   which reads untrusted bytes off the wire: no input may panic it, every
 #   frame it accepts must re-encode to the identical bytes, and every doc ID
 #   it accepts must index the corpus table.
+# - FuzzShardSearch, a spans-enabled shard node's /shard/search
+#   (internal/router/shard.go): for any raw query and any X-Deadline-Ms,
+#   X-Trace-Attempt and X-Parent-Span values it must not panic and must
+#   answer 200, 400 or 503, and every 200 must be one frame that decodes
+#   against the node's table, echoes its shard, replica and fingerprint,
+#   and carries at most 512 hits.
 # - FuzzComparePages, the page-comparison kernel (internal/metrics): fresh
 #   and reused comparers must match Jaccard and EditDistance on the pages'
 #   extracted URL lists.
@@ -83,6 +89,7 @@ chaos:
 #   minimized for at most 1 s; the default 60 s would spend the budget.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime 20s ./internal/router
+	go test -run '^$$' -fuzz '^FuzzShardSearch$$' -fuzztime 20s ./internal/router
 	go test -run '^$$' -fuzz '^FuzzComparePages$$' -fuzztime 20s ./internal/metrics
 	go test -run '^$$' -fuzz '^FuzzParseHTML$$' -fuzztime 20s ./internal/serp
 	go test -run '^$$' -fuzz '^FuzzPlacesNear$$' -fuzztime 20s ./internal/webcorpus

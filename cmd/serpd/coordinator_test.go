@@ -20,8 +20,8 @@ import (
 // shard role performs) on a loopback port.
 func startShard(t *testing.T, seed uint64, id, count int, opts ...router.ShardOption) *serpserver.Server {
 	t.Helper()
-	view := router.BuildShardIndex(seed, nil, id, count, 0)
-	sh := router.NewShardHandler(id, view, opts...)
+	view := router.BuildShardIndex(seed, nil, id, count)
+	sh := router.NewShardHandler(id, count, view, opts...)
 	srv, err := serpserver.Listen("127.0.0.1:0", sh)
 	if err != nil {
 		t.Fatal(err)
@@ -160,11 +160,12 @@ func TestSplitShards(t *testing.T) {
 }
 
 // TestShardCountMismatch documents the failure modes of a misconfigured
-// topology: a shard that believes it is part of a different partition, or
-// that regenerated its world from another seed, still answers honestly,
-// but the router rejects the reply — on the shard ID or on the corpus
-// fingerprint. A mismatched world degrades the page and never contributes
-// a hit; with no other shard, /search sheds.
+// topology: a shard that believes it is another shard, that was cut for
+// another shard count, or that regenerated its world from another seed
+// still answers honestly, but the router rejects the reply — on the shard
+// ID or on the fingerprint, which covers the corpus and the shard count. A
+// mismatched node degrades the page and never contributes a hit; with no
+// other shard, /search sheds.
 func TestShardCountMismatch(t *testing.T) {
 	const seed = 7
 	for _, tc := range []struct {
@@ -174,6 +175,9 @@ func TestShardCountMismatch(t *testing.T) {
 	}{
 		// The shard claims ID 1, but the router addresses it as shard 0.
 		{"wrong shard ID", seed, 1, 2},
+		// Shard 0 of 2 behind a one-shard coordinator: its slice is part
+		// of the corpus, and every doc ID in it is valid.
+		{"wrong shard count", seed, 0, 2},
 		// Shard 0 of 1, as the router expects, but of seed 8's corpus.
 		{"wrong seed", seed + 1, 0, 1},
 	} {
@@ -202,9 +206,10 @@ func TestShardCountMismatch(t *testing.T) {
 	}
 }
 
-// TestHealthzCorpus checks the corpus fingerprint shards publish on
-// /healthz: every node regenerated from one seed reports the same value
-// (replicas and other shards alike), and another seed reports another.
+// TestHealthzCorpus checks the fingerprint shards publish on /healthz:
+// every node of one seed and shard count reports the same value (replicas
+// and other shards alike), and another seed or shard count reports
+// another.
 func TestHealthzCorpus(t *testing.T) {
 	corpus := func(srv *serpserver.Server) string {
 		t.Helper()
@@ -219,10 +224,14 @@ func TestHealthzCorpus(t *testing.T) {
 	r1 := corpus(startShard(t, 7, 0, 2, router.WithShardReplica(1)))
 	s1 := corpus(startShard(t, 7, 1, 2))
 	other := corpus(startShard(t, 8, 0, 2))
+	threeWay := corpus(startShard(t, 7, 0, 3))
 	if r0 != r1 || r0 != s1 {
 		t.Fatalf("seed-7 nodes disagree on the corpus: replicas %s, %s; shard 1 %s", r0, r1, s1)
 	}
 	if other == r0 {
 		t.Fatalf("seeds 7 and 8 report the same corpus %s", r0)
+	}
+	if threeWay == r0 {
+		t.Fatalf("shard counts 2 and 3 report the same fingerprint %s", r0)
 	}
 }

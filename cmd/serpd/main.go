@@ -9,10 +9,9 @@
 //	      [-chaos-abort-rate 0] [-chaos-5xx-rate 0] [-chaos-truncate-rate 0]
 //	      [-chaos-latency 0] [-chaos-seed 1]
 //	      [-max-inflight 0] [-queue-depth 0] [-admission-service-time 1s]
-//	      [-shard-count 0] [-shard-id 0] [-shard-replica 0] [-virtual-nodes 0]
+//	      [-shard-count 0] [-shard-id 0] [-shard-replica 0]
 //	      [-shards URL,... [-replicas 1] [-shard-timeout 2s]
-//	       [-breaker-threshold 3] [-breaker-cooldown 45s] [-hedge-after 0]
-//	       [-probe-interval 45s]]
+//	       [-breaker-threshold 3] [-breaker-cooldown 45s] [-probe-interval 45s]]
 //
 // A node takes one of three roles:
 //
@@ -22,23 +21,24 @@
 //     the document slice the consistent-hash ring assigns shard K, and
 //     serves GET /shard/search to a coordinator. With -shard-replica R it
 //     identifies as replica R of shard K; replicas serve byte-identical
-//     slices. -virtual-nodes tunes the ring. Engine flags (-datacenters,
-//     -rate-burst, ...) are ignored in this role.
+//     slices. Engine flags (-datacenters, -rate-burst, ...) are ignored in
+//     this role.
 //   - Coordinator (-shards): the monolith's engine and front end, whose
 //     web vertical is scatter-gathered from the listed shard nodes and
 //     merged deterministically, so a same-seed cluster serves the bytes a
 //     monolith serves. -shards lists the URLs in shard-ID order, each
 //     shard's -replicas URLs adjacent (s0r0,s0r1,s1r0,...). A leg fails
 //     over across its replica set behind per-replica circuit breakers
-//     (-breaker-*), may hedge a straggler (-hedge-after), and a
-//     -probe-interval /healthz loop re-admits recovered replicas. A shard
-//     whose every replica fails narrows the web vertical (X-Serp-Partial);
-//     with no shard left, /search sheds 503. -shards and -shard-count
-//     exclude each other.
+//     (-breaker-*), one attempt at a time, each bounded by -shard-timeout,
+//     and a -probe-interval /healthz loop re-admits recovered replicas. A
+//     shard whose every replica fails narrows the web vertical
+//     (X-Serp-Partial); with no shard left, /search sheds 503. -shards and
+//     -shard-count exclude each other.
 //
-// Every node of one cluster must share -seed and -corpus (and the shards
-// -virtual-nodes): each shard reply carries its corpus fingerprint, and a
-// shard of another world fails its legs.
+// Every node of one cluster must share -seed and -corpus, and the shards'
+// -shard-count must equal the coordinator's shard count: each shard reply
+// carries a fingerprint of its corpus and shard count, and a shard of
+// another world or another partition fails its legs.
 //
 // The -chaos-* flags make the node's search endpoint deliberately
 // unreliable (fault injection) so clients can rehearse retries, failure
@@ -103,13 +103,11 @@ func main() {
 	flag.IntVar(&opts.ShardCount, "shard-count", 0, "run as one shard of an N-shard cluster instead of a full engine (0 disables shard mode)")
 	flag.IntVar(&opts.ShardID, "shard-id", 0, "this node's shard ID (0-based, requires -shard-count)")
 	flag.IntVar(&opts.ShardReplica, "shard-replica", 0, "this node's replica ID within its shard's replica set (0-based; replicas serve identical slices)")
-	flag.IntVar(&opts.VirtualNodes, "virtual-nodes", 0, "consistent-hash virtual nodes per shard (0 selects the default; all cluster nodes must agree)")
 	flag.StringVar(&opts.Shards, "shards", "", "run as the cluster coordinator over these comma-separated shard base URLs, in shard-ID order, replicas adjacent")
 	flag.IntVar(&opts.Replicas, "replicas", 1, "replicas per shard: how many consecutive -shards URLs form one shard's replica set")
-	flag.DurationVar(&opts.ShardTimeout, "shard-timeout", 2*time.Second, "timeout per replica attempt: a failover or hedged attempt gets its own (0 disables)")
+	flag.DurationVar(&opts.ShardTimeout, "shard-timeout", 2*time.Second, "timeout per replica attempt: a failover attempt gets its own (0 disables)")
 	flag.IntVar(&opts.BreakerThreshold, "breaker-threshold", 3, "consecutive shard failures that open its circuit breaker (0 disables breakers)")
 	flag.DurationVar(&opts.BreakerCooldown, "breaker-cooldown", 45*time.Second, "open-breaker dwell before a half-open probe")
-	flag.DurationVar(&opts.HedgeAfter, "hedge-after", 0, "fire a hedged backup request to another replica after this in-flight delay (0 disables hedging)")
 	flag.DurationVar(&opts.ProbeInterval, "probe-interval", 45*time.Second, "background /healthz probe cadence re-admitting recovered replicas (0 disables)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	verbose := flag.Bool("verbose", false, "log every request")

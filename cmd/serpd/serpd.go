@@ -57,12 +57,6 @@ type options struct {
 	// this node's spans and /shard/search responses so a coordinator can
 	// verify routing and attribute failover.
 	ShardReplica int
-	// VirtualNodes is the consistent-hash ring's virtual-node count per
-	// shard; every node of one cluster (and its router) must agree on it.
-	// <= 0 selects router.DefaultVirtualNodes. Not to be confused with
-	// ShardReplica: virtual nodes spread one shard around the hash ring,
-	// replicas are extra physical copies of a shard.
-	VirtualNodes int
 	// Shards, when set, makes the node the cluster coordinator: the
 	// comma-separated shard base URLs in shard-ID order, each shard's
 	// Replicas URLs adjacent in replica-ID order (s0r0,s0r1,s1r0,...).
@@ -71,12 +65,11 @@ type options struct {
 	Replicas int
 	// ShardTimeout bounds each replica attempt of a fan-out leg (<= 0
 	// disables it); the rest configure the client's per-replica circuit
-	// breakers (threshold <= 0 disables them), hedged backup requests and
-	// background re-admission probes, as router.ClientConfig documents.
+	// breakers (threshold <= 0 disables them) and background re-admission
+	// probes, as router.ClientConfig documents.
 	ShardTimeout     time.Duration
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	HedgeAfter       time.Duration
 	ProbeInterval    time.Duration
 }
 
@@ -140,10 +133,10 @@ func buildServer(opts options) (*serpserver.Server, *engine.Engine, *router.Clie
 			Timeout:          opts.ShardTimeout,
 			BreakerThreshold: opts.BreakerThreshold,
 			BreakerCooldown:  opts.BreakerCooldown,
-			HedgeAfter:       opts.HedgeAfter,
 			ProbeInterval:    opts.ProbeInterval,
 			// The shards' document table, regenerated from the same seed and
-			// corpus; their replies are checked against its fingerprint.
+			// corpus; their replies are checked against its fingerprint,
+			// which folds in the shard count.
 			Docs: router.CorpusDocs(cfg.Seed, corpus),
 		}, reg)
 		eopts = append(eopts, engine.WithRetriever(client))
@@ -247,7 +240,7 @@ func buildShardServer(opts options) (*serpserver.Server, *router.ShardHandler, e
 		}
 		corpus = c
 	}
-	view := router.BuildShardIndex(seed, corpus, opts.ShardID, opts.ShardCount, opts.VirtualNodes)
+	view := router.BuildShardIndex(seed, corpus, opts.ShardID, opts.ShardCount)
 
 	reg := telemetry.NewRegistry()
 	var spans *telemetry.SpanRecorder
@@ -259,7 +252,7 @@ func buildShardServer(opts options) (*serpserver.Server, *router.ShardHandler, e
 		spans = telemetry.NewSpanRecorder(opts.TracezCapacity, simclock.Wall())
 		shOpts = append(shOpts, router.WithShardSpans(spans))
 	}
-	sh := router.NewShardHandler(opts.ShardID, view, shOpts...)
+	sh := router.NewShardHandler(opts.ShardID, opts.ShardCount, view, shOpts...)
 	var root http.Handler = sh
 	if opts.Chaos.Enabled() {
 		root = serpserver.NewChaos(opts.Chaos, reg, spans, root)

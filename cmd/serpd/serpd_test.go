@@ -12,8 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"geoserp/internal/index"
-	"geoserp/internal/router"
 	"geoserp/internal/serp"
 	"geoserp/internal/telemetry"
 )
@@ -193,9 +191,10 @@ func TestBuildShardServer(t *testing.T) {
 		t.Fatalf("shard search status = %d: %s", resp.StatusCode, body)
 	}
 	// The reply is one frame (internal/router/frame.go): magic, shard,
-	// replica, corpus fingerprint, count, then 12 bytes per hit. The
-	// fingerprint is the one a same-seed router computes over its table.
-	corpus := index.Fingerprint(router.CorpusDocs(7, nil))
+	// replica, fingerprint, count, then 12 bytes per hit. The fingerprint
+	// is the one a seed-7 three-shard coordinator expects: its document
+	// table's index.Fingerprint with the shard count folded in.
+	const corpus = 0x04f0d83eb252485f
 	le := binary.LittleEndian
 	if len(body) < 24 || string(body[:4]) != "GSF1" {
 		t.Fatalf("shard reply is not a frame: %q", body)

@@ -25,14 +25,12 @@ type ValidationResult struct {
 	MeanResultOverlap float64
 	// FractionIdenticalPages is the stricter page-level criterion.
 	FractionIdenticalPages float64
-	// OverlapHistogram sketches the distribution of pairwise overlap.
-	OverlapHistogram *stats.Histogram
 }
 
 // ValidateGPSOverIP evaluates the validation experiment's fetched pages
 // (grouped by term, one page per vantage machine).
 func ValidateGPSOverIP(pages map[string][]*serp.Page) ValidationResult {
-	res := ValidationResult{OverlapHistogram: stats.NewHistogram(0, 1, 10)}
+	var res ValidationResult
 	var overlaps []float64
 	identical := 0
 	terms := make([]string, 0, len(pages))
@@ -50,7 +48,6 @@ func ValidateGPSOverIP(pages map[string][]*serp.Page) ValidationResult {
 			for j := i + 1; j < len(ps); j++ {
 				ov := metrics.Jaccard(ps[i].Links(), ps[j].Links())
 				overlaps = append(overlaps, ov)
-				res.OverlapHistogram.Add(ov)
 				if metrics.Identical(ps[i], ps[j]) {
 					identical++
 				}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,21 +19,13 @@ import (
 )
 
 // Per-leg fan-out outcomes, as exposed through
-// router_shard_requests_total{outcome}; the first four also classify
-// individual replica attempts (router_replica_requests_total{outcome}),
-// which additionally use "canceled" for hedge losers.
+// router_shard_requests_total{outcome}; they also classify individual
+// replica attempts (router_replica_requests_total{outcome}).
 const (
 	outcomeOK          = "ok"           // shard answered with hits
 	outcomeShed        = "shed"         // shard pushed back (503 admission shed)
 	outcomeBreakerOpen = "breaker_open" // skipped: breaker failing fast
 	outcomeError       = "error"        // transport error, timeout, or 5xx
-	outcomeCanceled    = "canceled"     // attempt lost a hedge race and was cancelled
-)
-
-// Hedge results, as exposed through router_hedges_total{result}.
-const (
-	hedgeWon  = "won"
-	hedgeLost = "lost"
 )
 
 // ClientConfig configures the scatter-gather client.
@@ -45,22 +38,14 @@ type ClientConfig struct {
 	// SingleReplica wraps a flat one-URL-per-shard list.
 	Shards [][]string
 	// Timeout bounds each replica attempt on the wall clock, so a failover
-	// or hedged attempt gets a full Timeout of its own. <= 0 means no
-	// per-attempt timeout (the propagated X-Deadline-Ms still applies at
-	// the shard).
+	// attempt gets a full Timeout of its own. <= 0 means no per-attempt
+	// timeout (the propagated X-Deadline-Ms still applies at the shard).
 	Timeout time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// replica's breaker; <= 0 disables breakers entirely.
 	BreakerThreshold int
 	// BreakerCooldown is the open-state dwell before a half-open probe.
 	BreakerCooldown time.Duration
-	// HedgeAfter, when > 0, arms hedged requests: a fan-out leg whose
-	// current replica has not answered after this long on cfg.Clock fires
-	// a backup request at the next healthy replica of the same shard; the
-	// first useful answer wins and the loser is cancelled. Measured on the
-	// campaign clock, so same-seed virtual-time runs hedge at identical
-	// instants.
-	HedgeAfter time.Duration
 	// ProbeInterval, when > 0, is the cadence of the background health
 	// prober started by StartProber: each tick probes GET /healthz on
 	// every replica whose breaker has been open past its cooldown, and a
@@ -68,10 +53,9 @@ type ClientConfig struct {
 	// — re-admitting a recovered replica even when no search traffic
 	// arrives to half-open probe it.
 	ProbeInterval time.Duration
-	// Clock supplies the instants driving breaker cooldowns, hedge delays,
-	// and probe ticks — the campaign clock in virtual-time rigs, so
-	// same-seed chaos runs replay identical timelines. Defaults to the
-	// wall clock.
+	// Clock supplies the instants driving breaker cooldowns and probe
+	// ticks — the campaign clock in virtual-time rigs, so same-seed chaos
+	// runs replay identical timelines. Defaults to the wall clock.
 	Clock simclock.Clock
 	// Transport issues the shard requests. Defaults to
 	// http.DefaultTransport; cluster tests and the soak rig install an
@@ -80,8 +64,9 @@ type ClientConfig struct {
 	// Docs is the corpus document table in doc-ID order: index.DocsOf of
 	// the world the shards regenerate, or the Docs of an index built from
 	// it. Reply frames carry doc IDs, which the client resolves through
-	// this table, and a reply whose corpus fingerprint differs from the
-	// table's is rejected as misrouted. Required.
+	// this table, and a reply whose fingerprint differs from the table's
+	// folded with len(Shards) — a shard of another world or another
+	// partition — is rejected as misrouted. Required.
 	Docs []webcorpus.Doc
 }
 
@@ -104,13 +89,13 @@ func SingleReplica(urls []string) [][]string {
 //
 // Each fan-out leg walks its shard's ReplicaSet: a preferred replica
 // chosen deterministically from the trace ID, then the remaining replicas
-// in ring order on transport error, breaker-open, or shed — optionally
-// racing a hedged backup after HedgeAfter. A leg degrades the page only
-// when EVERY replica of its shard fails; only when no shard contributes
-// at all does Retrieve return engine.ErrRetrievalUnavailable (503).
+// in ring order on transport error, breaker-open, or shed. A leg degrades
+// the page only when EVERY replica of its shard fails; only when no shard
+// contributes at all does Retrieve return engine.ErrRetrievalUnavailable
+// (503).
 type Client struct {
 	cfg      ClientConfig
-	corpus   uint64       // index.Fingerprint(cfg.Docs)
+	corpus   uint64       // partitionFingerprint(cfg.Docs, len(cfg.Shards))
 	breakers [][]*breaker // [shard][replica]; nil entries when disabled
 
 	retrievals  *telemetry.Counter    // router_retrievals_total
@@ -119,7 +104,6 @@ type Client struct {
 	perShard    *telemetry.CounterVec // router_shard_requests_total{outcome}
 	perReplica  *telemetry.CounterVec // router_replica_requests_total{outcome}
 	failovers   *telemetry.Counter    // router_replica_failovers_total
-	hedges      *telemetry.CounterVec // router_hedges_total{result}
 	probes      *telemetry.CounterVec // router_replica_probes_total{outcome}
 	readmits    *telemetry.Counter    // router_replica_readmissions_total
 	transitions *telemetry.CounterVec // router_breaker_transitions_total{event}
@@ -150,7 +134,7 @@ func NewClient(cfg ClientConfig, reg *telemetry.Registry) *Client {
 	}
 	c := &Client{
 		cfg:    cfg,
-		corpus: index.Fingerprint(cfg.Docs),
+		corpus: partitionFingerprint(cfg.Docs, len(cfg.Shards)),
 		retrievals: reg.Counter("router_retrievals_total",
 			"Scatter-gather retrievals issued by the router."),
 		partial: reg.Counter("router_partial_results_total",
@@ -163,8 +147,6 @@ func NewClient(cfg ClientConfig, reg *telemetry.Registry) *Client {
 			"Per-replica attempt outcomes within fan-out legs.", "outcome"),
 		failovers: reg.Counter("router_replica_failovers_total",
 			"Replica attempts beyond the first within a fan-out leg, contacted or skipped — legs not served by their preferred replica on the first try."),
-		hedges: reg.CounterVec("router_hedges_total",
-			"Hedged backup requests fired, by result.", "result"),
 		probes: reg.CounterVec("router_replica_probes_total",
 			"Background replica health probes, by outcome.", "outcome"),
 		readmits: reg.Counter("router_replica_readmissions_total",
@@ -211,7 +193,6 @@ func (c *Client) BreakerStates() [][]string {
 // within a leg, in chain order.
 type replicaAttempt struct {
 	replica int
-	hedge   bool
 	outcome string
 	detail  string
 	span    *telemetry.Span
@@ -225,8 +206,6 @@ type shardOutcome struct {
 	dur      time.Duration // client-observed leg duration on cfg.Clock
 	replica  int           // replica that delivered the hits; -1 when none
 	attempts []replicaAttempt
-	hedged   bool // a hedged backup request fired on this leg
-	hedgeWon bool // ... and delivered the winning answer
 }
 
 // Retrieve implements engine.Retriever: concurrent fan-out, deterministic
@@ -240,8 +219,8 @@ func (c *Client) Retrieve(req engine.RetrieveRequest) (engine.RetrieveResult, er
 	// fan-out: span IDs mix a per-parent sequence number, and minting them
 	// from racing goroutines would leak scheduling order into the trace,
 	// breaking same-seed byte-identical trace output. (Attempt spans
-	// below each leg are minted by that leg's single controller goroutine,
-	// so their per-leg sequence is deterministic too.)
+	// below each leg are minted by that leg's own goroutine, so their
+	// per-leg sequence is deterministic too.)
 	spans := make([]*telemetry.Span, n)
 	for i := 0; i < n; i++ {
 		spans[i] = req.Span.StartChild(spanShardLeg)
@@ -287,7 +266,7 @@ func (c *Client) Retrieve(req engine.RetrieveRequest) (engine.RetrieveResult, er
 			c.perReplica.With(a.outcome).Inc()
 			// Wide-event attempts are recorded here, after the barrier, so
 			// the event never sees concurrent writers.
-			req.Wide.Shard(i, a.replica, a.outcome, a.hedge, a.dur)
+			req.Wide.Shard(i, a.replica, a.outcome, false, a.dur)
 		}
 		// Failovers count every attempt beyond the leg's first, breaker-open
 		// skips included: the deterministic fact is "this leg was not served
@@ -300,14 +279,6 @@ func (c *Client) Retrieve(req engine.RetrieveRequest) (engine.RetrieveResult, er
 		// attempt however the breaker absorbs it.
 		if n := len(o.attempts); n > 1 {
 			c.failovers.Add(uint64(n - 1))
-		}
-		if o.hedged {
-			if o.hedgeWon {
-				c.hedges.With(hedgeWon).Inc()
-			} else {
-				c.hedges.With(hedgeLost).Inc()
-			}
-			req.Wide.Hedge(o.hedgeWon)
 		}
 		if o.outcome == outcomeOK {
 			ok++
@@ -326,15 +297,20 @@ func (c *Client) Retrieve(req engine.RetrieveRequest) (engine.RetrieveResult, er
 	}
 }
 
-// doRequest performs one replica attempt and classifies the result. It
-// never touches breakers or spans — the leg controller owns those — so it
-// is safe to run concurrently with a hedged sibling. The request goes
-// straight to the transport under a.ctx, which carries the attempt's
-// ClientConfig.Timeout: no http.Client, so no redirect following. Shards
-// never redirect, and a 3xx fails the attempt like any status other than
-// 200 and 503.
+// doRequest performs one replica attempt and classifies the result;
+// settle applies it. The request goes straight to the transport under the
+// attempt's own ClientConfig.Timeout — per attempt, not per Retrieve, so
+// a failover attempt gets a full budget — and no http.Client, so no
+// redirect following. Shards never redirect, and a 3xx fails the attempt
+// like any status other than 200 and 503.
 func (c *Client) doRequest(a *attempt) attemptResult {
-	hreq, err := http.NewRequestWithContext(a.ctx, http.MethodGet, a.url, nil)
+	ctx := context.Background()
+	if c.cfg.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.cfg.Timeout)
+		defer cancel()
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, a.url, nil)
 	if err != nil {
 		return attemptResult{outcome: outcomeError, detail: "bad_url: " + err.Error()}
 	}
@@ -343,8 +319,8 @@ func (c *Client) doRequest(a *attempt) attemptResult {
 	}
 	if id := a.span.ID(); id != "" {
 		// Name the exact replica attempt as the server span's parent, so
-		// the stitcher joins every attempt — first try, failover, or hedge
-		// — to the server span it caused.
+		// the stitcher joins every attempt — first try or failover — to
+		// the server span it caused.
 		hreq.Header.Set(httpheader.ParentSpan, id)
 	}
 	httpheader.SetDeadline(hreq.Header, a.req.Deadline)
@@ -375,8 +351,9 @@ func (c *Client) doRequest(a *attempt) attemptResult {
 			return attemptResult{outcome: outcomeError, detail: "misrouted: got replica " + strconv.Itoa(sr.Replica)}
 		}
 		if sr.Corpus != c.corpus {
-			// Built from another seed or corpus: its doc IDs name other
-			// documents.
+			// Built from another seed or corpus, its doc IDs name other
+			// documents; cut for another shard count, it holds another
+			// slice.
 			return attemptResult{outcome: outcomeError,
 				detail: "misrouted: corpus " + corpusHex(sr.Corpus) + ", want " + corpusHex(c.corpus)}
 		}

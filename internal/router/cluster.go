@@ -25,13 +25,8 @@ type ClusterConfig struct {
 	Shards int
 	// Replicas is the data replication factor: every shard runs this many
 	// identical replica nodes (<= 0 selects 1), and the router fails a
-	// fan-out leg over between them. Distinct from VirtualNodes, the
-	// ring's hashing knob.
+	// fan-out leg over between them.
 	Replicas int
-	// VirtualNodes is the ring's virtual-node count per shard (<= 0
-	// selects DefaultVirtualNodes). Every node in a real deployment must
-	// agree on it.
-	VirtualNodes int
 	// Engine configures the coordinator engine (seed, datacenters,
 	// buckets, ...). The shard indexes are built from the same seed, so
 	// shards and coordinator see the identical deterministic corpus.
@@ -54,9 +49,6 @@ type ClusterConfig struct {
 	// per-replica circuit breakers; threshold <= 0 disables them.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// HedgeAfter, when > 0, arms the client's hedged requests (see
-	// ClientConfig.HedgeAfter).
-	HedgeAfter time.Duration
 	// ProbeInterval, when > 0, starts the client's background /healthz
 	// probe loop re-admitting recovered replicas (see
 	// ClientConfig.ProbeInterval); stop it via LocalCluster.StopProber.
@@ -123,7 +115,7 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 	// (Real shard processes each rebuild the world from the seed instead —
 	// same corpus, no shared memory; see cmd/serpd's shard mode.)
 	full := index.BuildFromWeb(studyWeb(cfg.Engine.Seed, nil))
-	ring := NewRing(cfg.Shards, cfg.VirtualNodes)
+	ring := NewRing(cfg.Shards, 0)
 	replicas := cfg.Replicas
 	if replicas <= 0 {
 		replicas = 1
@@ -149,7 +141,7 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 				shardSpans = telemetry.NewSpanRecorder(cfg.SpanCapacity, cfg.Clock)
 				opts = append(opts, WithShardSpans(shardSpans))
 			}
-			sh := NewShardHandler(i, view, opts...)
+			sh := NewShardHandler(i, cfg.Shards, view, opts...)
 			var chain http.Handler = sh
 			if cfg.ShardMiddleware != nil {
 				chain = cfg.ShardMiddleware(i, r, chain)
@@ -184,7 +176,6 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 		Timeout:          cfg.ShardTimeout,
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
-		HedgeAfter:       cfg.HedgeAfter,
 		ProbeInterval:    cfg.ProbeInterval,
 		Clock:            cfg.Clock,
 		Transport:        &memTransport{hosts: hosts},
@@ -221,23 +212,22 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 // standalone shard process (cmd/serpd -shard-id/-shard-count) obtains its
 // slice without any data distribution: every node regenerates the
 // identical world from the seed and keeps only the documents the ring
-// assigns it. corpus may be nil for the study corpus; virtualNodes <= 0
-// selects DefaultVirtualNodes (every node must agree on both). Replicas
-// of one shard all build the identical view — replication is running this
-// same partition more than once.
-func BuildShardIndex(seed uint64, corpus *queries.Corpus, shardID, shardCount, virtualNodes int) *index.Index {
+// assigns it. corpus may be nil for the study corpus (every node must
+// agree on it). Replicas of one shard all build the identical view —
+// replication is running this same partition more than once.
+func BuildShardIndex(seed uint64, corpus *queries.Corpus, shardID, shardCount int) *index.Index {
 	if shardID < 0 || shardID >= shardCount {
 		panic("router: shard ID out of range")
 	}
 	full := index.BuildFromWeb(studyWeb(seed, corpus))
-	ring := NewRing(shardCount, virtualNodes)
+	ring := NewRing(shardCount, 0)
 	return full.Shard(func(d webcorpus.Doc) bool { return ring.Owner(d.URL) == shardID })
 }
 
 // CorpusDocs rebuilds the deterministic corpus from seed and returns its
 // document table in doc-ID order — what a standalone router passes as
 // ClientConfig.Docs. seed and corpus (nil: the study corpus) must match
-// the shards' BuildShardIndex arguments; a mismatch shows up as a corpus
+// the shards' BuildShardIndex arguments; a mismatch shows up as a
 // fingerprint the client rejects.
 func CorpusDocs(seed uint64, corpus *queries.Corpus) []webcorpus.Doc {
 	return index.DocsOf(studyWeb(seed, corpus))

@@ -187,9 +187,6 @@ func (h *ClusterTracez) writeHTML(w http.ResponseWriter, nodes []telemetry.NodeS
 				if l.Replica >= 0 {
 					fmt.Fprintf(&b, " · replica %d", l.Replica)
 				}
-				if l.Hedge != "" {
-					fmt.Fprintf(&b, " · hedge %s", html.EscapeString(l.Hedge))
-				}
 				if l.Stitched {
 					fmt.Fprintf(&b, " · server %s on %s", l.ServerDur, html.EscapeString(l.Node))
 				}
@@ -200,9 +197,6 @@ func (h *ClusterTracez) writeHTML(w http.ResponseWriter, nodes []telemetry.NodeS
 				for _, la := range l.Attempts {
 					fmt.Fprintf(&b, "<li>&nbsp;&nbsp;&nbsp;&nbsp;&nbsp;&nbsp;&nbsp;&nbsp;replica %d · %s",
 						la.Replica, html.EscapeString(la.Outcome))
-					if la.Hedge {
-						b.WriteString(" · hedged")
-					}
 					if la.Stitched {
 						fmt.Fprintf(&b, " · server %s on %s", la.ServerDur, html.EscapeString(la.Node))
 					}

@@ -30,9 +30,7 @@ const (
 // fan-out leg, joined (when possible) with the replica-side server span
 // it caused.
 type LegAttempt struct {
-	Replica int `json:"replica"`
-	// Hedge marks a backup request fired after the hedge delay.
-	Hedge   bool   `json:"hedge,omitempty"`
+	Replica int    `json:"replica"`
 	Outcome string `json:"outcome"`
 	Error   string `json:"error,omitempty"`
 	// Stitched reports that the replica-side server span was found; Node
@@ -61,9 +59,6 @@ type ShardLeg struct {
 	// Attempts is the leg's replica failover chain (empty when its
 	// attempt spans were evicted from the ring).
 	Attempts []LegAttempt `json:"attempts,omitempty"`
-	// Hedge summarizes hedging on this leg: "" (none fired), "won" (the
-	// hedged backup delivered the page), or "lost".
-	Hedge string `json:"hedge,omitempty"`
 }
 
 // Retrieval is one scatter-gather round's breakdown.
@@ -153,7 +148,6 @@ func Analyze(tr telemetry.StitchedTrace) TraceReport {
 			for _, as := range attemptsByLeg[leg.SpanID] {
 				la := LegAttempt{
 					Replica: -1,
-					Hedge:   as.Attr("hedge") == "true",
 					Outcome: as.Attr("outcome"),
 					Error:   as.Attr("error"),
 				}
@@ -174,12 +168,6 @@ func Analyze(tr telemetry.StitchedTrace) TraceReport {
 					if l.Replica < 0 {
 						l.Replica = la.Replica
 					}
-				}
-				if la.Hedge && l.Hedge == "" {
-					l.Hedge = "lost"
-				}
-				if la.Hedge && la.Outcome == outcomeOK {
-					l.Hedge = "won"
 				}
 				l.Attempts = append(l.Attempts, la)
 			}

@@ -16,7 +16,7 @@ import (
 //	0       4     magic "GSF1"
 //	4       4     shard ID (u32)
 //	8       4     replica ID (u32)
-//	12      8     corpus fingerprint (u64, index.Fingerprint)
+//	12      8     fingerprint (u64, partitionFingerprint)
 //	20      4     hit count n (u32, at most maxShardK)
 //	24      12·n  n × (doc ID u32, math.Float64bits(score) u64)
 //
@@ -24,9 +24,10 @@ import (
 // document table from the same seed and corpus, so a doc ID suffices and
 // the router resolves it through its own table (ClientConfig.Docs). Scores
 // cross as their exact bits. The fingerprint makes a router and a shard
-// built from different worlds fail the leg instead of merging the wrong
-// documents. There is one format and no negotiation: a router and a shard
-// of different versions fail on the magic, so they upgrade together.
+// built from different worlds, or cut for different shard counts, fail
+// the leg instead of merging the wrong documents. There is one format and
+// no negotiation: a router and a shard of different versions fail on the
+// magic, so they upgrade together.
 const (
 	frameMagic     = "GSF1"
 	frameHeaderLen = 24
@@ -103,6 +104,16 @@ func readFrame(body io.Reader, docs []webcorpus.Doc) (ShardResponse, error) {
 	return decodeFrame(b, docs)
 }
 
-// corpusHex renders a corpus fingerprint as /healthz and misrouted
-// details show it: 16 hex digits.
+// partitionFingerprint is the fingerprint shards send, in every frame and
+// on /healthz, and the client expects: index.Fingerprint of the document
+// table with the shard count folded in. Every shard view keeps the whole
+// table, and consistent hashing gives a shard cut for more shards a subset
+// of its slice, so neither the table nor a foreign doc ID betrays a node
+// cut for another partition; only the count does.
+func partitionFingerprint(docs []webcorpus.Doc, shards int) uint64 {
+	return mix64(index.Fingerprint(docs) ^ uint64(shards))
+}
+
+// corpusHex renders a fingerprint as /healthz and misrouted details show
+// it: 16 hex digits.
 func corpusHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }

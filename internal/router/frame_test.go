@@ -17,20 +17,20 @@ import (
 	"geoserp/internal/webcorpus"
 )
 
-// frameFixture is a seed-1 shard node (shard 0 of 2, replica 1) and the
-// document table its replies index.
+// frameFixture is a seed-1 shard node (shard 0 of 2, replica 1, plus
+// opts) and the document table its replies index.
 type frameFixture struct {
 	docs   []webcorpus.Doc
 	corpus uint64
 	shard  *ShardHandler
 }
 
-func newFrameFixture() frameFixture {
+func newFrameFixture(opts ...ShardOption) frameFixture {
 	full := index.BuildFromWeb(studyWeb(1, nil))
 	ring := NewRing(2, 0)
 	view := full.Shard(func(d webcorpus.Doc) bool { return ring.Owner(d.URL) == 0 })
-	return frameFixture{docs: full.Docs(), corpus: index.Fingerprint(full.Docs()),
-		shard: NewShardHandler(0, view, WithShardReplica(1))}
+	return frameFixture{docs: full.Docs(), corpus: partitionFingerprint(full.Docs(), 2),
+		shard: NewShardHandler(0, 2, view, append([]ShardOption{WithShardReplica(1)}, opts...)...)}
 }
 
 // reply captures the shard's frame for query q.
@@ -113,11 +113,13 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // TestClientRejectsBadReplies drives the client's reply checks: a body
-// that does not decode, a frame from another corpus, a redirect, a reply
+// that does not decode, a frame from another corpus or another partition
+// of this one, a redirect, a reply
 // without a body and a transport failure are all attempt errors with the
 // documented details.
 func TestClientRejectsBadReplies(t *testing.T) {
 	fx := newFrameFixture()
+	threeWay := partitionFingerprint(fx.docs, 3) // the fixture's table, cut three ways
 	replying := func(h http.HandlerFunc) http.RoundTripper {
 		return &memTransport{hosts: map[string]http.Handler{"b": h}}
 	}
@@ -132,6 +134,8 @@ func TestClientRejectsBadReplies(t *testing.T) {
 		{"json", body([]byte(`{"shard":0,"replica":1,"hits":[]}`)), "decode: bad frame magic"},
 		{"other corpus", body(appendFrame(nil, 0, 1, fx.corpus+1, nil)),
 			"misrouted: corpus " + corpusHex(fx.corpus+1) + ", want " + corpusHex(fx.corpus)},
+		{"other shard count", body(appendFrame(nil, 0, 1, threeWay, nil)),
+			"misrouted: corpus " + corpusHex(threeWay) + ", want " + corpusHex(fx.corpus)},
 		// Shards never redirect; the client does not follow one.
 		{"redirect", replying(func(w http.ResponseWriter, r *http.Request) {
 			http.Redirect(w, r, "http://a"+SearchPath, http.StatusMovedPermanently)
@@ -142,14 +146,12 @@ func TestClientRejectsBadReplies(t *testing.T) {
 		{"transport", &memTransport{}, `transport: Get "http://b/shard/search?q=coffee&k=5": memtransport: no such host "b"`},
 	} {
 		c := NewClient(ClientConfig{
-			Shards:    [][]string{{"http://a", "http://b"}},
+			Shards:    [][]string{{"http://a", "http://b"}, {"http://c"}},
 			Docs:      fx.docs,
 			Transport: tc.rt,
 		}, nil)
-		a := c.startAttempt(0, 1, nil, "http://b"+SearchPath+"?q=coffee&k=5",
-			&engine.RetrieveRequest{Query: "coffee", K: 5}, nil, false)
-		res := c.doRequest(a)
-		a.cancel()
+		res := c.doRequest(&attempt{shard: 0, replica: 1, url: "http://b" + SearchPath + "?q=coffee&k=5",
+			req: &engine.RetrieveRequest{Query: "coffee", K: 5}})
 		if res.outcome != outcomeError || !strings.HasPrefix(res.detail, tc.detail) {
 			t.Errorf("%s: outcome %q detail %q, want %q with %q", tc.name, res.outcome, res.detail, outcomeError, tc.detail)
 		}

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -18,10 +17,10 @@ import (
 
 // This file is the replica layer of the scatter-gather client: every
 // shard is an interchangeable ReplicaSet, and each fan-out leg walks it
-// deterministically — preferred replica from the trace ID, failover in
-// ring order, optional hedged backup on the campaign clock — so that a
-// single-replica fault never degrades a page and same-seed runs replay
-// identical replica choices, hedge instants, and trace bytes.
+// deterministically — preferred replica from the trace ID, then failover
+// in ring order, one attempt at a time on the leg's own goroutine — so
+// that a single-replica fault never degrades a page and same-seed runs
+// replay identical replica choices and trace bytes.
 
 // preferredReplica picks the replica a leg contacts first: a stable hash
 // of the trace ID and shard, so same-seed runs route identically while
@@ -48,72 +47,52 @@ type attemptResult struct {
 	hits    []index.Hit
 }
 
-// attempt is one replica request within a leg. The leg controller
-// goroutine owns it exclusively: it alone touches the span, applies
-// breaker effects, and appends the attempt record, so nothing about an
-// attempt depends on which goroutine's I/O finished first. Without
-// hedging the controller also runs the request itself (doRequest); only
-// a hedged leg gives its attempts goroutines of their own (launch).
+// attempt is one replica request within a leg. The leg's goroutine runs
+// it inline and alone touches its span and breaker, so the attempt
+// records follow the failover chain exactly.
 type attempt struct {
 	shard   int
 	replica int
-	hedge   bool
 	br      *breaker
 	span    *telemetry.Span
 	start   time.Time
 	url     string                  // replica base URL + the leg's shard query
 	req     *engine.RetrieveRequest // read-only, shared by the Retrieve's legs
-	ctx     context.Context         // the attempt's own: ClientConfig.Timeout, hedge cancellation
-	cancel  context.CancelFunc
-	done    chan attemptResult // set by launch; buffered, the request goroutine sends exactly once
 }
 
 // callShard runs one shard's leg: walk the replica failover chain until a
-// replica answers or the set is exhausted, hedging stragglers when
-// configured. query is the shard query string every replica URL ends in.
-// The leg span is annotated but NOT ended here — Retrieve owns its
-// lifecycle (and that of every attempt span, via out.attempts).
+// replica answers or the set is exhausted. query is the shard query
+// string every replica URL ends in. The leg span is annotated but NOT
+// ended here — Retrieve owns its lifecycle (and that of every attempt
+// span, via out.attempts).
 func (c *Client) callShard(shard int, query string, req *engine.RetrieveRequest, legSpan *telemetry.Span) shardOutcome {
 	n := len(c.cfg.Shards[shard])
 	out := shardOutcome{replica: -1}
 	start := preferredReplica(req.TraceID, shard, n)
-	next := 0 // offset into the failover chain
-
-	// nextAttempt mints an attempt on the next replica in the
-	// deterministic chain (preferred first, then successors mod n).
+	// The chain is the preferred replica, then its successors mod n.
 	// Replicas whose breakers fail fast are recorded as breaker_open
-	// attempts and skipped without a request. Returns nil when the chain
-	// is exhausted.
-	nextAttempt := func(hedge bool) *attempt {
-		for next < n {
-			r := (start + next) % n
-			next++
-			br := c.breakers[shard][r]
-			if br != nil && !br.allow(c.cfg.Clock.Now()) {
-				sp := startAttemptSpan(legSpan, r, hedge)
-				sp.SetAttr("outcome", outcomeBreakerOpen)
-				out.attempts = append(out.attempts, replicaAttempt{
-					replica: r, hedge: hedge, outcome: outcomeBreakerOpen, span: sp,
-				})
-				continue
-			}
-			return c.startAttempt(shard, r, br, c.cfg.Shards[shard][r]+query, req, legSpan, hedge)
+	// attempts and skipped without a request.
+	for next := 0; next < n; next++ {
+		r := (start + next) % n
+		br := c.breakers[shard][r]
+		if br != nil && !br.allow(c.cfg.Clock.Now()) {
+			sp := startAttemptSpan(legSpan, r)
+			sp.SetAttr("outcome", outcomeBreakerOpen)
+			out.attempts = append(out.attempts, replicaAttempt{
+				replica: r, outcome: outcomeBreakerOpen, span: sp,
+			})
+			continue
 		}
-		return nil
-	}
-
-	for {
-		prim := nextAttempt(false)
-		if prim == nil {
-			break // every replica tried or skipped
-		}
-		res, served := c.awaitLeg(prim, nextAttempt, &out)
+		a := &attempt{shard: shard, replica: r, br: br, span: startAttemptSpan(legSpan, r),
+			start: c.cfg.Clock.Now(), url: c.cfg.Shards[shard][r] + query, req: req}
+		res := c.doRequest(a)
+		c.settle(a, res, &out)
 		if res.outcome == outcomeOK {
 			out.outcome = outcomeOK
 			out.hits = res.hits
-			out.replica = served
+			out.replica = r
 			legSpan.SetAttr("outcome", outcomeOK)
-			legSpan.SetAttr("replica", strconv.Itoa(served))
+			legSpan.SetAttr("replica", strconv.Itoa(r))
 			legSpan.SetAttr("hits", strconv.Itoa(len(res.hits)))
 			return out
 		}
@@ -145,146 +124,16 @@ func (c *Client) callShard(shard int, query string, req *engine.RetrieveRequest,
 }
 
 // startAttemptSpan mints the per-replica attempt span under the leg span.
-// Only the leg's controller goroutine calls it, so the leg's child
-// sequence — and therefore every attempt span ID — is deterministic.
-func startAttemptSpan(legSpan *telemetry.Span, replica int, hedge bool) *telemetry.Span {
+// Only the leg's goroutine calls it, so the leg's child sequence — and
+// therefore every attempt span ID — is deterministic.
+func startAttemptSpan(legSpan *telemetry.Span, replica int) *telemetry.Span {
 	sp := legSpan.StartChild(spanAttempt)
 	sp.SetAttr("replica", strconv.Itoa(replica))
-	if hedge {
-		sp.SetAttr("hedge", "true")
-	}
 	return sp
 }
 
-// startAttempt mints one replica attempt — its span, its start instant
-// and its context, which expires after ClientConfig.Timeout when one is
-// set — and returns the controller's handle to it. The request has not
-// been sent yet: the controller runs it inline or launches it.
-func (c *Client) startAttempt(shard, replica int, br *breaker, u string, req *engine.RetrieveRequest, legSpan *telemetry.Span, hedge bool) *attempt {
-	a := &attempt{
-		shard:   shard,
-		replica: replica,
-		hedge:   hedge,
-		br:      br,
-		span:    startAttemptSpan(legSpan, replica, hedge),
-		start:   c.cfg.Clock.Now(),
-		url:     u,
-		req:     req,
-	}
-	// The timeout is per attempt, not per Retrieve, so a failover attempt
-	// gets a full budget of its own.
-	if c.cfg.Timeout > 0 {
-		a.ctx, a.cancel = context.WithTimeout(context.Background(), c.cfg.Timeout)
-	} else {
-		a.ctx, a.cancel = context.WithCancel(context.Background())
-	}
-	return a
-}
-
-// launch sends the attempt's request from its own goroutine; the result
-// arrives on a.done. Only a hedged leg, which must watch its primary and
-// its backup at once, needs this.
-func (c *Client) launch(a *attempt) {
-	a.done = make(chan attemptResult, 1)
-	go func() { a.done <- c.doRequest(a) }()
-}
-
-// awaitLeg waits out one primary attempt, hedging it with the next
-// replica in the chain when the primary stalls past HedgeAfter on the
-// campaign clock. Attempt records are appended in chain order — primary
-// before hedge — regardless of which resolved first, so the recorded
-// trace never depends on goroutine scheduling. The returned int is the
-// replica that served an OK result (-1 otherwise).
-func (c *Client) awaitLeg(prim *attempt, nextAttempt func(bool) *attempt, out *shardOutcome) (attemptResult, int) {
-	if c.cfg.HedgeAfter <= 0 {
-		res := c.doRequest(prim)
-		c.settle(prim, res, out)
-		return res, prim.replica
-	}
-	c.launch(prim)
-
-	// The timer goroutine parks on the campaign clock. When the primary
-	// answers before the delay elapses the firing is simply never read;
-	// the goroutine exits on its own once the clock passes the deadline.
-	hedgeFire := make(chan struct{})
-	go func() {
-		c.cfg.Clock.Sleep(c.cfg.HedgeAfter)
-		close(hedgeFire)
-	}()
-
-	var hedge *attempt
-	var primRes *attemptResult
-	select {
-	case r := <-prim.done:
-		primRes = &r
-	case <-hedgeFire:
-		if hedge = nextAttempt(true); hedge != nil {
-			c.launch(hedge)
-		}
-	}
-	if primRes != nil || hedge == nil {
-		// Primary answered in time, or the hedge found no healthy backup
-		// replica left in the chain: the leg is down to the primary alone.
-		if primRes == nil {
-			r := <-prim.done
-			primRes = &r
-		}
-		c.settle(prim, *primRes, out)
-		if primRes.outcome == outcomeOK {
-			return *primRes, prim.replica
-		}
-		return *primRes, -1
-	}
-	out.hedged = true
-
-	// Race primary and hedge: first useful answer wins, the loser is
-	// cancelled and awaited, then both are settled in chain order.
-	var first *attempt
-	var firstRes attemptResult
-	select {
-	case r := <-prim.done:
-		first, firstRes = prim, r
-	case r := <-hedge.done:
-		first, firstRes = hedge, r
-	}
-	if firstRes.outcome == outcomeOK {
-		if first == prim {
-			hedge.cancel()
-			<-hedge.done
-			c.settle(prim, firstRes, out)
-			c.settleCanceled(hedge, out)
-			return firstRes, prim.replica
-		}
-		prim.cancel()
-		<-prim.done
-		c.settleCanceled(prim, out)
-		c.settle(hedge, firstRes, out)
-		out.hedgeWon = true
-		return firstRes, hedge.replica
-	}
-	// The first answer was a failure; wait the other attempt out in full —
-	// it may still deliver the page.
-	if first == prim {
-		secRes := <-hedge.done
-		c.settle(prim, firstRes, out)
-		c.settle(hedge, secRes, out)
-		if secRes.outcome == outcomeOK {
-			out.hedgeWon = true
-			return secRes, hedge.replica
-		}
-		return firstRes, -1
-	}
-	secRes := <-prim.done
-	c.settle(prim, secRes, out)
-	c.settle(hedge, firstRes, out)
-	if secRes.outcome == outcomeOK {
-		return secRes, prim.replica
-	}
-	return secRes, -1
-}
-
 // settle applies an attempt's breaker effect, annotates its span, and
-// appends its record. Controller-only.
+// appends its record.
 func (c *Client) settle(a *attempt, res attemptResult, out *shardOutcome) {
 	switch res.outcome {
 	case outcomeOK:
@@ -305,31 +154,10 @@ func (c *Client) settle(a *attempt, res attemptResult, out *shardOutcome) {
 	if res.detail != "" {
 		a.span.SetAttr("error", res.detail)
 	}
-	a.cancel() // release the request context either way
 	out.attempts = append(out.attempts, replicaAttempt{
 		replica: a.replica,
-		hedge:   a.hedge,
 		outcome: res.outcome,
 		detail:  res.detail,
-		span:    a.span,
-		dur:     c.cfg.Clock.Now().Sub(a.start),
-	})
-}
-
-// settleCanceled records a hedge-race loser. The record is normalized to
-// "canceled" no matter how the request actually ended — it lost the race
-// and its answer is discarded — and its breaker sees a pushback, never a
-// failure: losing a hedge race is no evidence the replica is unhealthy,
-// but a half-open probe slot it may hold must be released.
-func (c *Client) settleCanceled(a *attempt, out *shardOutcome) {
-	if a.br != nil {
-		a.br.pushback()
-	}
-	a.span.SetAttr("outcome", outcomeCanceled)
-	out.attempts = append(out.attempts, replicaAttempt{
-		replica: a.replica,
-		hedge:   a.hedge,
-		outcome: outcomeCanceled,
 		span:    a.span,
 		dur:     c.cfg.Clock.Now().Sub(a.start),
 	})

@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -136,8 +135,8 @@ func TestClusterAllReplicasDown(t *testing.T) {
 }
 
 // hangingReplica parks every retrieval against replica 0 until the
-// request context is cancelled — the canonical straggler a hedged backup
-// request must absorb.
+// request context is cancelled — the canonical straggler an attempt
+// timeout must cut short.
 func hangingReplica(shard, replica int, next http.Handler) http.Handler {
 	if replica != 0 {
 		return next
@@ -152,115 +151,14 @@ func hangingReplica(shard, replica int, next http.Handler) http.Handler {
 	})
 }
 
-// hedgeTrace returns a trace ID whose preferred replica is 0 on BOTH
-// shards of a 2x2 cluster. With replica 0 hanging, every leg then stalls
-// until its hedge fires — no leg resolves synchronously, so the test's
-// clock advancement is the only schedule and runs replay byte-identically
-// even under -race scheduling jitter.
-func hedgeTrace() string {
+// replicaZeroTrace returns a trace ID whose preferred replica is 0 on
+// both shards of a two-replica cluster.
+func replicaZeroTrace() string {
 	for i := 0; ; i++ {
-		trace := "hedge-trace-" + strconv.Itoa(i)
+		trace := "r0-trace-" + strconv.Itoa(i)
 		if preferredReplica(trace, 0, 2) == 0 && preferredReplica(trace, 1, 2) == 0 {
 			return trace
 		}
-	}
-}
-
-// hedgeRun drives one query against a 2x2 cluster whose replica 0 hangs
-// forever, advancing the Manual clock past HedgeAfter only once every
-// leg's hedge timer is parked — the deterministic schedule the soak's
-// campaign driver produces — and returns the page plus the filtered
-// /clustertracez and Chrome exports for byte comparison.
-func hedgeRun(t *testing.T, trace string) (page, tracez, chrome string) {
-	t.Helper()
-	const hedgeAfter = 30 * time.Second
-	clock := simclock.NewManual(epoch)
-	cl := NewLocalCluster(ClusterConfig{
-		Shards:          2,
-		Replicas:        2,
-		Engine:          testConfig(7),
-		Clock:           clock,
-		HedgeAfter:      hedgeAfter,
-		SpanCapacity:    256,
-		ShardMiddleware: hangingReplica,
-	})
-
-	type result struct {
-		code    int
-		partial string
-		body    string
-	}
-	done := make(chan result, 1)
-	go func() {
-		code, partial, body := fetch(t, cl.Handler, "pizza", trace, "10.1.2.3")
-		done <- result{code, partial, body}
-	}()
-	// One hedge timer parks per fan-out leg, and — by hedgeTrace's
-	// construction — both legs stall on the hanging preferred replica, so
-	// nothing can resolve until the clock moves. Advancing exactly
-	// HedgeAfter fires both timers and the backup requests win against
-	// the stalled primaries.
-	clock.WaitForSleepers(2)
-	clock.Advance(hedgeAfter)
-	res := <-done
-	if res.code != http.StatusOK {
-		t.Fatalf("hedged fetch: status %d: %s", res.code, res.body)
-	}
-	if res.partial != "" {
-		t.Fatalf("hedged fetch went partial (%q): the backup request must deliver the full leg", res.partial)
-	}
-	if won := cl.Client.hedges.Values()[hedgeWon]; won == 0 {
-		t.Fatalf("hedges = %v, want at least one win over the hanging replica", cl.Client.hedges.Values())
-	}
-
-	ct := NewClusterTracez(cl.Spans, cl.Client)
-	serve := func(target string) string {
-		r := httptest.NewRequest(http.MethodGet, target, nil)
-		w := httptest.NewRecorder()
-		ct.ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			t.Fatalf("GET %s: status %d", target, w.Code)
-		}
-		return w.Body.String()
-	}
-	return res.body, serve("/clustertracez?trace=" + trace), serve("/clustertracez?trace=" + trace + "&format=chrome")
-}
-
-// TestHedgedRequestsDeterministic: hedging never changes page bytes — the
-// hedged cluster's page equals an unhedged healthy monolith's — and two
-// same-seed hedged runs reproduce byte-identical pages AND byte-identical
-// stitched trace exports: the hedge instant, the winner, and the losing
-// attempt's cancellation are all functions of the seed and the clock.
-func TestHedgedRequestsDeterministic(t *testing.T) {
-	trace := hedgeTrace()
-	mono := NewLocalCluster(ClusterConfig{
-		Shards: 1,
-		Engine: testConfig(7),
-		Clock:  simclock.NewManual(epoch),
-	})
-	code, _, want := fetch(t, mono.Handler, "pizza", trace, "10.1.2.3")
-	if code != http.StatusOK {
-		t.Fatalf("monolith fetch: status %d", code)
-	}
-
-	page1, tracez1, chrome1 := hedgeRun(t, trace)
-	page2, tracez2, chrome2 := hedgeRun(t, trace)
-	if page1 != want {
-		t.Fatalf("hedged page differs from monolith\nhedged:   %s\nmonolith: %s", page1, want)
-	}
-	if page1 != page2 {
-		t.Fatalf("same-seed hedged pages diverged\nfirst:  %s\nsecond: %s", page1, page2)
-	}
-	if tracez1 != tracez2 {
-		t.Fatalf("same-seed hedged /clustertracez exports diverged\nfirst:\n%s\nsecond:\n%s", tracez1, tracez2)
-	}
-	if chrome1 != chrome2 {
-		t.Fatalf("same-seed hedged Chrome exports diverged\nfirst:\n%s\nsecond:\n%s", chrome1, chrome2)
-	}
-	// The export must actually carry the hedge story: a backup attempt
-	// marked hedge and a cancelled loser.
-	if !strings.Contains(tracez1, `"hedge"`) || !strings.Contains(tracez1, `"canceled"`) {
-		t.Fatalf("hedged trace export missing hedge/canceled attempts:\n%s", tracez1)
 	}
 }
 
@@ -268,7 +166,7 @@ func TestHedgedRequestsDeterministic(t *testing.T) {
 // each replica attempt: a preferred replica that never answers costs its
 // leg one timeout, and the other replica then serves the leg in full.
 func TestAttemptTimeoutFailsOver(t *testing.T) {
-	trace := hedgeTrace() // prefers replica 0, the hanging one
+	trace := replicaZeroTrace() // prefers replica 0, the hanging one
 	req := engine.RetrieveRequest{Query: "coffee", K: 48, TraceID: trace}
 	healthy := NewLocalCluster(ClusterConfig{Shards: 1, Replicas: 2, Engine: testConfig(7),
 		Clock: simclock.NewManual(epoch)})
@@ -325,7 +223,7 @@ func TestProberReadmitsRecoveredReplica(t *testing.T) {
 		alien http.Handler
 	}{
 		{"dark", nil},
-		{"other seed", NewShardHandler(0, BuildShardIndex(8, nil, 0, 1, 0))},
+		{"other seed", NewShardHandler(0, 1, BuildShardIndex(8, nil, 0, 1))},
 	} {
 		t.Run(tc.name, func(t *testing.T) { testProberReadmits(t, tc.alien) })
 	}

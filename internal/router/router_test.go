@@ -367,7 +367,7 @@ func TestShardHandlerSurface(t *testing.T) {
 	sh := cl.ShardHandlers[0][0]
 
 	// A normal search returns one frame of at most k hits, stamped with
-	// this node's shard, replica and corpus fingerprint.
+	// this node's shard, replica and partition fingerprint.
 	r := httptest.NewRequest(http.MethodGet, SearchPath+"?q=coffee&k=5", nil)
 	w := httptest.NewRecorder()
 	sh.ServeHTTP(w, r)
@@ -416,7 +416,7 @@ func TestShardHandlerSurface(t *testing.T) {
 		allow, ctype, body string
 	}{
 		{http.MethodHead, SearchPath + "?q=coffee&k=5", http.StatusOK, "", "application/octet-stream",
-			"sha256:5fa243d9f6d954beb4654608d920a05830e5329a5513beb6324fa4bce2444b46"},
+			"sha256:8dd0ce4f6b189881623196b4e4bc546816cfe99285f6b80a7fb6822c73e7e81d"},
 		{http.MethodPost, SearchPath + "?q=coffee&k=5", http.StatusMethodNotAllowed, "GET, HEAD", text,
 			"Method Not Allowed\n"},
 		{http.MethodGet, SearchPath + "/?q=coffee&k=5", http.StatusNotFound, "", text, "404 page not found\n"},
@@ -426,9 +426,9 @@ func TestShardHandlerSurface(t *testing.T) {
 		// 626 of this shard's documents match "local": the frame is
 		// clamped to maxShardK hits, 24 + 12*512 = 6168 bytes.
 		{http.MethodGet, SearchPath + "?q=local&k=9999", http.StatusOK, "", "application/octet-stream",
-			"sha256:e2fe0a4b871d7d1ffeb4eb88f2554d49da84615a31db3e6bb9d8f9d4723b3a17"},
+			"sha256:47002b19a8ecf6eebd15c110ed668a61a8e4b0255829f855ca32e796760f51ab"},
 		{http.MethodGet, "/healthz", http.StatusOK, "", "application/json",
-			`{"corpus":"8f7edab2810e2616","docs":2194,"replica":0,"shard":0,"status":"ok"}` + "\n"},
+			`{"corpus":"7dbde428cdfdc927","docs":2194,"replica":0,"shard":0,"status":"ok"}` + "\n"},
 		{http.MethodGet, "/nope", http.StatusNotFound, "", text, "404 page not found\n"},
 	}
 	for _, c := range surface {

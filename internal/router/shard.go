@@ -37,9 +37,9 @@ type ShardResponse struct {
 	// identical document slice, so this is a topology check, not a data
 	// property.
 	Replica int
-	// Corpus is the fingerprint of the shard's document table
-	// (index.Fingerprint); it must equal the router's (mismatch = the
-	// shard was built from another seed or corpus).
+	// Corpus is the shard's partitionFingerprint; it must equal the
+	// router's (mismatch = the shard was built from another seed or
+	// corpus, or cut for another shard count).
 	Corpus uint64
 	// Hits is the shard's top-k, already in merge order (score descending,
 	// URL ascending), with each Doc resolved from its ID through the
@@ -68,7 +68,7 @@ type ShardHandler struct {
 	id      int
 	replica int
 	idx     *index.Index
-	corpus  uint64 // index.Fingerprint(idx.Docs()), sent on every reply
+	corpus  uint64 // partitionFingerprint(idx.Docs(), shard count), sent on every reply
 	mux     *http.ServeMux
 	tel     *telemetry.Registry
 	spans   *telemetry.SpanRecorder
@@ -117,10 +117,11 @@ func WithShardReplica(r int) ShardOption {
 }
 
 // NewShardHandler builds a shard node serving the given (already frozen)
-// shard index view as shard id. It fingerprints the view's document table
-// once, here, for every reply frame and /healthz.
-func NewShardHandler(id int, idx *index.Index, opts ...ShardOption) *ShardHandler {
-	h := &ShardHandler{id: id, idx: idx, corpus: index.Fingerprint(idx.Docs()),
+// shard index view as shard id of a count-shard partition. It fingerprints
+// the view's document table and the count once, here, for every reply
+// frame and /healthz.
+func NewShardHandler(id, count int, idx *index.Index, opts ...ShardOption) *ShardHandler {
+	h := &ShardHandler{id: id, idx: idx, corpus: partitionFingerprint(idx.Docs(), count),
 		mux: http.NewServeMux(), wall: simclock.Wall()}
 	for _, o := range opts {
 		o(h)

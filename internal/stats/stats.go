@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used throughout the
-// measurement pipeline: summary statistics, correlation coefficients, simple
-// linear regression, and histograms.
+// measurement pipeline: summary statistics, correlation coefficients and
+// simple linear regression.
 //
 // The package is intentionally dependency-free and operates on float64
 // slices. All functions treat an empty input as a degenerate case and return
