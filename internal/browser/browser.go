@@ -23,6 +23,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"geoserp/internal/breaker"
 	"geoserp/internal/geo"
 	"geoserp/internal/httpheader"
 	"geoserp/internal/serp"
@@ -42,8 +43,8 @@ var ErrRateLimited = errors.New("browser: rate limited by server")
 // breaker, because an overloaded-but-honest server is not a broken one.
 var ErrShed = errors.New("browser: request shed by server")
 
-// ErrCircuitOpen is returned when the per-endpoint circuit breaker
-// (WithBreaker) is open and the retry policy cannot wait out the cooldown.
+// ErrCircuitOpen is returned when the circuit breaker (WithBreaker) is open
+// and the retry policy cannot wait out the cooldown.
 var ErrCircuitOpen = errors.New("browser: circuit breaker open")
 
 // ErrBodyTooLarge marks a response body that exceeded the WithMaxBodySize
@@ -210,11 +211,9 @@ type Browser struct {
 	// deadline on the campaign clock, sent to the server as X-Deadline-Ms
 	// and honoured by the retry loop.
 	deadlineBudget time.Duration
-	// Per-endpoint circuit breakers, armed by WithBreaker (nil threshold
-	// disables). Browsers are single-threaded, so no locking.
-	brkThreshold int
-	brkCooldown  time.Duration
-	breakers     map[string]*breaker
+	// brk guards the search endpoint when WithBreaker arms it; nil admits
+	// every fetch.
+	brk *breaker.Breaker
 
 	// optErr records the first invalid Option; New reports it instead of
 	// silently running with a half-applied policy.
@@ -339,13 +338,12 @@ func WithDeadline(d time.Duration) Option {
 	}
 }
 
-// WithBreaker arms a per-endpoint circuit breaker: threshold consecutive
-// breaker-eligible failures (transport errors, 5xx, unparsable pages —
-// not 429s or 503 sheds, which are explicit pushback) open the breaker,
-// fetches then fail fast for cooldown, after which a single half-open
-// probe decides between closing it and re-opening. All timing is on the
-// campaign clock, so same-seed chaos campaigns replay identical breaker
-// timelines.
+// WithBreaker arms a circuit breaker on the search endpoint: threshold
+// consecutive breaker-eligible failures (transport errors, 5xx, unparsable
+// pages — not 429s or 503 sheds, which are explicit pushback) open the
+// breaker, fetches then fail fast for cooldown, after which a single
+// half-open probe decides between closing it and re-opening. All timing is
+// on the campaign clock.
 func WithBreaker(threshold int, cooldown time.Duration) Option {
 	return func(b *Browser) {
 		if threshold <= 0 {
@@ -356,8 +354,15 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 			b.optErr = fmt.Errorf("browser: WithBreaker cooldown must be positive, got %s", cooldown)
 			return
 		}
-		b.brkThreshold = threshold
-		b.brkCooldown = cooldown
+		// A trip takes effect at its own instant: the browser's one
+		// caller retries on the campaign clock, and at zero backoff its
+		// retries would otherwise land on that instant and be spent
+		// against the endpoint the breaker just declared dead.
+		b.brk = breaker.New(threshold, cooldown, false, func(label string) {
+			if b.breakerCtr != nil {
+				b.breakerCtr.With(label).Inc()
+			}
+		})
 	}
 }
 
@@ -492,7 +497,6 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 	if b.deadlineBudget > 0 {
 		deadline = b.clock.Now().Add(b.deadlineBudget)
 	}
-	brk := b.breakerFor(b.base.Host + "/search")
 	var lastErr error
 	// failures counts attempt-consuming outcomes (429s, 5xx, transport and
 	// parse errors) against maxAttempts; sheds counts 503 Retry-After
@@ -503,21 +507,19 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if brk != nil {
-			if wait, ok := brk.allow(b.clock.Now()); !ok {
-				oerr := withRetryAfter(markTransient(fmt.Errorf("%w (retry in %s)", ErrCircuitOpen, wait)), wait)
-				if b.maxAttempts <= 1 {
-					// No retry policy: fail fast rather than block a
-					// single-shot caller for the whole cooldown.
-					return nil, oerr
-				}
-				if !deadline.IsZero() && b.clock.Now().Add(wait).After(deadline) {
-					return nil, fmt.Errorf("browser: deadline would pass waiting out the open breaker: %w", oerr)
-				}
-				lastErr = oerr
-				b.sleepOn(held, wait)
-				continue
+		if wait, ok := b.brk.Allow(b.clock.Now()); !ok {
+			oerr := withRetryAfter(markTransient(fmt.Errorf("%w (retry in %s)", ErrCircuitOpen, wait)), wait)
+			if b.maxAttempts <= 1 {
+				// No retry policy: fail fast rather than block a
+				// single-shot caller for the whole cooldown.
+				return nil, oerr
 			}
+			if !deadline.IsZero() && b.clock.Now().Add(wait).After(deadline) {
+				return nil, fmt.Errorf("browser: deadline would pass waiting out the open breaker: %w", oerr)
+			}
+			lastErr = oerr
+			b.sleepOn(held, wait)
+			continue
 		}
 		// One client span per attempt: retries of a trace appear as
 		// sibling spans whose gaps are the backoff sleeps.
@@ -529,9 +531,7 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 		}
 		page, err := b.fetchOnce(ctx, term, attempt, deadline)
 		if err == nil {
-			if brk != nil {
-				brk.success()
-			}
+			b.brk.Success()
 			if span != nil {
 				span.SetAttr("outcome", "ok")
 				span.End()
@@ -544,12 +544,15 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 			sheds++
 		} else {
 			failures++
-			// Explicit pushback (429) does not trip the breaker — the
-			// server is alive and asked for patience; unexplained transient
-			// failures do.
-			if brk != nil && IsTransient(err) && !errors.Is(err, ErrRateLimited) {
-				brk.failure(b.clock.Now())
-			}
+		}
+		// Unexplained transient failures trip the breaker. Explicit
+		// pushback (a 429 or 503 shed: the server is alive and asked for
+		// patience), permanent errors and a cancelled context do not, but
+		// they still resolve the call the breaker admitted.
+		if !shed && IsTransient(err) && !errors.Is(err, ErrRateLimited) && ctx.Err() == nil {
+			b.brk.Failure(b.clock.Now())
+		} else {
+			b.brk.Pushback()
 		}
 		terminal := ctx.Err() != nil || !IsTransient(err) || b.maxAttempts <= 1 ||
 			(!shed && failures >= b.maxAttempts) || (shed && sheds > b.shedRetryLimit)
@@ -610,38 +613,14 @@ func (b *Browser) sleepOn(held simclock.Holder, d time.Duration) {
 	}
 }
 
-// breakerFor lazily builds the circuit breaker guarding endpoint (nil when
-// WithBreaker is off).
-func (b *Browser) breakerFor(endpoint string) *breaker {
-	if b.brkThreshold <= 0 {
-		return nil
-	}
-	if b.breakers == nil {
-		b.breakers = make(map[string]*breaker)
-	}
-	br := b.breakers[endpoint]
-	if br == nil {
-		br = newBreaker(b.brkThreshold, b.brkCooldown)
-		if b.breakerCtr != nil {
-			br.onTransition = func(label string) { b.breakerCtr.With(label).Inc() }
-		}
-		b.breakers[endpoint] = br
-	}
-	return br
-}
-
 // BreakerState reports the search endpoint's circuit-breaker state
 // ("closed", "open", "half-open"), or "" when WithBreaker is not
 // configured.
 func (b *Browser) BreakerState() string {
-	if b.brkThreshold <= 0 {
+	if b.brk == nil {
 		return ""
 	}
-	br := b.breakers[b.base.Host+"/search"]
-	if br == nil {
-		return "closed"
-	}
-	return br.stateName()
+	return b.brk.State()
 }
 
 // fetchOnce performs a single fetch+parse. attempt is the 1-based try

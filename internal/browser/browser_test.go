@@ -13,6 +13,7 @@ import (
 	"geoserp/internal/httpheader"
 	"geoserp/internal/serpserver"
 	"geoserp/internal/simclock"
+	"geoserp/internal/telemetry"
 )
 
 var cleveland = geo.Point{Lat: 41.4993, Lon: -81.6944}
@@ -202,6 +203,50 @@ func TestBrowserParseFailureOnGarbage(t *testing.T) {
 	b, _ := New(garbage.URL)
 	if _, err := b.Search("x"); err == nil {
 		t.Fatal("garbage page parsed successfully")
+	}
+}
+
+// TestNoResultPageIsAPage searches terms that match nothing, on both
+// surfaces of a real handler: the server answers 200 with an empty results
+// container, and that is a page with no cards — one fetch, no retry, no
+// breaker failure, no campaign time — so the next query is served at once.
+func TestNoResultPageIsAPage(t *testing.T) {
+	srv := testServer(t, nil)
+	for _, fp := range []Fingerprint{IOSSafari8(), Firefox38Desktop()} {
+		start := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
+		clk := simclock.NewManual(start)
+		done := make(chan struct{})
+		go clk.DriveUntil(done)
+		defer close(done)
+		reg := telemetry.NewRegistry()
+		b, err := New(srv.URL, WithFingerprint(fp), WithRetry(3, time.Second),
+			WithBreaker(2, time.Minute), WithClock(clk), WithTelemetry(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.OverrideGeolocation(cleveland)
+		for _, term := range []string{"zzzzqqqxx", "zzzzqqqxy"} {
+			page, err := b.Search(term)
+			if err != nil {
+				t.Fatalf("%s: no-result search failed: %v", fp.UserAgent, err)
+			}
+			if page.Query != term || len(page.Cards) != 0 {
+				t.Fatalf("%s: page = %q with %d cards, want %q with none", fp.UserAgent, page.Query, len(page.Cards), term)
+			}
+		}
+		if b.Fetches() != 2 || b.Retries() != 0 || b.BreakerState() != "closed" {
+			t.Fatalf("%s: fetches=%d retries=%d breaker=%s, want 2, 0, closed",
+				fp.UserAgent, b.Fetches(), b.Retries(), b.BreakerState())
+		}
+		if page, err := b.Search("Coffee"); err != nil || len(page.Cards) == 0 {
+			t.Fatalf("%s: search after two empty pages: %v", fp.UserAgent, err)
+		}
+		if took := clk.Now().Sub(start); took != 0 {
+			t.Fatalf("%s: three searches took %s of campaign time, want none", fp.UserAgent, took)
+		}
+		if tr := reg.CounterVec("browser_breaker_transitions_total", "", "transition").Values(); len(tr) != 0 {
+			t.Fatalf("%s: breaker transitions %v, want none", fp.UserAgent, tr)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,8 +15,8 @@ import (
 
 // ChaosConfig describes the faults a ChaosTransport injects between the
 // browser and the search service. Rates are probabilities in [0, 1] and are
-// drawn independently per attempt, keyed on the request's trace ID and a
-// per-trace attempt counter — so a given (trace, attempt) pair always fails
+// drawn independently per attempt, keyed on the request's trace ID and its
+// X-Trace-Attempt number — so a given (trace, attempt) pair always fails
 // the same way, keeping fault-injection campaigns exactly reproducible.
 type ChaosConfig struct {
 	// Seed keys every fault draw; the same seed replays the same faults.
@@ -46,10 +45,7 @@ type ChaosTransport struct {
 	cfg  ChaosConfig
 	next http.RoundTripper
 
-	mu       sync.Mutex
-	attempts map[string]int // per-trace attempt counters
-	seq      atomic.Uint64  // fallback key for untraced requests
-
+	seq      atomic.Uint64 // draw key for requests without (trace, attempt)
 	injected atomic.Uint64
 }
 
@@ -62,45 +58,24 @@ func NewChaosTransport(cfg ChaosConfig, next http.RoundTripper) *ChaosTransport 
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Wall()
 	}
-	return &ChaosTransport{cfg: cfg, next: next, attempts: make(map[string]int)}
+	return &ChaosTransport{cfg: cfg, next: next}
 }
 
 // Injected reports how many faults have been injected so far.
 func (c *ChaosTransport) Injected() uint64 { return c.injected.Load() }
 
-// maxTrackedTraces bounds the legacy per-trace attempt map: once it holds
-// this many traces it is reset wholesale. The bound only matters for
-// traced clients that do not send X-Trace-Attempt; the browser always
-// does, so campaign-length runs never touch the map at all.
-const maxTrackedTraces = 4096
-
 // attemptKey returns the deterministic draw key for this request: the trace
 // ID plus its attempt number (retries of one trace must be able to draw
 // differently, or a retried fault would repeat forever). The attempt comes
-// from the X-Trace-Attempt header the browser sends with every try — a
-// growth-free, arrival-order-independent key. Traced requests without the
-// header fall back to a bounded counting map, untraced ones to a global
-// sequence number.
+// from the X-Trace-Attempt header the browser sends with every traced
+// fetch — a growth-free, arrival-order-independent key. A request without
+// both draws on a global sequence number instead.
 func (c *ChaosTransport) attemptKey(req *http.Request) string {
 	trace := req.Header.Get(httpheader.TraceID)
-	if trace == "" {
-		return fmt.Sprintf("seq-%d", c.seq.Add(1))
-	}
-	if n, ok := httpheader.Attempt(req.Header); ok && n > 0 {
+	if n, ok := httpheader.Attempt(req.Header); ok && n > 0 && trace != "" {
 		return fmt.Sprintf("%s-%d", trace, n)
 	}
-	c.mu.Lock()
-	if len(c.attempts) >= maxTrackedTraces {
-		// An unbounded map would grow one entry per trace for the whole
-		// campaign (~140k in a full study run). Resetting restarts attempt
-		// numbering for in-flight traces, which at worst replays a fault —
-		// acceptable for the header-less legacy path.
-		clear(c.attempts)
-	}
-	c.attempts[trace]++
-	n := c.attempts[trace]
-	c.mu.Unlock()
-	return fmt.Sprintf("%s-%d", trace, n)
+	return fmt.Sprintf("seq-%d", c.seq.Add(1))
 }
 
 // RoundTrip injects at most one fault per attempt, drawn in a fixed order

@@ -2,14 +2,21 @@ package browser
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"geoserp/internal/detrand"
+	"geoserp/internal/httpheader"
 	"geoserp/internal/serp"
 	"geoserp/internal/simclock"
 	"geoserp/internal/telemetry"
@@ -200,57 +207,6 @@ func TestBodyExactlyAtCapIsAccepted(t *testing.T) {
 	}
 }
 
-func TestBreakerStateMachine(t *testing.T) {
-	var seq []string
-	br := newBreaker(2, time.Minute)
-	br.onTransition = func(label string) { seq = append(seq, label) }
-	now := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
-
-	if _, ok := br.allow(now); !ok {
-		t.Fatal("new breaker refused traffic")
-	}
-	// A success between failures resets the consecutive-failure streak.
-	br.failure(now)
-	br.success()
-	br.failure(now)
-	if br.stateName() != "closed" {
-		t.Fatalf("state = %s after a broken streak, want closed", br.stateName())
-	}
-	br.failure(now)
-	if br.stateName() != "open" {
-		t.Fatalf("state = %s after %d consecutive failures, want open", br.stateName(), 2)
-	}
-	// Open: traffic fails fast with the remaining cooldown.
-	wait, ok := br.allow(now.Add(20 * time.Second))
-	if ok || wait != 40*time.Second {
-		t.Fatalf("allow mid-cooldown = (%s, %v), want (40s, false)", wait, ok)
-	}
-	// Cooldown elapsed: a single half-open probe is admitted.
-	if _, ok := br.allow(now.Add(time.Minute)); !ok {
-		t.Fatal("probe refused after the cooldown elapsed")
-	}
-	if br.stateName() != "half-open" {
-		t.Fatalf("state = %s, want half-open", br.stateName())
-	}
-	// A failing probe reopens and restarts the cooldown from its instant.
-	br.failure(now.Add(time.Minute))
-	if _, ok := br.allow(now.Add(90 * time.Second)); ok {
-		t.Fatal("reopened breaker admitted traffic mid-cooldown")
-	}
-	if _, ok := br.allow(now.Add(2 * time.Minute)); !ok {
-		t.Fatal("second probe refused")
-	}
-	// A succeeding probe closes the breaker for good.
-	br.success()
-	if br.stateName() != "closed" {
-		t.Fatalf("state = %s after a successful probe, want closed", br.stateName())
-	}
-	want := []string{"open", "half_open", "reopen", "half_open", "close"}
-	if fmt.Sprint(seq) != fmt.Sprint(want) {
-		t.Fatalf("transitions = %v, want %v", seq, want)
-	}
-}
-
 func TestBreakerOpensFailsFastAndRecloses(t *testing.T) {
 	var healthy atomic.Bool
 	var count atomic.Int64
@@ -338,41 +294,173 @@ func TestPushbackDoesNotTripBreaker(t *testing.T) {
 	}
 }
 
-func TestBreakerChaosDeterminism(t *testing.T) {
-	// Same seed, same clock schedule: the whole breaker timeline — outcome
-	// and state after every query — must replay exactly.
-	srv := httptest.NewServer(okHandler(t))
-	defer srv.Close()
-	run := func() ([]string, map[string]uint64) {
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/breaker_timeline.txt from the current browser")
+
+const timelineGoldenPath = "testdata/breaker_timeline.txt"
+
+// timelineServer answers each (trace, attempt) pair with one fixed
+// outcome drawn from a hash of the pair: a 500, a 503 shed with
+// Retry-After: 2, a 429 with Retry-After: 3, a 404, or the page.
+func timelineServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	ok := okHandler(t)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch detrand.Hash("timeline", r.Header.Get(httpheader.TraceID), r.Header.Get(httpheader.TraceAttempt)) % 8 {
+		case 0, 1, 2:
+			http.Error(w, "boom", http.StatusInternalServerError)
+		case 3:
+			w.Header().Set("Retry-After", "2")
+			http.Error(w, "shed", http.StatusServiceUnavailable)
+		case 4:
+			w.Header().Set("Retry-After", "3")
+			http.Error(w, "slow down", http.StatusTooManyRequests)
+		case 5:
+			http.Error(w, "no such page", http.StatusNotFound)
+		default:
+			ok.ServeHTTP(w, r)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// breakerTimeline runs 120 traced searches under each retry policy
+// against timelineServer, with a 2-failure, 30 s breaker on a Manual clock
+// and 10 virtual seconds between searches. It returns one line per search
+// (outcome, retries spent, virtual time taken, breaker state after) and
+// each policy's final transition counts. With want set, each line must
+// equal its counterpart there as soon as it is written, so a divergence
+// fails at its own search instead of hanging a later one.
+func breakerTimeline(t *testing.T, base string, want []string) []string {
+	t.Helper()
+	var lines []string
+	emit := func(line string) {
+		lines = append(lines, line)
+		if want == nil {
+			return
+		}
+		n := len(lines)
+		if n > len(want) || want[n-1] != line {
+			var w string
+			if n <= len(want) {
+				w = want[n-1]
+			}
+			t.Fatalf("timeline diverges at line %d:\n got %s\nwant %s", n, line, w)
+		}
+	}
+	policies := []struct {
+		attempts int
+		backoff  time.Duration
+	}{{1, 0}, {3, 0}, {4, time.Second}, {6, 5 * time.Second}}
+	for _, pol := range policies {
 		clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 		reg := telemetry.NewRegistry()
-		ct := NewChaosTransport(ChaosConfig{Seed: 11, ServerErrorRate: 0.4}, nil)
-		b, err := New(srv.URL, WithTransport(ct), WithBreaker(2, 30*time.Second),
+		b, err := New(base, WithRetry(pol.attempts, pol.backoff), WithBreaker(2, 30*time.Second),
 			WithClock(clk), WithTelemetry(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var timeline []string
-		for i := 0; i < 60; i++ {
-			b.SetTraceID(fmt.Sprintf("det-%d", i))
+		done := make(chan struct{})
+		go clk.DriveUntil(done)
+		defer close(done)
+		name := fmt.Sprintf("retry(%d,%s)", pol.attempts, pol.backoff)
+		for i := 0; i < 120; i++ {
+			b.SetTraceID(fmt.Sprintf("tl-%d-%03d", pol.attempts, i))
+			retries, start := b.Retries(), clk.Now()
 			outcome := "ok"
 			if _, serr := b.Search("x"); serr != nil {
-				outcome = "err"
+				outcome = strconv.Quote(errAttr(serr))
 			}
-			timeline = append(timeline, outcome+"/"+b.BreakerState())
-			clk.Advance(10 * time.Second)
+			emit(fmt.Sprintf("%s %03d retries=%d took=%s state=%s %s", name, i,
+				b.Retries()-retries, clk.Now().Sub(start), b.BreakerState(), outcome))
+			clk.Sleep(10 * time.Second)
 		}
-		return timeline, reg.CounterVec("browser_breaker_transitions_total", "", "transition").Values()
+		trans := reg.CounterVec("browser_breaker_transitions_total", "", "transition").Values()
+		emit(fmt.Sprintf("%s transitions %v", name, trans))
 	}
-	tl1, tr1 := run()
-	tl2, tr2 := run()
-	if fmt.Sprint(tl1) != fmt.Sprint(tl2) {
-		t.Fatalf("same-seed breaker timelines diverged:\n%v\nvs\n%v", tl1, tl2)
+	if want != nil && len(lines) != len(want) {
+		t.Fatalf("timeline has %d lines, want %d", len(lines), len(want))
 	}
-	if fmt.Sprint(tr1) != fmt.Sprint(tr2) {
-		t.Fatalf("same-seed transition counts diverged: %v vs %v", tr1, tr2)
+	return lines
+}
+
+// TestBreakerChaosDeterminism pins the browser's breaker timeline: which
+// searches fail fast, how long they wait out the cooldown, what they
+// return and how often the breaker trips, under four retry policies and
+// every server answer the browser classifies differently. The golden file
+// was captured from the browser's own breaker before it moved into
+// internal/breaker; regenerate it with -update-golden only for an
+// intended change of breaker semantics. Two runs must both match it.
+// Last, a half-open probe is cancelled mid-fetch (see cancelProbe).
+func TestBreakerChaosDeterminism(t *testing.T) {
+	srv := timelineServer(t)
+	if *updateGolden {
+		got := breakerTimeline(t, srv.URL, nil)
+		if err := os.WriteFile(timelineGoldenPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	if tr1["open"] == 0 {
-		t.Fatalf("breaker never opened at a 40%% injected error rate: %v", tr1)
+	raw, err := os.ReadFile(timelineGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	for run := 0; run < 2; run++ {
+		breakerTimeline(t, srv.URL, want)
+	}
+	cancelProbe(t)
+}
+
+// cancelProbe cancels a half-open probe mid-fetch: the cancellation is
+// neither a success nor a server fault, so the breaker stays half-open
+// and the next search is admitted as its probe.
+func cancelProbe(t *testing.T) {
+	t.Helper()
+	var count atomic.Int64
+	arrived := make(chan struct{})
+	ok := okHandler(t)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch count.Add(1) {
+		case 1, 2:
+			http.Error(w, "boom", http.StatusInternalServerError)
+		case 3:
+			close(arrived)
+			<-r.Context().Done()
+		default:
+			ok.ServeHTTP(w, r)
+		}
+	}))
+	defer srv.Close()
+	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
+	b, err := New(srv.URL, WithBreaker(2, 30*time.Second), WithClock(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, serr := b.Search("x"); serr == nil {
+			t.Fatal("500 accepted")
+		}
+	}
+	clk.Advance(30 * time.Second)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-arrived
+		cancel()
+	}()
+	if _, serr := b.SearchContext(ctx, "x"); !errors.Is(serr, context.Canceled) {
+		t.Fatalf("cancelled probe: err = %v, want context.Canceled", serr)
+	}
+	if s := b.BreakerState(); s != "half-open" {
+		t.Fatalf("state after a cancelled probe = %s, want half-open", s)
+	}
+	if _, serr := b.Search("x"); serr != nil {
+		t.Fatalf("search after a cancelled probe: %v", serr)
+	}
+	if got := count.Load(); got != 4 {
+		t.Fatalf("server saw %d requests, want 4", got)
+	}
+	if s := b.BreakerState(); s != "closed" {
+		t.Fatalf("state after a successful probe = %s, want closed", s)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"geoserp/internal/breaker"
 	"geoserp/internal/engine"
 	"geoserp/internal/httpheader"
 	"geoserp/internal/index"
@@ -95,8 +96,8 @@ func SingleReplica(urls []string) [][]string {
 // (503).
 type Client struct {
 	cfg      ClientConfig
-	corpus   uint64       // partitionFingerprint(cfg.Docs, len(cfg.Shards))
-	breakers [][]*breaker // [shard][replica]; nil entries when disabled
+	corpus   uint64               // partitionFingerprint(cfg.Docs, len(cfg.Shards))
+	breakers [][]*breaker.Breaker // [shard][replica]; nil entries when disabled
 
 	retrievals  *telemetry.Counter    // router_retrievals_total
 	partial     *telemetry.Counter    // router_partial_results_total
@@ -154,14 +155,19 @@ func NewClient(cfg ClientConfig, reg *telemetry.Registry) *Client {
 		transitions: reg.CounterVec("router_breaker_transitions_total",
 			"Replica breaker state transitions, by event.", "event"),
 	}
-	c.breakers = make([][]*breaker, len(cfg.Shards))
+	// One breaker per replica, so a dead node is skipped outright — its leg
+	// fails over to the next replica — instead of every query paying a
+	// timeout for it. Trips are deferred past their own instant: many
+	// fan-outs consult one replica's breaker at the same instant, and
+	// which of them the trip turned away must not depend on goroutine
+	// interleaving (see breaker.New).
+	c.breakers = make([][]*breaker.Breaker, len(cfg.Shards))
 	for i, reps := range cfg.Shards {
-		c.breakers[i] = make([]*breaker, len(reps))
+		c.breakers[i] = make([]*breaker.Breaker, len(reps))
 		for r := range reps {
 			if cfg.BreakerThreshold > 0 {
-				br := newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-				br.onTransition = func(label string) { c.transitions.With(label).Inc() }
-				c.breakers[i][r] = br
+				c.breakers[i][r] = breaker.New(cfg.BreakerThreshold, cfg.BreakerCooldown, true,
+					func(label string) { c.transitions.With(label).Inc() })
 			}
 		}
 	}
@@ -182,7 +188,7 @@ func (c *Client) BreakerStates() [][]string {
 			if br == nil {
 				out[i][r] = "disabled"
 			} else {
-				out[i][r] = br.stateName()
+				out[i][r] = br.State()
 			}
 		}
 	}
@@ -360,7 +366,7 @@ func (c *Client) doRequest(a *attempt) attemptResult {
 		return attemptResult{outcome: outcomeOK, hits: sr.Hits}
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		// Admission shed: the replica is alive and asked for patience.
-		// Pushback must not trip the breaker — see breaker.pushback.
+		// Pushback must not trip the breaker — see Breaker.Pushback.
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return attemptResult{outcome: outcomeShed}
 	default:

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"geoserp/internal/breaker"
 	"geoserp/internal/detrand"
 	"geoserp/internal/engine"
 	"geoserp/internal/index"
@@ -53,7 +54,7 @@ type attemptResult struct {
 type attempt struct {
 	shard   int
 	replica int
-	br      *breaker
+	br      *breaker.Breaker
 	span    *telemetry.Span
 	start   time.Time
 	url     string                  // replica base URL + the leg's shard query
@@ -75,7 +76,7 @@ func (c *Client) callShard(shard int, query string, req *engine.RetrieveRequest,
 	for next := 0; next < n; next++ {
 		r := (start + next) % n
 		br := c.breakers[shard][r]
-		if br != nil && !br.allow(c.cfg.Clock.Now()) {
+		if _, ok := br.Allow(c.cfg.Clock.Now()); !ok {
 			sp := startAttemptSpan(legSpan, r)
 			sp.SetAttr("outcome", outcomeBreakerOpen)
 			out.attempts = append(out.attempts, replicaAttempt{
@@ -137,18 +138,12 @@ func startAttemptSpan(legSpan *telemetry.Span, replica int) *telemetry.Span {
 func (c *Client) settle(a *attempt, res attemptResult, out *shardOutcome) {
 	switch res.outcome {
 	case outcomeOK:
-		if a.br != nil {
-			a.br.success()
-		}
+		a.br.Success()
 		a.span.SetAttr("hits", strconv.Itoa(len(res.hits)))
 	case outcomeShed:
-		if a.br != nil {
-			a.br.pushback()
-		}
+		a.br.Pushback()
 	default:
-		if a.br != nil {
-			a.br.failure(c.cfg.Clock.Now())
-		}
+		a.br.Failure(c.cfg.Clock.Now())
 	}
 	a.span.SetAttr("outcome", res.outcome)
 	if res.detail != "" {
@@ -251,7 +246,7 @@ func (c *Client) probeSweep() {
 	httpc := &http.Client{Transport: c.cfg.Transport, Timeout: c.cfg.Timeout}
 	for i, reps := range c.breakers {
 		for r, br := range reps {
-			if br == nil || !br.probeDue(now) {
+			if !br.ProbeDue(now) {
 				continue
 			}
 			resp, err := httpc.Get(c.cfg.Shards[i][r] + "/healthz")
@@ -265,7 +260,7 @@ func (c *Client) probeSweep() {
 				continue
 			}
 			c.probes.With(outcomeOK).Inc()
-			if br.probeClose() {
+			if br.ProbeClose() {
 				c.readmits.Inc()
 			}
 		}

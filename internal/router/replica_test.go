@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -312,68 +311,5 @@ func testProberReadmits(t *testing.T, alien http.Handler) {
 	}
 	if cl.Client.failovers.Value() != before {
 		t.Fatal("re-admitted replica still failed over")
-	}
-}
-
-// TestBreakerProbeElection pins the half-open race satellite: when many
-// concurrent fan-outs hit an open breaker whose cooldown has elapsed,
-// exactly ONE is elected to carry the probe — run under -race this also
-// proves the state machine's locking. A failed probe re-arms the
-// election for the next cooldown; a successful one re-opens the floor to
-// everyone.
-func TestBreakerProbeElection(t *testing.T) {
-	br := newBreaker(1, 45*time.Second)
-	br.failure(epoch)
-	if br.stateName() != "open" {
-		t.Fatalf("state = %q, want open", br.stateName())
-	}
-
-	elect := func(now time.Time) int {
-		const fanouts = 32
-		var admitted atomic.Int32
-		var wg sync.WaitGroup
-		wg.Add(fanouts)
-		start := make(chan struct{})
-		for i := 0; i < fanouts; i++ {
-			go func() {
-				defer wg.Done()
-				<-start
-				if br.allow(now) {
-					admitted.Add(1)
-				}
-			}()
-		}
-		close(start)
-		wg.Wait()
-		return int(admitted.Load())
-	}
-
-	probeAt := epoch.Add(45 * time.Second)
-	if n := elect(probeAt); n != 1 {
-		t.Fatalf("%d concurrent fan-outs admitted past the open breaker, want exactly 1 probe", n)
-	}
-	// The elected probe fails: the breaker re-opens and a fresh election
-	// happens only after another full cooldown.
-	br.failure(probeAt)
-	if n := elect(probeAt.Add(44 * time.Second)); n != 0 {
-		t.Fatalf("%d fan-outs admitted before the reopen cooldown elapsed, want 0", n)
-	}
-	reprobeAt := probeAt.Add(45 * time.Second)
-	if n := elect(reprobeAt); n != 1 {
-		t.Fatalf("%d fan-outs admitted at the second election, want exactly 1", n)
-	}
-	// While that probe is outstanding the out-of-band prober must not
-	// interfere: the breaker is half-open, so it is neither due nor
-	// force-closable.
-	if br.probeDue(reprobeAt.Add(time.Hour)) {
-		t.Fatal("half-open breaker reported probeDue — the search-path probe owns the slot")
-	}
-	if br.probeClose() {
-		t.Fatal("probeClose closed a half-open breaker over the in-flight probe's head")
-	}
-	// The probe succeeds: closed, everyone admitted again.
-	br.success()
-	if n := elect(reprobeAt); n != 32 {
-		t.Fatalf("%d fan-outs admitted through the closed breaker, want all 32", n)
 	}
 }

@@ -158,7 +158,8 @@ func ParseDesktopHTML(doc string) (*Page, error) {
 		p.Cards = append(p.Cards, card)
 	}
 done:
-	if len(p.Cards) == 0 {
+	// As on mobile, an empty results container is a page with no cards.
+	if len(p.Cards) == 0 && !strings.Contains(doc, `<div id="res">`) {
 		return nil, fmt.Errorf("serp: parse desktop: no results found")
 	}
 	return p, nil

@@ -6,16 +6,20 @@ import (
 )
 
 func TestDesktopRoundTrip(t *testing.T) {
-	p := samplePage()
-	doc := RenderDesktopHTML(p)
-	if !IsDesktopHTML(doc) {
-		t.Fatal("desktop marker missing")
+	// A query with no results renders an empty results container, which
+	// must parse back to a page with no cards.
+	empty := &Page{Query: "zzzzqqqxx", Location: "41.499300,-81.694400", Datacenter: "dc-1", Day: 2}
+	for _, p := range []*Page{samplePage(), empty} {
+		doc := RenderDesktopHTML(p)
+		if !IsDesktopHTML(doc) {
+			t.Fatal("desktop marker missing")
+		}
+		got, err := ParseDesktopHTML(doc)
+		if err != nil {
+			t.Fatalf("parse: %v\n%s", err, doc)
+		}
+		assertPagesEqual(t, p, got)
 	}
-	got, err := ParseDesktopHTML(doc)
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, doc)
-	}
-	assertPagesEqual(t, p, got)
 }
 
 func TestDesktopVsMobileMarkupDiffers(t *testing.T) {

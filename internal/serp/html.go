@@ -124,6 +124,7 @@ func appendEscaped(b []byte, s string) []byte {
 // scanning parser purpose-built for this markup (the same engineering
 // stance as the study's parser, which was built for Google's markup of the
 // day) and fails loudly on documents that do not look like result pages.
+// A page with an empty results container parses to a Page with no cards.
 func ParseHTML(doc string) (*Page, error) {
 	p := &Page{}
 	// Query from <title>.
@@ -191,7 +192,7 @@ func ParseHTML(doc string) (*Page, error) {
 		}
 		p.Cards = append(p.Cards, card)
 	}
-	if len(p.Cards) == 0 {
+	if len(p.Cards) == 0 && !strings.Contains(doc, `<main id="results">`) {
 		return nil, fmt.Errorf("serp: parse: no cards found")
 	}
 	return p, nil
