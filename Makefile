@@ -68,6 +68,14 @@ chaos:
 #   answer 200, 400 or 503, and every 200 must be one frame that decodes
 #   against the node's table, echoes its shard, replica and fingerprint,
 #   and carries at most 512 hits.
+# - FuzzSearch, /search on a handler recording spans and wide events
+#   (internal/serpserver): for any raw query (q=, ll=, format=) and any
+#   User-Agent, SID cookie, X-Datacenter, X-Deadline-Ms, X-Trace-Id and
+#   X-Trace-Attempt values it must not panic and must answer 200, 400, 429
+#   or 503; a format=json 200 must decode, any other 200 must parse with its
+#   surface's parser and carry its length as Content-Length, and the
+#   request's engine.* spans and search.wide stages must be one prefix of
+#   the engine's stage table, all six on a 200.
 # - FuzzComparePages, the page-comparison kernel (internal/metrics): fresh
 #   and reused comparers must match Jaccard and EditDistance on the pages'
 #   extracted URL lists.
@@ -93,6 +101,7 @@ chaos:
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime 20s ./internal/router
 	go test -run '^$$' -fuzz '^FuzzShardSearch$$' -fuzztime 20s ./internal/router
+	go test -run '^$$' -fuzz '^FuzzSearch$$' -fuzztime 20s ./internal/serpserver
 	go test -run '^$$' -fuzz '^FuzzComparePages$$' -fuzztime 20s ./internal/metrics
 	go test -run '^$$' -fuzz '^FuzzParseHTML$$' -fuzztime 20s ./internal/serp
 	go test -run '^$$' -fuzz '^FuzzPlacesNear$$' -fuzztime 20s ./internal/webcorpus

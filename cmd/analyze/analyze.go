@@ -17,7 +17,7 @@ import (
 type options struct {
 	// In is the JSONL observations path.
 	In string
-	// Figure restricts output to one figure (0 = all).
+	// Figure restricts output to one figure (0 = all, 1 = Table 1).
 	Figure int
 	// CSVDir, when set, receives CSV exports.
 	CSVDir string
@@ -31,6 +31,9 @@ type options struct {
 
 // runAnalyze loads the crawl and writes the requested figures to w.
 func runAnalyze(opts options, w io.Writer) error {
+	if opts.Figure < 0 || opts.Figure > 8 {
+		return fmt.Errorf("analyze: -figure takes 1 (Table 1) to 8, or 0 for all; got -figure=%d", opts.Figure)
+	}
 	obs, err := storage.LoadJSONL(opts.In)
 	if err != nil {
 		return err

@@ -104,6 +104,21 @@ func TestRunAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// TestRunAnalyzeBadFigure: a figure the paper does not have is rejected
+// before the input is read, with nothing printed.
+func TestRunAnalyzeBadFigure(t *testing.T) {
+	for _, fig := range []int{-1, 9} {
+		var buf strings.Builder
+		err := runAnalyze(options{In: "/nonexistent.jsonl", Figure: fig}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-figure") {
+			t.Fatalf("-figure %d: err = %v, want a -figure error", fig, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("-figure %d printed %q", fig, buf.String())
+		}
+	}
+}
+
 func TestRunAnalyzeSVGExport(t *testing.T) {
 	path := writeFixture(t)
 	svgDir := filepath.Join(t.TempDir(), "svg")

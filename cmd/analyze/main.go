@@ -17,7 +17,7 @@ import (
 func main() {
 	var opts options
 	flag.StringVar(&opts.In, "in", "campaign.jsonl", "input JSONL path")
-	flag.IntVar(&opts.Figure, "figure", 0, "figure number to print (0 = all)")
+	flag.IntVar(&opts.Figure, "figure", 0, "figure number to print, 1-8 (0 = all, 1 = Table 1)")
 	flag.StringVar(&opts.CSVDir, "csv", "", "directory to export CSV tables into")
 	flag.StringVar(&opts.SVGDir, "svg", "", "directory to export SVG figure images into")
 	flag.StringVar(&opts.HTMLPath, "html", "", "write a single self-contained HTML report to this path")

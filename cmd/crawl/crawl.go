@@ -161,7 +161,7 @@ func runCrawl(opts options) (int, error) {
 		}
 		// Engine, server, and crawler share one registry, so -metrics-out
 		// snapshots the whole stack — engine stage histograms included.
-		eng := engine.NewCustom(ecfg, clk, engine.WithCorpus(corpus), engine.WithTelemetry(reg))
+		eng := engine.New(ecfg, clk, engine.WithCorpus(corpus), engine.WithTelemetry(reg))
 		var handlerOpts []serpserver.HandlerOption
 		if spans != nil {
 			handlerOpts = append(handlerOpts, serpserver.WithSpans(spans))

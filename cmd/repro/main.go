@@ -27,7 +27,7 @@ func main() {
 	flag.BoolVar(&opts.Full, "full", false, "run the paper's full campaign (240 terms, 5 days)")
 	flag.IntVar(&opts.TermsPerCategory, "terms", 12, "terms per category when not -full")
 	flag.IntVar(&opts.Days, "days", 3, "days per phase when not -full")
-	flag.IntVar(&opts.Figure, "figure", 0, "only this figure (0 = everything)")
+	flag.IntVar(&opts.Figure, "figure", 0, "only this figure, 1-8 (0 = everything, 1 = Table 1)")
 	flag.IntVar(&opts.Table, "table", 0, "only this table (1 = Table 1)")
 	flag.StringVar(&opts.Experiment, "experiment", "", "only this experiment: validation | demographics")
 	flag.StringVar(&opts.Save, "save", "", "also write raw observations to this JSONL path")

@@ -22,7 +22,7 @@ type options struct {
 	// TermsPerCategory / Days scale the campaign when !Full.
 	TermsPerCategory int
 	Days             int
-	// Figure restricts output to one figure (0 = everything).
+	// Figure restricts output to one figure (0 = everything, 1 = Table 1).
 	Figure int
 	// Table restricts output to one table (1 = Table 1).
 	Table int
@@ -61,6 +61,12 @@ func runRepro(opts options, w io.Writer) (err error) {
 	}
 	if opts.Table != 0 && opts.Table != 1 {
 		return fmt.Errorf("repro: the paper has one table (Table 1); got -table=%d", opts.Table)
+	}
+	if opts.Figure < 0 || opts.Figure > 8 {
+		return fmt.Errorf("repro: -figure takes 1 (Table 1) to 8, or 0 for everything; got -figure=%d", opts.Figure)
+	}
+	if opts.Figure == 1 {
+		opts.Figure, opts.Table = 0, 1
 	}
 
 	cfg := geoserp.DefaultStudyConfig()

@@ -32,6 +32,36 @@ func TestRunReproBadTable(t *testing.T) {
 	}
 }
 
+// TestRunReproBadFigure: a figure the paper does not have is rejected
+// before any campaign runs, with nothing printed.
+func TestRunReproBadFigure(t *testing.T) {
+	for _, fig := range []int{-1, 9} {
+		var buf strings.Builder
+		err := runRepro(options{Figure: fig, TermsPerCategory: 1, Days: 1}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-figure") {
+			t.Fatalf("-figure %d: err = %v, want a -figure error", fig, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("-figure %d printed %q", fig, buf.String())
+		}
+	}
+}
+
+// TestRunReproFigure1IsTable1: -figure 1 prints Table 1, as -table 1
+// does, without running a campaign.
+func TestRunReproFigure1IsTable1(t *testing.T) {
+	var fig, table strings.Builder
+	if err := runRepro(options{Figure: 1}, &fig); err != nil {
+		t.Fatal(err)
+	}
+	if err := runRepro(options{Table: 1}, &table); err != nil {
+		t.Fatal(err)
+	}
+	if fig.String() != table.String() {
+		t.Fatalf("-figure 1 printed:\n%s\nwant -table 1's:\n%s", fig.String(), table.String())
+	}
+}
+
 func TestRunReproValidationOnly(t *testing.T) {
 	var buf strings.Builder
 	err := runRepro(options{

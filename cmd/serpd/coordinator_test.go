@@ -86,7 +86,7 @@ func TestRouterOverRealSockets(t *testing.T) {
 	cfg.Seed = seed
 	cfg.RateBurst = 1000
 	cfg.RatePerMinute = 100000
-	mono := serpserver.NewHandler(engine.NewCustom(cfg, simclock.Wall()))
+	mono := serpserver.NewHandler(engine.New(cfg, simclock.Wall()))
 	monoSrv, err := serpserver.Listen("127.0.0.1:0", mono)
 	if err != nil {
 		t.Fatal(err)

@@ -142,7 +142,7 @@ func buildServer(opts options) (*serpserver.Server, *engine.Engine, *router.Clie
 		eopts = append(eopts, engine.WithRetriever(client))
 		hopts = append(hopts, serpserver.WithNode("router"))
 	}
-	eng := engine.NewCustom(cfg, simclock.Wall(), eopts...)
+	eng := engine.New(cfg, simclock.Wall(), eopts...)
 	if opts.Logger != nil {
 		hopts = append(hopts, serpserver.WithLogger(opts.Logger))
 	}

@@ -58,7 +58,7 @@ func main() {
 	cfg := engine.DefaultConfig()
 	cfg.RateBurst = 1 << 20
 	cfg.RatePerMinute = 1 << 20
-	eng := engine.NewCustom(cfg, clk,
+	eng := engine.New(cfg, clk,
 		engine.WithCorpus(corpus),
 		engine.WithRegions(regions),
 		engine.WithPlaceKinds(kinds))

@@ -12,7 +12,7 @@ import (
 func TestSearchAbandonsPastDeadline(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
-	e := NewCustom(DefaultConfig(), clk, WithTelemetry(reg))
+	e := New(DefaultConfig(), clk, WithTelemetry(reg))
 
 	req := Request{Query: "Coffee", ClientIP: "1.2.3.4", Deadline: clk.Now().Add(-time.Millisecond)}
 	if _, err := e.Search(req); !errors.Is(err, ErrDeadlineExceeded) {

@@ -129,7 +129,6 @@ type Engine struct {
 	// default, a scatter-gather client over shard nodes in the cluster
 	// router (WithRetriever).
 	retriever Retriever
-	regions   []webcorpus.Region
 	// regionPts maps region slug to its centroid for coarse reverse
 	// geocoding of the query coordinate.
 	regionPts map[string]geo.Point
@@ -155,14 +154,12 @@ type instruments struct {
 	requestsByDC *telemetry.CounterVec
 	dcCounters   []*telemetry.Counter
 	ratelimitDur *telemetry.Histogram
-	// stage holds the engine_stage_duration_seconds children, one per
-	// ranking stage, pre-resolved so Search never takes the vec's lock.
-	stageParse    *telemetry.Histogram
-	stageNoise    *telemetry.Histogram
-	stageHistory  *telemetry.Histogram
-	stageRetrieve *telemetry.Histogram
-	stageRerank   *telemetry.Histogram
-	stageAssemble *telemetry.Histogram
+	// stages holds the engine_stage_duration_seconds children and
+	// stageSpans the engine.<name> span names, indexed like stageNames and
+	// resolved once, so Search neither takes the vec's lock nor builds a
+	// name.
+	stages     [len(stageNames)]*telemetry.Histogram
+	stageSpans [len(stageNames)]string
 	// deadlineAbandoned counts requests abandoned mid-stage because their
 	// propagated deadline passed (engine_deadline_abandoned_total).
 	deadlineAbandoned *telemetry.Counter
@@ -189,28 +186,52 @@ func newInstruments(reg *telemetry.Registry, dcNames []string) instruments {
 	}
 	stages := reg.HistogramVec("engine_stage_duration_seconds",
 		"Wall-clock time per ranking stage (matches the engine.* span names).", "stage", nil)
-	inst.stageParse = stages.With("parse")
-	inst.stageNoise = stages.With("noise")
-	inst.stageHistory = stages.With("history")
-	inst.stageRetrieve = stages.With("retrieve")
-	inst.stageRerank = stages.With("rerank")
-	inst.stageAssemble = stages.With("assemble")
+	for i, name := range stageNames {
+		inst.stages[i] = stages.With(name)
+		inst.stageSpans[i] = "engine." + name
+	}
 	return inst
 }
 
-// New builds an engine over the study corpus: the full 240-query web, the
-// Places grid, the news wire, and the 22 state regions. The epoch (day 0)
-// is the clock's time at construction. For a caller-defined world (other
-// corpora, regions, or establishment taxonomies) use NewCustom.
-func New(cfg Config, clock simclock.Clock) *Engine {
-	return NewCustom(cfg, clock)
+// stageNames is the engine's one stage table: Search's ranking stages in
+// the order it runs them. Each stage's engine.<name> span, its
+// engine_stage_duration_seconds child and its search.wide entry take
+// their name from here, through stageRecorder.
+var stageNames = [...]string{"parse", "noise", "history", "retrieve", "rerank", "assemble"}
+
+// stageRecorder records one request's stages in table order, under the
+// request's span and wide event: it holds those two, not the Request,
+// which then stays on Search's stack. Stage timers read e.wall, not
+// e.clock: under virtual time the simulated clock measures campaign
+// schedule, while the stage histograms measure how long the hardware
+// actually took.
+type stageRecorder struct {
+	e      *Engine
+	parent *telemetry.Span
+	wide   *telemetry.WideEvent
+	next   int // the stage begin starts
+	span   *telemetry.Span
+	start  time.Time
+}
+
+// begin starts the next stage's span and wall timer, and returns the span.
+func (r *stageRecorder) begin() *telemetry.Span {
+	r.span = r.parent.StartChild(r.e.inst.stageSpans[r.next])
+	r.start = r.e.wall.Now()
+	return r.span
+}
+
+// end records the open stage in each of its three forms.
+func (r *stageRecorder) end() {
+	d := r.e.wall.Now().Sub(r.start)
+	r.e.inst.stages[r.next].Observe(d.Seconds())
+	r.wide.Stage(stageNames[r.next], d)
+	r.span.End()
+	r.next++
 }
 
 // dcName returns the canonical replica name for index i.
 func dcName(i int) string { return fmt.Sprintf("dc-%d", i) }
-
-// Config returns the engine's effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Datacenters returns the replica names.
 func (e *Engine) Datacenters() []string {
@@ -351,9 +372,6 @@ func (e *Engine) Search(req Request) (*Response, error) {
 		return nil, ErrEmptyQuery
 	}
 	now := e.clock.Now()
-	// Stage timers use e.wall, not e.clock: under virtual time the
-	// simulated clock measures campaign schedule, while these histograms
-	// measure how long the hardware actually took.
 	rlStart := e.wall.Now()
 	allowed := e.limiter.allow(req.ClientIP, now)
 	e.inst.ratelimitDur.ObserveSince(rlStart)
@@ -366,15 +384,15 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	if e.pastDeadline(req.Deadline) {
 		return nil, ErrDeadlineExceeded
 	}
+	stages := stageRecorder{e: e, parent: req.Span, wide: req.Wide}
 
 	// --- Stage: parse (replica routing, location resolution, intent) ---
-	parseSpan := req.Span.StartChild("engine.parse")
-	parseStart := e.wall.Now()
+	parseSpan := stages.begin()
 
 	// Replica routing: pinned, or hashed from the client IP the way
 	// anycast DNS would spread clients.
 	dc := req.Datacenter
-	if dc == "" || !e.validDC(dc) {
+	if dc == "" || e.dcIndex(dc) < 0 {
 		dc = e.dcNames[detrand.Hash(prefix24(req.ClientIP))%uint64(len(e.dcNames))]
 	}
 
@@ -391,17 +409,15 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	dayKey := strconv.Itoa(day) // keys the day's news presence and slot
 
 	class, topic := e.classify(req.Query)
-	parseDur := e.wall.Now().Sub(parseStart)
-	e.inst.stageParse.Observe(parseDur.Seconds())
-	req.Wide.Stage("parse", parseDur)
 	parseSpan.SetAttr("datacenter", dc)
 	parseSpan.SetAttr("location_source", source)
 	parseSpan.SetAttr("region", qRegion)
-	parseSpan.End()
+	stages.end()
 	if e.pastDeadline(req.Deadline) {
 		return nil, ErrDeadlineExceeded
 	}
 
+	// --- Stage: noise ---
 	// Per-request randomness: bucket assignment and score jitter. Two
 	// simultaneous identical requests draw distinct keys — distinct trace
 	// IDs when the client traces its traffic (treatment and control mint
@@ -410,14 +426,8 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	// treatment/control pairs. Keying on the trace ID rather than the
 	// arrival order makes traced campaigns reproducible: concurrent fetch
 	// interleaving no longer feeds the noise model.
-	noiseSpan := req.Span.StartChild("engine.noise")
-	noiseStart := e.wall.Now()
+	noiseSpan := stages.begin()
 	seqNo := e.reqCount.Add(1)
-	if seqNo%4096 == 0 {
-		// Amortized cleanup of abandoned one-shot sessions (crawlers
-		// that clear cookies never revisit theirs).
-		e.history.pruneExpired(now)
-	}
 	noiseKey := req.TraceID
 	if noiseKey == "" {
 		noiseKey = strconv.FormatUint(seqNo, 10)
@@ -435,29 +445,27 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	bucketNo := rrng.Intn(e.cfg.Buckets)
 	bp := e.bucket(bucketNo, baseMapsProb)
 	authMult, regionMult := e.dcSkew(dc)
-	noiseDur := e.wall.Now().Sub(noiseStart)
-	e.inst.stageNoise.Observe(noiseDur.Seconds())
-	req.Wide.Stage("noise", noiseDur)
 	if noiseSpan != nil { // attr formatting allocates; skip it untraced
 		noiseSpan.SetAttr("bucket", fmt.Sprint(bucketNo))
 	}
-	noiseSpan.End()
+	stages.end()
 
-	histSpan := req.Span.StartChild("engine.history")
-	histStart := e.wall.Now()
+	// --- Stage: history ---
+	stages.begin()
+	if seqNo%4096 == 0 {
+		// Amortized cleanup of abandoned one-shot sessions (crawlers
+		// that clear cookies never revisit theirs).
+		e.history.pruneExpired(now)
+	}
 	recent := e.history.recent(req.SessionID, now)
-	histDur := e.wall.Now().Sub(histStart)
-	e.inst.stageHistory.Observe(histDur.Seconds())
-	req.Wide.Stage("history", histDur)
-	histSpan.End()
+	stages.end()
 	if e.pastDeadline(req.Deadline) {
 		return nil, ErrDeadlineExceeded
 	}
 	jitter := func(sigma float64) float64 { return rrng.Norm() * sigma }
 
-	// --- Web vertical ---
-	retrieveSpan := req.Span.StartChild("engine.retrieve")
-	retrieveStart := e.wall.Now()
+	// --- Stage: retrieve (the web vertical) ---
+	retrieveSpan := stages.begin()
 	ret, retErr := e.retriever.Retrieve(RetrieveRequest{
 		Query:    req.Query,
 		K:        48,
@@ -466,9 +474,6 @@ func (e *Engine) Search(req Request) (*Response, error) {
 		Span:     retrieveSpan,
 		Wide:     req.Wide,
 	})
-	retrieveDur := e.wall.Now().Sub(retrieveStart)
-	e.inst.stageRetrieve.Observe(retrieveDur.Seconds())
-	req.Wide.Stage("retrieve", retrieveDur)
 	if retrieveSpan != nil {
 		retrieveSpan.SetAttr("hits", fmt.Sprint(len(ret.Hits)))
 		if ret.Partial {
@@ -478,7 +483,7 @@ func (e *Engine) Search(req Request) (*Response, error) {
 			retrieveSpan.SetAttr("error", retErr.Error())
 		}
 	}
-	retrieveSpan.End()
+	stages.end()
 	if retErr != nil {
 		// A total backend failure is unanswerable; a PARTIAL one was
 		// already folded into ret.Hits and degrades the page instead.
@@ -488,8 +493,9 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	if ret.Partial {
 		e.inst.retrievePartial.Inc()
 	}
-	rerankSpan := req.Span.StartChild("engine.rerank")
-	rerankStart := e.wall.Now()
+
+	// --- Stage: rerank (the web, Places and News verticals) ---
+	rerankSpan := stages.begin()
 	var cands []candidate
 	maxRel := 0.0
 	for _, h := range hits {
@@ -593,20 +599,16 @@ func (e *Engine) Search(req Request) (*Response, error) {
 		}
 	}
 
-	rerankDur := e.wall.Now().Sub(rerankStart)
-	e.inst.stageRerank.Observe(rerankDur.Seconds())
-	req.Wide.Stage("rerank", rerankDur)
 	if rerankSpan != nil {
 		rerankSpan.SetAttr("candidates", fmt.Sprint(len(cands)))
 	}
-	rerankSpan.End()
+	stages.end()
 	if e.pastDeadline(req.Deadline) {
 		return nil, ErrDeadlineExceeded
 	}
 
-	// --- Assembly ---
-	assembleSpan := req.Span.StartChild("engine.assemble")
-	assembleStart := e.wall.Now()
+	// --- Stage: assemble ---
+	assembleSpan := stages.begin()
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].score != cands[j].score {
 			return cands[i].score > cands[j].score
@@ -661,13 +663,10 @@ func (e *Engine) Search(req Request) (*Response, error) {
 	if newsCard != nil {
 		page.Cards = append(page.Cards, *newsCard)
 	}
-	assembleDur := e.wall.Now().Sub(assembleStart)
-	e.inst.stageAssemble.Observe(assembleDur.Seconds())
-	req.Wide.Stage("assemble", assembleDur)
 	if assembleSpan != nil {
 		assembleSpan.SetAttr("cards", fmt.Sprint(len(page.Cards)))
 	}
-	assembleSpan.End()
+	stages.end()
 
 	e.history.record(req.SessionID, topic, now)
 	e.inst.served.Inc()
@@ -737,13 +736,4 @@ func (e *Engine) placeCandidates(loc geo.Point, kind string, placeMult float64, 
 		return out[i].res.URL < out[j].res.URL
 	})
 	return out
-}
-
-func (e *Engine) validDC(name string) bool {
-	for _, d := range e.dcNames {
-		if d == name {
-			return true
-		}
-	}
-	return false
 }

@@ -13,7 +13,7 @@ import (
 
 // This file is the engine's extension point: the paper notes its
 // methodology "can easily be extended to other countries and search
-// engines", and NewCustom makes the synthetic target extensible the same
+// engines", and New's options make the synthetic target extensible the same
 // way — callers supply their own query corpus, regional geography, and
 // establishment taxonomy, and get a fully personalized engine over that
 // world.
@@ -40,7 +40,7 @@ func StudyRegions() []RegionInfo {
 	return out
 }
 
-// Option customizes NewCustom's world.
+// Option customizes the world New builds.
 type Option func(*worldSpec)
 
 type worldSpec struct {
@@ -84,10 +84,11 @@ func WithRetriever(r Retriever) Option {
 	return func(w *worldSpec) { w.retriever = r }
 }
 
-// NewCustom builds an engine over a caller-defined world. Defaults match
-// New: the study corpus, the 22 study regions, and the 33 study place
-// kinds.
-func NewCustom(cfg Config, clock simclock.Clock, opts ...Option) *Engine {
+// New builds an engine over the study's world — the 240-query web, the
+// Places grid of the 33 study place kinds, the news wire and the 22 state
+// regions — or over the caller-defined parts its options substitute. The
+// epoch (day 0) is the clock's time at construction.
+func New(cfg Config, clock simclock.Clock, opts ...Option) *Engine {
 	cfg.validate()
 	spec := &worldSpec{
 		corpus:     queries.StudyCorpus(),
@@ -130,7 +131,6 @@ func NewCustom(cfg Config, clock simclock.Clock, opts ...Option) *Engine {
 		places:    webcorpus.NewPlacesCustom(cfg.Seed, spec.placeKinds),
 		news:      webcorpus.NewNewsWire(cfg.Seed, regions),
 		retriever: retriever,
-		regions:   regions,
 		regionPts: regionPts,
 		history:   newHistoryStore(cfg.HistoryWindow),
 		limiter:   newRateLimiter(cfg.RateBurst, cfg.RatePerMinute),

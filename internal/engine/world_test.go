@@ -37,7 +37,7 @@ func ukWorld(t *testing.T) (*Engine, geo.Point, geo.Point) {
 	}
 	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 	cfg := quietConfig()
-	e := NewCustom(cfg, clk, WithCorpus(corpus), WithRegions(regions), WithPlaceKinds(kinds))
+	e := New(cfg, clk, WithCorpus(corpus), WithRegions(regions), WithPlaceKinds(kinds))
 	return e, london, edinburgh
 }
 
@@ -87,11 +87,14 @@ func TestNewCustomWorld(t *testing.T) {
 	}
 }
 
+// TestNewCustomDefaultsMatchNew: New without options serves the same
+// pages as New given the study world explicitly.
 func TestNewCustomDefaultsMatchNew(t *testing.T) {
 	clk1 := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 	clk2 := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 	a := New(quietConfig(), clk1)
-	b := NewCustom(quietConfig(), clk2)
+	b := New(quietConfig(), clk2, WithCorpus(queries.StudyCorpus()),
+		WithRegions(StudyRegions()), WithPlaceKinds(webcorpus.DefaultPlaceKinds()))
 	pt := geo.Point{Lat: 41.4993, Lon: -81.6944}
 	for _, term := range []string{"Coffee", "Gay Marriage", "Barack Obama"} {
 		ra, err := a.Search(Request{Query: term, GPS: &pt, ClientIP: "1.2.3.4"})
@@ -103,7 +106,7 @@ func TestNewCustomDefaultsMatchNew(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !equalStrings(ra.Page.Links(), rb.Page.Links()) {
-			t.Fatalf("New and NewCustom defaults diverge for %q", term)
+			t.Fatalf("New's defaults and the explicit study world diverge for %q", term)
 		}
 	}
 }

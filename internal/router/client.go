@@ -86,7 +86,7 @@ func SingleReplica(urls []string) [][]string {
 // (score descending, URL ascending — URLs are unique across the disjoint
 // partition, so the merged order is total and identical run to run no
 // matter which shard answers first), and implements engine.Retriever so a
-// coordinator engine is just engine.NewCustom(..., WithRetriever(client)).
+// coordinator engine is just engine.New(..., WithRetriever(client)).
 //
 // Each fan-out leg walks its shard's ReplicaSet: a preferred replica
 // chosen deterministically from the trace ID, then the remaining replicas

@@ -183,7 +183,7 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 		Docs: full.Docs(),
 	}, reg)
 
-	eng := engine.NewCustom(cfg.Engine, cfg.Clock,
+	eng := engine.New(cfg.Engine, cfg.Clock,
 		engine.WithTelemetry(reg), engine.WithRetriever(client))
 	hOpts := append([]serpserver.HandlerOption(nil), cfg.RouterOptions...)
 	spans := cfg.RouterSpans

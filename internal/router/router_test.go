@@ -116,7 +116,7 @@ func runSequence(t *testing.T, h http.Handler) []string {
 // shard count, and same-seed runs are byte-identical to each other.
 func TestClusterMatchesMonolith(t *testing.T) {
 	cfg := testConfig(7)
-	mono := serpserver.NewHandler(engine.NewCustom(cfg, simclock.NewManual(epoch)))
+	mono := serpserver.NewHandler(engine.New(cfg, simclock.NewManual(epoch)))
 	want := runSequence(t, mono)
 
 	for _, shards := range []int{1, 2, 3} {
