@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test check lint lint-sarif chaos fuzz soak bench bench-json bench-check perfbench-check repro repro-full examples clean
+.PHONY: all build vet test check lint lint-sarif chaos fuzz soak bench bench-json bench-check perfbench-check repro repro-full repro-check examples clean
 
 all: build vet test
 
@@ -98,6 +98,17 @@ chaos:
 #   SpanzHandler answers any cursor and limit with a 400 or SnapshotRange's
 #   page. A run takes a few hundred µs through net/http, so a new input is
 #   minimized for at most 1 s; the default 60 s would spend the budget.
+# - FuzzClusterTracez, the coordinator's /clustertracez (internal/router)
+#   over fuzzed shard /spanz pages, raw queries (trace=, limit=, format=)
+#   and Accept headers: no panic, 400 exactly for a limit that is not a
+#   non-negative integer and 200 otherwise, a JSON 200 decodes and with
+#   trace= holds only that trace and no nodes block, and a format=chrome
+#   200 is valid JSON. Its inputs go through net/http too, so it gets the
+#   same 1 s minimization.
+# - FuzzStatz, the campaign's /statz (internal/statz) over fuzzed raw
+#   queries (sweep=, format=) and Accept headers: no panic, 200, 400 or 404
+#   only, a JSON 200 decodes as a Snapshot, and sweep=N answers 200 exactly
+#   when N lies within the X-Statz-Ring bounds, with SweepJSON(N)'s bytes.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime 20s ./internal/router
 	go test -run '^$$' -fuzz '^FuzzShardSearch$$' -fuzztime 20s ./internal/router
@@ -109,6 +120,8 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzParsePoint$$' -fuzztime 20s ./internal/geo
 	go test -run '^$$' -fuzz '^FuzzDeadline$$' -fuzztime 20s ./internal/httpheader
 	go test -run '^$$' -fuzz '^FuzzSpanz$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/telemetry
+	go test -run '^$$' -fuzz '^FuzzClusterTracez$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/router
+	go test -run '^$$' -fuzz '^FuzzStatz$$' -fuzztime 20s ./internal/statz
 
 build:
 	go build ./...
@@ -174,6 +187,16 @@ repro:
 repro-full:
 	go run ./cmd/repro -full -extended
 
+# repro-check runs the paper-scale campaign and compares what repro -full
+# prints, byte for byte, with docs/full_repro_output.txt, the one committed
+# file that holds every line repro prints at that scale (~40 s on 2 vCPUs).
+# Like the page and figure goldens it holds on amd64 below GOAMD64=v3 only:
+# elsewhere the compiler may fuse x*y+z into one FMA instruction, and a
+# 1-ULP score difference can reorder near-tied results.
+repro-check:
+	go run ./cmd/repro -full > repro_full_output.txt
+	cmp repro_full_output.txt docs/full_repro_output.txt
+
 examples:
 	go run ./examples/quickstart
 	go run ./examples/noiseaudit
@@ -184,4 +207,4 @@ examples:
 
 clean:
 	rm -f campaign.jsonl test_output.txt bench_output.txt bench_check_output.txt trace.json \
-		soak-trace.json soak-clustertracez.json soak-cluster-trace.json
+		soak-trace.json soak-clustertracez.json soak-cluster-trace.json repro_full_output.txt

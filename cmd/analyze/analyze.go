@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 
 	"geoserp/internal/analysis"
-	"geoserp/internal/geo"
-	"geoserp/internal/queries"
 	"geoserp/internal/report"
 	"geoserp/internal/storage"
 )
@@ -45,125 +43,44 @@ func runAnalyze(opts options, w io.Writer) error {
 	fmt.Fprintf(w, "analyze: %d observations, %d slots, days=%v\n\n",
 		len(obs), d.Pairs(), d.Days())
 
-	show := func(n int) bool { return opts.Figure == 0 || opts.Figure == n }
+	var arts []report.Artifact
+	report.Study(d, func(_ string, figure int, extended bool) bool {
+		if extended {
+			return opts.Extended
+		}
+		return opts.Figure == 0 || opts.Figure == figure
+	}, func(a report.Artifact) {
+		fmt.Fprintln(w, a.Text)
+		arts = append(arts, a)
+	})
 
-	var exports []func() error
-	export := func(name string, tbl *storage.Table) {
-		if opts.CSVDir == "" {
-			return
-		}
-		exports = append(exports, func() error {
-			return tbl.SaveCSV(filepath.Join(opts.CSVDir, name))
-		})
-	}
-	svg := func(name, doc string) {
-		if opts.SVGDir == "" {
-			return
-		}
-		exports = append(exports, func() error {
-			if err := os.MkdirAll(opts.SVGDir, 0o755); err != nil {
-				return err
-			}
-			return os.WriteFile(filepath.Join(opts.SVGDir, name), []byte(doc), 0o644)
-		})
-	}
-
-	if show(1) {
-		fmt.Fprintln(w, report.Table1(queries.Table1Terms()))
-	}
-	if show(2) {
-		cells := d.NoiseByGranularity()
-		fmt.Fprintln(w, report.Figure2(cells))
-		export("figure2.csv", report.Figure2CSV(cells))
-		svg("figure2_edit.svg", report.Figure2SVG(cells))
-		svg("figure2_jaccard.svg", report.Figure2JaccardSVG(cells))
-	}
-	if show(3) {
-		terms := d.NoisePerTerm("local")
-		fmt.Fprintln(w, report.Figure3(terms))
-		export("figure3.csv", report.Figure3CSV(terms))
-		svg("figure3.svg", report.Figure3SVG(terms))
-	}
-	if show(4) {
-		attr := d.NoiseByResultType("local", "county")
-		fmt.Fprintln(w, report.Figure4(attr))
-		export("figure4.csv", report.Figure4CSV(attr))
-		svg("figure4.svg", report.Figure4SVG(attr))
-	}
-	if show(5) {
-		cells := d.PersonalizationByGranularity()
-		fmt.Fprintln(w, report.Figure5(cells))
-		export("figure5.csv", report.Figure5CSV(cells))
-		svg("figure5.svg", report.Figure5SVG(cells))
-	}
-	if show(6) {
-		terms := d.PersonalizationPerTerm("local")
-		fmt.Fprintln(w, report.Figure6(terms))
-		export("figure6.csv", report.Figure6CSV(terms))
-		svg("figure6.svg", report.Figure6SVG(terms))
-	}
-	if show(7) {
-		cells := d.PersonalizationByResultType()
-		fmt.Fprintln(w, report.Figure7(cells))
-		export("figure7.csv", report.Figure7CSV(cells))
-		svg("figure7.svg", report.Figure7SVG(cells))
-	}
-	if show(8) {
-		series := d.ConsistencyOverTime("local")
-		fmt.Fprintln(w, report.Figure8(series))
-		export("figure8.csv", report.Figure8CSV(series))
-		for _, s := range series {
-			svg("figure8_"+s.Granularity+".svg", report.Figure8SVG(s))
-		}
-	}
-	if opts.Figure == 0 {
-		rows := d.DemographicCorrelations(geo.StudyDataset(), "local")
-		fmt.Fprintln(w, report.Demographics(rows))
-		export("demographics.csv", report.DemographicsCSV(rows))
-		fmt.Fprintln(w, report.Scorecard(d.Scorecard()))
-	}
-	if opts.Extended {
-		for _, g := range d.Granularities() {
-			m := d.LocationSimilarity(g, "local")
-			noise := 0.0
-			for _, c := range d.NoiseByGranularity() {
-				if c.Granularity == g && c.Category == "local" {
-					noise = c.Edit.Mean
-				}
-			}
-			threshold := noise * 1.3
-			clusters := m.Clusters(threshold)
-			fmt.Fprintln(w, report.Clusters(g, clusters, threshold))
-			export("clusters_"+g+".csv", report.ClustersCSV(g, clusters))
-		}
-		scopes := d.PoliticianScopeBreakdown(queries.StudyCorpus())
-		fmt.Fprintln(w, report.ScopeBreakdown(scopes))
-		export("politician_scopes.csv", report.ScopeBreakdownCSV(scopes))
-		fmt.Fprintln(w, report.CommonNames(d.CommonNameAmbiguity(queries.StudyCorpus())))
-		bias := d.DomainBiasByLocation("state", "local", 0.02)
-		fmt.Fprintln(w, report.DomainBias(bias, 25))
-		export("domain_bias.csv", report.DomainBiasCSV(bias))
-		rc := d.ReorderingVsComposition()
-		fmt.Fprintln(w, report.Reordering(rc))
-		export("reordering.csv", report.ReorderingCSV(rc))
-		bins, fit := d.DistanceDecay(geo.StudyDataset(), "local")
-		fmt.Fprintln(w, report.DistanceDecay(bins, fit))
-		export("distance_decay.csv", report.DistanceDecayCSV(bins))
-		svg("distance_decay.svg", report.DistanceDecaySVG(bins))
-	}
-
+	// Files are written once every selected artifact is printed: the CSV
+	// directory always, the SVG directory only once an image is written.
 	if opts.CSVDir != "" {
 		if err := os.MkdirAll(opts.CSVDir, 0o755); err != nil {
 			return err
 		}
 	}
-	for _, fn := range exports {
-		if err := fn(); err != nil {
-			return err
+	for _, a := range arts {
+		if opts.CSVDir != "" && a.CSV != nil {
+			if err := a.CSV.SaveCSV(filepath.Join(opts.CSVDir, a.Name+".csv")); err != nil {
+				return err
+			}
+		}
+		if opts.SVGDir == "" {
+			continue
+		}
+		for _, img := range a.Images {
+			if err := os.MkdirAll(opts.SVGDir, 0o755); err != nil {
+				return err
+			}
+			if err := os.WriteFile(filepath.Join(opts.SVGDir, img.Name+".svg"), []byte(img.SVG), 0o644); err != nil {
+				return err
+			}
 		}
 	}
 	if opts.HTMLPath != "" {
-		doc, err := report.RenderHTML(report.BuildHTMLReport(d, geo.StudyDataset()))
+		doc, err := report.RenderHTML(report.BuildHTMLReport(d))
 		if err != nil {
 			return err
 		}

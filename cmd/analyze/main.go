@@ -1,10 +1,13 @@
 // Command analyze computes the paper's tables and figures from a stored
-// crawl (cmd/crawl's JSONL output).
+// crawl (cmd/crawl's or repro -save's JSONL output). Which artifacts it
+// prints, in what order and with which analysis arguments comes from the
+// report plan, report.Study, which cmd/repro prints from too, so a stored
+// campaign gets the tables and figures repro printed for it.
 //
 //	analyze -in campaign.jsonl                 # print every figure + scorecard
 //	analyze -in campaign.jsonl -figure 5       # one figure
 //	analyze -in campaign.jsonl -csv out/       # also export CSVs
-//	analyze -in campaign.jsonl -extended       # + clusters, domain bias, distance decay
+//	analyze -in campaign.jsonl -extended       # + clusters, politician scopes, common names, domain bias, reordering, distance decay
 package main
 
 import (
@@ -21,7 +24,7 @@ func main() {
 	flag.StringVar(&opts.CSVDir, "csv", "", "directory to export CSV tables into")
 	flag.StringVar(&opts.SVGDir, "svg", "", "directory to export SVG figure images into")
 	flag.StringVar(&opts.HTMLPath, "html", "", "write a single self-contained HTML report to this path")
-	flag.BoolVar(&opts.Extended, "extended", false, "also run the §5 follow-up analyses (clusters, domain bias, distance decay)")
+	flag.BoolVar(&opts.Extended, "extended", false, "also run the six follow-up analyses (location clusters, politician scopes, common names, domain bias, reordering, distance decay)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	flag.Parse()
 

@@ -8,7 +8,7 @@
 //	repro -figure 5            # run + print one figure
 //	repro -experiment validation
 //	repro -experiment demographics
-//	repro -extended            # + clusters, domain bias, distance decay
+//	repro -extended            # + clusters, politician scopes, common names, domain bias, reordering, distance decay
 //	repro -save campaign.jsonl # also persist the raw observations
 //	repro -trace-out trace.json # + the campaign timeline for Perfetto;
 //	                            # virtual-clock spans make the file
@@ -32,7 +32,7 @@ func main() {
 	flag.StringVar(&opts.Experiment, "experiment", "", "only this experiment: validation | demographics")
 	flag.StringVar(&opts.Save, "save", "", "also write raw observations to this JSONL path")
 	flag.Uint64Var(&opts.Seed, "seed", 1, "engine seed")
-	flag.BoolVar(&opts.Extended, "extended", false, "also run the §5 follow-up analyses (clusters, domain bias, distance decay)")
+	flag.BoolVar(&opts.Extended, "extended", false, "also run the six follow-up analyses (location clusters, politician scopes, common names, domain bias, reordering, distance decay)")
 	flag.IntVar(&opts.Validators, "validators", 50, "vantage machines for the validation experiment")
 	flag.StringVar(&opts.TraceOut, "trace-out", "", "write the campaign timeline as Chrome trace-event JSON (byte-identical across same-seed runs)")
 	flag.IntVar(&opts.TraceCapacity, "trace-capacity", 0, "span ring capacity for -trace-out (0 = campaign-sized default)")

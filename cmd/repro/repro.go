@@ -9,7 +9,6 @@ import (
 	"geoserp"
 
 	"geoserp/internal/analysis"
-	"geoserp/internal/geo"
 	"geoserp/internal/queries"
 	"geoserp/internal/report"
 	"geoserp/internal/storage"
@@ -101,8 +100,10 @@ func runRepro(opts options, w io.Writer) (err error) {
 		}()
 	}
 
+	printText := func(a report.Artifact) { fmt.Fprintln(w, a.Text) }
 	if opts.Table == 1 && opts.Figure == 0 && opts.Experiment == "" {
-		fmt.Fprintln(w, report.Table1(geoserp.Table1Terms()))
+		// Table 1 reads no dataset, so no campaign runs for it.
+		report.Study(nil, func(name string, _ int, _ bool) bool { return name == "table1" }, printText)
 		return nil
 	}
 
@@ -149,59 +150,15 @@ func runRepro(opts options, w io.Writer) (err error) {
 		return err
 	}
 
-	if opts.Experiment == "demographics" {
-		fmt.Fprintln(w, report.Demographics(d.DemographicCorrelations(geo.StudyDataset(), "local")))
-		return nil
-	}
-
-	show := func(n int) bool { return opts.Figure == 0 || opts.Figure == n }
-	if opts.Figure == 0 || opts.Table == 1 {
-		fmt.Fprintln(w, report.Table1(geoserp.Table1Terms()))
-	}
-	if show(2) {
-		fmt.Fprintln(w, report.Figure2(d.NoiseByGranularity()))
-	}
-	if show(3) {
-		fmt.Fprintln(w, report.Figure3(d.NoisePerTerm("local")))
-	}
-	if show(4) {
-		fmt.Fprintln(w, report.Figure4(d.NoiseByResultType("local", "county")))
-	}
-	if show(5) {
-		fmt.Fprintln(w, report.Figure5(d.PersonalizationByGranularity()))
-	}
-	if show(6) {
-		fmt.Fprintln(w, report.Figure6(d.PersonalizationPerTerm("local")))
-	}
-	if show(7) {
-		fmt.Fprintln(w, report.Figure7(d.PersonalizationByResultType()))
-	}
-	if show(8) {
-		fmt.Fprintln(w, report.Figure8(d.ConsistencyOverTime("local")))
-	}
-	if opts.Figure == 0 {
-		fmt.Fprintln(w, report.Demographics(d.DemographicCorrelations(geo.StudyDataset(), "local")))
-		fmt.Fprintln(w, report.Scorecard(d.Scorecard()))
-	}
-	if opts.Extended {
-		for _, g := range d.Granularities() {
-			m := d.LocationSimilarity(g, "local")
-			noise := 0.0
-			for _, c := range d.NoiseByGranularity() {
-				if c.Granularity == g && c.Category == "local" {
-					noise = c.Edit.Mean
-				}
-			}
-			threshold := noise * 1.3
-			fmt.Fprintln(w, report.Clusters(g, m.Clusters(threshold), threshold))
+	report.Study(d, func(name string, figure int, extended bool) bool {
+		switch {
+		case opts.Experiment == "demographics":
+			return name == "demographics"
+		case extended:
+			return opts.Extended
 		}
-		fmt.Fprintln(w, report.ScopeBreakdown(d.PoliticianScopeBreakdown(queries.StudyCorpus())))
-		fmt.Fprintln(w, report.CommonNames(d.CommonNameAmbiguity(queries.StudyCorpus())))
-		fmt.Fprintln(w, report.DomainBias(d.DomainBiasByLocation("state", "local", 0.02), 25))
-		fmt.Fprintln(w, report.Reordering(d.ReorderingVsComposition()))
-		bins, fit := d.DistanceDecay(geo.StudyDataset(), "local")
-		fmt.Fprintln(w, report.DistanceDecay(bins, fit))
-	}
+		return opts.Figure == 0 || opts.Figure == figure || figure == 1 && opts.Table == 1
+	}, printText)
 	return nil
 }
 

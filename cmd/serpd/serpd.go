@@ -258,13 +258,7 @@ func buildShardServer(opts options) (*serpserver.Server, *router.ShardHandler, e
 		root = serpserver.NewChaos(opts.Chaos, reg, spans, root)
 	}
 	if opts.Admission.Enabled() {
-		adm := serpserver.NewAdmission(opts.Admission, reg, spans, root)
-		if g, ok := adm.(*serpserver.Admission); ok {
-			// Deadline sheds raised inside the shard handler advertise the
-			// gate's live backlog-derived Retry-After instead of a constant.
-			sh.SetRetryAfter(g.RetryAfter)
-		}
-		root = adm
+		root = serpserver.NewAdmission(opts.Admission, reg, spans, root)
 	}
 	srv, err := serpserver.Listen(opts.Addr, root)
 	if err != nil {

@@ -32,8 +32,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/figure_di
 const figureGoldenPath = "testdata/figure_digests.txt"
 
 // figureDigests analyzes obs and returns one "variant<TAB>artifact<TAB>
-// sha256" line per figure (its text plus its CSV table) and one for the
-// scorecard text.
+// sha256" line per figure of the report plan (its text plus its CSV
+// table) and one for the scorecard text.
 func figureDigests(t *testing.T, variant string, obs []storage.Observation) []string {
 	t.Helper()
 	d, err := analysis.NewDataset(obs)
@@ -41,31 +41,18 @@ func figureDigests(t *testing.T, variant string, obs []storage.Observation) []st
 		t.Fatal(err)
 	}
 	var out []string
-	digest := func(name, text string, table *storage.Table) {
+	report.Study(d, func(name string, figure int, _ bool) bool {
+		return figure >= 2 || name == "scorecard"
+	}, func(a report.Artifact) {
 		h := sha256.New()
-		h.Write([]byte(text))
-		if table != nil {
-			if err := table.WriteCSV(h); err != nil {
+		h.Write([]byte(a.Text))
+		if a.CSV != nil {
+			if err := a.CSV.WriteCSV(h); err != nil {
 				t.Fatal(err)
 			}
 		}
-		out = append(out, fmt.Sprintf("%s\t%s\t%x", variant, name, h.Sum(nil)))
-	}
-	noise := d.NoiseByGranularity()
-	digest("figure2", report.Figure2(noise), report.Figure2CSV(noise))
-	noiseTerms := d.NoisePerTerm("local")
-	digest("figure3", report.Figure3(noiseTerms), report.Figure3CSV(noiseTerms))
-	attr := d.NoiseByResultType("local", "county")
-	digest("figure4", report.Figure4(attr), report.Figure4CSV(attr))
-	pers := d.PersonalizationByGranularity()
-	digest("figure5", report.Figure5(pers), report.Figure5CSV(pers))
-	persTerms := d.PersonalizationPerTerm("local")
-	digest("figure6", report.Figure6(persTerms), report.Figure6CSV(persTerms))
-	breakdown := d.PersonalizationByResultType()
-	digest("figure7", report.Figure7(breakdown), report.Figure7CSV(breakdown))
-	series := d.ConsistencyOverTime("local")
-	digest("figure8", report.Figure8(series), report.Figure8CSV(series))
-	digest("scorecard", report.Scorecard(d.Scorecard()), nil)
+		out = append(out, fmt.Sprintf("%s\t%s\t%x", variant, a.Name, h.Sum(nil)))
+	})
 	return out
 }
 

@@ -459,10 +459,6 @@ func (b *Browser) LastDatacenter() string { return b.lastDC }
 // before each fetch.
 func (b *Browser) SetTraceID(id string) { b.traceID = id }
 
-// LastTraceID reports the trace ID the server confirmed on the previous
-// page ("" when the request was untraced).
-func (b *Browser) LastTraceID() string { return b.lastTraceID }
-
 // Search executes a query and parses the first page of results, retrying
 // transient failures per the WithRetry policy.
 func (b *Browser) Search(term string) (*serp.Page, error) {

@@ -452,11 +452,6 @@ func (e *Engine) Search(req Request) (*Response, error) {
 
 	// --- Stage: history ---
 	stages.begin()
-	if seqNo%4096 == 0 {
-		// Amortized cleanup of abandoned one-shot sessions (crawlers
-		// that clear cookies never revisit theirs).
-		e.history.pruneExpired(now)
-	}
 	recent := e.history.recent(req.SessionID, now)
 	stages.end()
 	if e.pastDeadline(req.Deadline) {

@@ -10,10 +10,18 @@ import (
 // its prior work for this), which is exactly why the study's crawler waits
 // 11 minutes between queries and clears cookies; the store exists so that
 // discipline is load-bearing in our reproduction too.
+//
+// Sessions expire without a sweep. Crawlers that clear cookies create a
+// fresh session per query and never return to it, so expiry is what keeps
+// a long crawl from growing the store without bound.
 type historyStore struct {
 	mu       sync.Mutex
 	window   time.Duration
 	sessions map[string][]historyEntry
+	// order names the session of every search held, oldest first. It and
+	// each session's entries grow in the same record order, so the head
+	// of order names the session whose first entry is the oldest search.
+	order []string
 }
 
 type historyEntry struct {
@@ -36,9 +44,8 @@ func (h *historyStore) recent(session string, now time.Time) []string {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.expire(now)
 	entries := h.sessions[session]
-	// Prune expired entries in place while we are here.
-	kept := entries[:0]
 	var topics []string
 	seen := make(map[string]bool)
 	for i := len(entries) - 1; i >= 0; i-- {
@@ -51,16 +58,6 @@ func (h *historyStore) recent(session string, now time.Time) []string {
 			topics = append(topics, e.topic)
 		}
 	}
-	for _, e := range entries {
-		if now.Sub(e.at) <= h.window {
-			kept = append(kept, e)
-		}
-	}
-	if len(kept) == 0 {
-		delete(h.sessions, session)
-	} else {
-		h.sessions[session] = kept
-	}
 	return topics
 }
 
@@ -71,26 +68,27 @@ func (h *historyStore) record(session, topic string, at time.Time) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.expire(at)
 	h.sessions[session] = append(h.sessions[session], historyEntry{topic: topic, at: at})
+	h.order = append(h.order, session)
 }
 
-// pruneExpired drops every session whose entries have all aged out of the
-// window. Crawlers that clear cookies create a fresh session per query and
-// never return to it, so without periodic pruning a long crawl would grow
-// the store without bound.
-func (h *historyStore) pruneExpired(now time.Time) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for session, entries := range h.sessions {
-		live := false
-		for _, e := range entries {
-			if now.Sub(e.at) <= h.window {
-				live = true
-				break
-			}
+// expire drops the searches that left the window ending at now, oldest
+// first, and each session left with none. Every search is pushed once
+// and popped once, so the work per search is constant, amortized.
+func (h *historyStore) expire(now time.Time) {
+	for len(h.order) > 0 {
+		session := h.order[0]
+		entries := h.sessions[session]
+		if now.Sub(entries[0].at) <= h.window {
+			return
 		}
-		if !live {
+		h.order[0] = ""
+		h.order = h.order[1:]
+		if len(entries) == 1 {
 			delete(h.sessions, session)
+		} else {
+			h.sessions[session] = entries[1:]
 		}
 	}
 }

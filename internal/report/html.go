@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"geoserp/internal/analysis"
-	"geoserp/internal/geo"
-	"geoserp/internal/queries"
 )
 
 // HTMLSection is one block of the self-contained HTML report: a heading,
@@ -62,53 +60,33 @@ func RenderHTML(r HTMLReport) (string, error) {
 	return b.String(), nil
 }
 
-// BuildHTMLReport assembles the full study report — every table and
-// figure, the scorecard, and the demographics analysis — from a dataset.
-func BuildHTMLReport(d *analysis.Dataset, locs *geo.Dataset) HTMLReport {
+// BuildHTMLReport assembles the study report from a dataset: the
+// scorecard first, then Table 1, Figures 2–8, the demographics analysis
+// and, alone among the follow-ups, the distance curve. An artifact's
+// first image without a heading is inlined in its section; each image
+// with a heading gets a section of its own.
+func BuildHTMLReport(d *analysis.Dataset) HTMLReport {
 	r := HTMLReport{
 		Title: "Location, Location, Location — reproduction report",
 		Subtitle: "Kliman-Silver, Hannák, Lazer, Wilson, Mislove (IMC 2015), " +
 			"reproduced against the geoserp synthetic engine.",
 	}
-	add := func(heading, pre string, svg string) {
-		r.Sections = append(r.Sections, HTMLSection{
-			Heading: heading,
-			PreText: pre,
-			SVG:     template.HTML(svg),
-		})
-	}
-
-	add("Fidelity scorecard", Scorecard(d.Scorecard()), "")
-	add("Table 1 — controversial search terms", Table1(queries.Table1Terms()), "")
-
-	noise := d.NoiseByGranularity()
-	add("Figure 2 — noise levels", Figure2(noise), Figure2SVG(noise))
-
-	noiseTerms := d.NoisePerTerm("local")
-	add("Figure 3 — per-term noise (local)", Figure3(noiseTerms), Figure3SVG(noiseTerms))
-
-	attr := d.NoiseByResultType("local", "county")
-	add("Figure 4 — noise by result type", Figure4(attr), Figure4SVG(attr))
-
-	pers := d.PersonalizationByGranularity()
-	add("Figure 5 — personalization", Figure5(pers), Figure5SVG(pers))
-
-	persTerms := d.PersonalizationPerTerm("local")
-	add("Figure 6 — per-term personalization (local)", Figure6(persTerms), Figure6SVG(persTerms))
-
-	breakdown := d.PersonalizationByResultType()
-	add("Figure 7 — personalization by result type", Figure7(breakdown), Figure7SVG(breakdown))
-
-	series := d.ConsistencyOverTime("local")
-	add("Figure 8 — consistency over time", Figure8(series), "")
-	for _, s := range series {
-		add(fmt.Sprintf("Figure 8 (%s)", displayGranularity(s.Granularity)), "", Figure8SVG(s))
-	}
-
-	add("Demographics (§3.2)", Demographics(d.DemographicCorrelations(locs, "local")), "")
-
-	bins, fit := d.DistanceDecay(locs, "local")
-	add("Personalization vs distance", DistanceDecay(bins, fit), DistanceDecaySVG(bins))
-
+	Study(d, func(name string, _ int, extended bool) bool {
+		return !extended || name == "distance_decay"
+	}, func(a Artifact) {
+		sections := []HTMLSection{{Heading: a.Heading, PreText: a.Text}}
+		for _, img := range a.Images {
+			if img.Heading != "" {
+				sections = append(sections, HTMLSection{Heading: img.Heading, SVG: template.HTML(img.SVG)})
+			} else if sections[0].SVG == "" {
+				sections[0].SVG = template.HTML(img.SVG)
+			}
+		}
+		if a.Name == "scorecard" {
+			r.Sections = append(sections, r.Sections...)
+		} else {
+			r.Sections = append(r.Sections, sections...)
+		}
+	})
 	return r
 }

@@ -64,7 +64,7 @@ func TestBuildHTMLReportFromDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := BuildHTMLReport(d, geo.StudyDataset())
+	r := BuildHTMLReport(d)
 	if len(r.Sections) < 10 {
 		t.Fatalf("sections = %d, want >= 10", len(r.Sections))
 	}

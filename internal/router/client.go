@@ -36,7 +36,6 @@ type ClientConfig struct {
 	// matters (it must match the ring the corpus was partitioned with);
 	// every replica of one shard serves the identical document slice, so
 	// which replica answers never changes a byte of the merged page.
-	// SingleReplica wraps a flat one-URL-per-shard list.
 	Shards [][]string
 	// Timeout bounds each replica attempt on the wall clock, so a failover
 	// attempt gets a full Timeout of its own. <= 0 means no per-attempt
@@ -69,16 +68,6 @@ type ClientConfig struct {
 	// folded with len(Shards) — a shard of another world or another
 	// partition — is rejected as misrouted. Required.
 	Docs []webcorpus.Doc
-}
-
-// SingleReplica wraps a flat shard URL list — one replica per shard — in
-// the ReplicaSet shape ClientConfig.Shards takes.
-func SingleReplica(urls []string) [][]string {
-	out := make([][]string, len(urls))
-	for i, u := range urls {
-		out[i] = []string{u}
-	}
-	return out
 }
 
 // Client fans one retrieval out to every shard concurrently, merges the

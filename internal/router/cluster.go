@@ -65,10 +65,6 @@ type ClusterConfig struct {
 	// recorder instead of a fresh one (SpanCapacity then only sizes the
 	// per-shard recorders).
 	RouterSpans *telemetry.SpanRecorder
-	// RouterOptions are extra options for the router's serpserver.Handler
-	// (logger, etc). Spans are installed automatically per RouterSpans /
-	// SpanCapacity.
-	RouterOptions []serpserver.HandlerOption
 }
 
 // LocalCluster is the assembled in-process cluster.
@@ -151,13 +147,7 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 				if ac.Clock == nil {
 					ac.Clock = cfg.Clock
 				}
-				adm := serpserver.NewAdmission(ac, sh.Telemetry(), shardSpans, chain)
-				if g, ok := adm.(*serpserver.Admission); ok {
-					// Deadline sheds at the handler advertise the gate's
-					// backlog-derived Retry-After instead of a constant.
-					sh.SetRetryAfter(g.RetryAfter)
-				}
-				chain = adm
+				chain = serpserver.NewAdmission(ac, sh.Telemetry(), shardSpans, chain)
 			}
 			handlers[i][r] = sh
 			chains[i][r] = chain
@@ -185,7 +175,7 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 
 	eng := engine.New(cfg.Engine, cfg.Clock,
 		engine.WithTelemetry(reg), engine.WithRetriever(client))
-	hOpts := append([]serpserver.HandlerOption(nil), cfg.RouterOptions...)
+	var hOpts []serpserver.HandlerOption
 	spans := cfg.RouterSpans
 	if spans == nil && cfg.SpanCapacity > 0 {
 		spans = telemetry.NewSpanRecorder(cfg.SpanCapacity, cfg.Clock)

@@ -179,7 +179,7 @@ func (h *ClusterTracez) writeHTML(w http.ResponseWriter, nodes []telemetry.NodeS
 			html.EscapeString(rep.TraceID), rep.Requests, rep.Sheds, rep.Complete)
 		for _, ret := range rep.Retrievals {
 			fmt.Fprintf(&b, "<li>retrieve %s · fanout %s · straggler shard %d (%s, %s)</li>",
-				ret.SpanID[:8], ret.FanoutDur, ret.Straggler,
+				html.EscapeString(ret.SpanID), ret.FanoutDur, ret.Straggler,
 				html.EscapeString(ret.StragglerOutcome), ret.StragglerDur)
 			for _, l := range ret.Legs {
 				fmt.Fprintf(&b, "<li>&nbsp;&nbsp;&nbsp;&nbsp;shard %d · %s · client %s",

@@ -1,14 +1,17 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"geoserp/internal/httpheader"
 	"geoserp/internal/simclock"
 	"geoserp/internal/telemetry"
 )
@@ -336,4 +339,164 @@ func TestClusterTracezDegraded(t *testing.T) {
 	if ret.Legs[0].Outcome != "ok" || !ret.Legs[0].Stitched {
 		t.Fatalf("healthy leg mis-reported: %+v", ret.Legs[0])
 	}
+}
+
+// pageTransport answers each request with the next of its bodies,
+// whatever the URL asks for, and with 404 once they run out. CollectSpanz
+// fetches its nodes one after another, so the bodies are the nodes'
+// /spanz pages in shard and replica order.
+type pageTransport struct{ bodies [][]byte }
+
+func (t *pageTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	w := httptest.NewRecorder()
+	if len(t.bodies) == 0 {
+		http.NotFound(w, r)
+	} else {
+		w.Write(t.bodies[0])
+		t.bodies = t.bodies[1:]
+	}
+	resp := w.Result()
+	resp.Request = r
+	return resp, nil
+}
+
+// FuzzClusterTracez drives a coordinator's /clustertracez over the router
+// spans of a live two-shard cluster and shard /spanz pages that arrive
+// fuzzed (NUL-separated, in collection order), with an arbitrary raw query
+// (trace=, limit=, format=) and Accept header. No input may panic it; it
+// answers 400 exactly for a limit that is not a non-negative integer and
+// 200 otherwise; a JSON 200 decodes and, with a trace=, holds only that
+// trace and no nodes block; a format=chrome 200 is valid JSON. The seeds
+// are the cluster's exports after a healthy search and after one whose
+// shard-1 leg failed, and a page whose retrieval span has a 2-byte ID.
+// The request is built by hand, since httptest.NewRequest panics on a
+// target it cannot parse.
+func FuzzClusterTracez(f *testing.F) {
+	cl := NewLocalCluster(ClusterConfig{
+		Shards:       2,
+		Engine:       testConfig(7),
+		Clock:        simclock.NewManual(epoch),
+		SpanCapacity: 256,
+		ShardMiddleware: func(shard, _ int, next http.Handler) http.Handler {
+			if shard != 1 {
+				return next
+			}
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == SearchPath && r.Header.Get(httpheader.TraceID) == "fz-fail" {
+					http.Error(w, "injected fault", http.StatusInternalServerError)
+					return
+				}
+				next.ServeHTTP(w, r)
+			})
+		},
+	})
+	exports := func() []byte {
+		var pages [][]byte
+		for _, reps := range cl.ShardChains {
+			for _, node := range reps {
+				w := httptest.NewRecorder()
+				node.ServeHTTP(w, httptest.NewRequest(http.MethodGet, telemetry.SpanzPath, nil))
+				pages = append(pages, w.Body.Bytes())
+			}
+		}
+		return bytes.Join(pages, []byte{0})
+	}
+	fetch(f, cl.Handler, "pizza", "fz-ok", "10.9.9.9")
+	healthy := exports()
+	fetch(f, cl.Handler, "coffee shop", "fz-fail", "10.9.9.9")
+	failed := exports()
+	short, err := json.Marshal(telemetry.SpanzPage{
+		Version: telemetry.SpanzVersion, Node: "shard-0", Total: 1, NextCursor: 1,
+		Spans: []telemetry.SpanRecord{{TraceID: "t", SpanID: "ab", Name: "engine.retrieve", Start: epoch, End: epoch}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []struct {
+		pages         []byte
+		query, accept string
+	}{
+		{healthy, "", ""},
+		{healthy, "trace=fz-ok&format=html", ""},
+		{failed, "trace=fz-fail", ""},
+		{failed, "trace=fz-fail&format=chrome", ""},
+		{failed, "limit=1&format=chrome", ""},
+		{failed, "limit=-1", "text/html"},
+		{failed, "trace=fz-ok&limit=x", ""},
+		{failed, "", "text/html"},
+		{short, "format=html", ""},
+		{[]byte("not json"), "trace=%zz&limit=99999999999999999999", ""},
+	} {
+		f.Add(seed.pages, seed.query, seed.accept)
+	}
+
+	tr := &pageTransport{}
+	ct := NewClusterTracez(cl.Spans, NewClient(ClientConfig{
+		Shards:    [][]string{{"http://shard-0"}, {"http://shard-1"}},
+		Transport: tr,
+		Docs:      cl.Client.cfg.Docs,
+	}, nil))
+	f.Fuzz(func(t *testing.T, pages []byte, rawQuery, accept string) {
+		tr.bodies = bytes.Split(pages, []byte{0})
+		r := &http.Request{
+			Method: http.MethodGet,
+			URL:    &url.URL{Path: ClusterTracezPath, RawQuery: rawQuery},
+			Header: http.Header{"Accept": {accept}},
+			Body:   http.NoBody,
+		}
+		w := httptest.NewRecorder()
+		ct.ServeHTTP(w, r)
+		q := r.URL.Query()
+		limit, err := strconv.Atoi(q.Get("limit"))
+		want := http.StatusOK
+		if q.Get("limit") != "" && (err != nil || limit < 0) {
+			want = http.StatusBadRequest
+		}
+		if w.Code != want {
+			t.Fatalf("query %q: status %d, want %d", rawQuery, w.Code, want)
+		}
+		if w.Code != http.StatusOK {
+			return
+		}
+		format := q.Get("format")
+		if format == "" && strings.Contains(accept, "text/html") {
+			format = "html"
+		}
+		switch format {
+		case "html":
+			return
+		case "chrome":
+			if !json.Valid(w.Body.Bytes()) {
+				t.Fatalf("query %q: Chrome export is not JSON:\n%s", rawQuery, w.Body.String())
+			}
+			return
+		}
+		var body struct {
+			Nodes  json.RawMessage `json:"nodes"`
+			Traces []struct {
+				Report TraceReport              `json:"report"`
+				Spans  []telemetry.StitchedSpan `json:"spans"`
+			} `json:"traces"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatalf("query %q: body does not decode: %v\n%s", rawQuery, err, w.Body.String())
+		}
+		trace := q.Get("trace")
+		if trace == "" {
+			return
+		}
+		if body.Nodes != nil {
+			t.Fatalf("query %q: a trace= body carries a nodes block", rawQuery)
+		}
+		for _, v := range body.Traces {
+			if v.Report.TraceID != trace {
+				t.Fatalf("query %q: body holds trace %q", rawQuery, v.Report.TraceID)
+			}
+			for _, s := range v.Spans {
+				if s.TraceID != trace {
+					t.Fatalf("query %q: trace %q holds a span of trace %q", rawQuery, trace, s.TraceID)
+				}
+			}
+		}
+	})
 }

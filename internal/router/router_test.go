@@ -78,7 +78,7 @@ func TestRingMinimalMovementOnGrowth(t *testing.T) {
 
 // fetch issues one /search against h and returns status, the partial
 // header, and the body.
-func fetch(t *testing.T, h http.Handler, query, trace, ip string) (int, string, string) {
+func fetch(t testing.TB, h http.Handler, query, trace, ip string) (int, string, string) {
 	t.Helper()
 	r := httptest.NewRequest(http.MethodGet, "/search?q="+strings.ReplaceAll(query, " ", "+")+"&ll=41.4993,-81.6944&format=json", nil)
 	r.Header.Set("User-Agent", "Mozilla/5.0 (Linux; Android 5.1) Mobile")

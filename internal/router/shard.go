@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"time"
 
 	"geoserp/internal/httpheader"
 	"geoserp/internal/index"
@@ -73,10 +72,6 @@ type ShardHandler struct {
 	tel     *telemetry.Registry
 	spans   *telemetry.SpanRecorder
 	clock   simclock.Clock
-
-	// retryAfter, when set (SetRetryAfter), supplies the backlog-derived
-	// Retry-After hint for deadline sheds.
-	retryAfter func() time.Duration
 
 	requests *telemetry.Counter    // shard_requests_total
 	errors   *telemetry.CounterVec // shard_errors_total{reason}
@@ -156,22 +151,6 @@ func (h *ShardHandler) Spans() *telemetry.SpanRecorder { return h.spans }
 // Docs returns how many documents this shard owns.
 func (h *ShardHandler) Docs() int { return h.idx.Len() }
 
-// SetRetryAfter wires the admission gate's backlog-derived retry hint
-// into deadline sheds, so router-side clients back off proportionally to
-// the queue actually in front of them instead of a hard-coded second.
-func (h *ShardHandler) SetRetryAfter(hint func() time.Duration) { h.retryAfter = hint }
-
-// retryAfterSeconds renders the Retry-After value for a deadline shed:
-// the gate's backlog estimate when one is wired, else the 1-second floor.
-func (h *ShardHandler) retryAfterSeconds() string {
-	if h.retryAfter != nil {
-		if d := h.retryAfter(); d > time.Second {
-			return strconv.Itoa(int((d + time.Second - 1) / time.Second))
-		}
-	}
-	return "1"
-}
-
 // ServeHTTP sends a router's fan-out request — a GET of exactly
 // SearchPath — straight to the search handler. Every other request goes
 // through the ServeMux, which answers HEAD, 405 with Allow, 404 and
@@ -209,7 +188,7 @@ func (h *ShardHandler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if dl := httpheader.Deadline(r.Header); !dl.IsZero() && h.clock.Now().After(dl) {
 		h.errors.With("deadline").Inc()
 		sp.SetAttr("error", "deadline")
-		w.Header().Set("Retry-After", h.retryAfterSeconds())
+		w.Header().Set("Retry-After", "1")
 		http.Error(w, "deadline exceeded", http.StatusServiceUnavailable)
 		return
 	}

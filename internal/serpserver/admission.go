@@ -48,13 +48,12 @@ const (
 	shedCanceled  = "canceled"   // the client gave up while queued
 )
 
-// Admission is the gate middleware, built by WithAdmission/NewAdmission.
+// admission is the gate middleware, built by WithAdmission/NewAdmission.
 // The slot accounting lives behind a plain mutex; a request that frees a
 // slot hands it directly to the oldest live waiter through that waiter's
 // channel, so admission order is FIFO and a handoff never wakes more
-// goroutines than slots. The type is exported so co-located handlers can
-// read RetryAfter; construct it only through the constructors.
-type Admission struct {
+// goroutines than slots.
+type admission struct {
 	cfg   AdmissionConfig
 	next  http.Handler
 	spans *telemetry.SpanRecorder
@@ -95,7 +94,7 @@ func NewAdmission(cfg AdmissionConfig, reg *telemetry.Registry, spans *telemetry
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Wall()
 	}
-	return &Admission{
+	return &admission{
 		cfg:   cfg,
 		next:  next,
 		spans: spans,
@@ -114,7 +113,7 @@ func NewAdmission(cfg AdmissionConfig, reg *telemetry.Registry, spans *telemetry
 	}
 }
 
-func (a *Admission) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (a *admission) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/search" && r.URL.Path != "/shard/search" {
 		a.next.ServeHTTP(w, r)
 		return
@@ -185,13 +184,11 @@ func (a *Admission) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.next.ServeHTTP(w, r)
 }
 
-// RetryAfter computes the shed hint: the estimated time for the current
+// retryAfter computes the shed hint: the estimated time for the current
 // backlog to drain through the configured slots, in whole seconds, at
 // least one. Derived from gate state and config only — no randomness — so
-// seeded campaigns see reproducible hints. Exported so co-located
-// handlers behind the same gate (a shard node's deadline shed) advertise
-// the identical back-off the gate itself would.
-func (a *Admission) RetryAfter() time.Duration {
+// seeded campaigns see reproducible hints.
+func (a *admission) retryAfter() time.Duration {
 	backlog := a.gate.backlog() + 1
 	est := a.cfg.ServiceTime * time.Duration(backlog) / time.Duration(a.cfg.MaxInflight)
 	secs := (est + time.Second - 1) / time.Second
@@ -203,8 +200,8 @@ func (a *Admission) RetryAfter() time.Duration {
 
 // shedRequest answers a request the gate refused: 503 with a Retry-After
 // hint, plus the shed counter and span.
-func (a *Admission) shedRequest(w http.ResponseWriter, r *http.Request, reason string) {
-	ra := a.RetryAfter()
+func (a *admission) shedRequest(w http.ResponseWriter, r *http.Request, reason string) {
+	ra := a.retryAfter()
 	a.shed.With(reason).Inc()
 	a.shedSpan(r, reason, ra)
 	w.Header().Set("Retry-After", strconv.Itoa(int(ra/time.Second)))
@@ -213,7 +210,7 @@ func (a *Admission) shedRequest(w http.ResponseWriter, r *http.Request, reason s
 
 // shedSpan records the shed on the request's trace so campaign timelines
 // show why the fetch bounced.
-func (a *Admission) shedSpan(r *http.Request, reason string, ra time.Duration) {
+func (a *admission) shedSpan(r *http.Request, reason string, ra time.Duration) {
 	if a.spans == nil {
 		return
 	}

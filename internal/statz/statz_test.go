@@ -3,9 +3,12 @@ package statz
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -69,7 +72,7 @@ func testSweep(term string, day int) (crawler.SweepInfo, []storage.Observation) 
 	}
 }
 
-func feedSweeps(t *testing.T, rec *Recorder, terms ...string) {
+func feedSweeps(t testing.TB, rec *Recorder, terms ...string) {
 	t.Helper()
 	for i, term := range terms {
 		info, obs := testSweep(term, 0)
@@ -264,4 +267,82 @@ func TestHandlerHTMLViaAcceptHeader(t *testing.T) {
 	if !strings.Contains(string(body), "<h1>statz</h1>") {
 		t.Fatalf("Accept: text/html did not switch to HTML: %.120s", body)
 	}
+}
+
+// FuzzStatz drives the recorder's /statz handler, over a 3-sweep ring
+// that has seen five sweeps, with an arbitrary raw query (sweep=,
+// format=) and Accept header. No input may panic it; it answers 200, 400
+// or 404; a JSON 200 decodes as a Snapshot; and sweep=N answers 200
+// exactly when N lies within the X-Statz-Ring bounds, with SweepJSON(N)'s
+// bytes when the answer is JSON. The request is built by hand, since
+// httptest.NewRequest panics on a target it cannot parse.
+func FuzzStatz(f *testing.F) {
+	rec := NewRecorder(analysis.NewStream(), WithRingCapacity(3))
+	feedSweeps(f, rec, "Coffee", "Dentist", "Library", "Pizza", "School")
+	h := rec.Handler(campaignEpoch)
+	oldest, newest := rec.RingBounds()
+	ring := fmt.Sprintf("%d-%d", oldest, newest)
+	// raw query, Accept
+	for _, seed := range [][2]string{
+		{"", ""},
+		{"sweep=3", ""},
+		{"sweep=5&format=html", ""},
+		{"sweep=1", ""},
+		{"sweep=6", ""},
+		{"sweep=0", ""},
+		{"sweep=-2", "text/html"},
+		{"sweep=bogus", ""},
+		{"sweep=%zz&format=html", ""},
+		{"sweep=4&sweep=1", "text/html"},
+		{"sweep=99999999999999999999", ""},
+		{"format=json", "text/html,application/xhtml+xml"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, rawQuery, accept string) {
+		r := &http.Request{
+			Method: http.MethodGet,
+			URL:    &url.URL{Path: "/statz", RawQuery: rawQuery},
+			Header: http.Header{"Accept": {accept}},
+			Body:   http.NoBody,
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		switch w.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("query %q: status %d, want 200, 400 or 404", rawQuery, w.Code)
+		}
+		q := r.URL.Query()
+		asJSON := q.Get("format") != "html" && (q.Get("format") != "" || !strings.Contains(accept, "text/html"))
+		if got := w.Header().Get(httpheader.StatzRing); w.Code == http.StatusOK && got != ring {
+			t.Fatalf("query %q: X-Statz-Ring %q, want %q", rawQuery, got, ring)
+		}
+		var snap Snapshot
+		if w.Code == http.StatusOK && asJSON {
+			if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
+				t.Fatalf("query %q: body does not decode: %v", rawQuery, err)
+			}
+		}
+		v := q.Get("sweep")
+		if v == "" {
+			if w.Code != http.StatusOK {
+				t.Fatalf("query %q: status %d for the latest snapshot", rawQuery, w.Code)
+			}
+			return
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("query %q: status %d for sweep %q, want 400", rawQuery, w.Code, v)
+			}
+			return
+		}
+		if inRing := n >= oldest && n <= newest; inRing != (w.Code == http.StatusOK) {
+			t.Fatalf("query %q: status %d for sweep %d, ring %s", rawQuery, w.Code, n, ring)
+		}
+		if data, ok := rec.SweepJSON(n); ok && asJSON && !bytes.Equal(w.Body.Bytes(), data) {
+			t.Fatalf("query %q: body differs from SweepJSON(%d)", rawQuery, n)
+		}
+	})
 }
