@@ -43,15 +43,26 @@ func runAnalyze(opts options, w io.Writer) error {
 	fmt.Fprintf(w, "analyze: %d observations, %d slots, days=%v\n\n",
 		len(obs), d.Pairs(), d.Days())
 
-	var arts []report.Artifact
-	report.Study(d, func(_ string, figure int, extended bool) bool {
+	// One pass over the report plan serves both selections: what the
+	// flags print and, with -html, what the HTML report lays out. want
+	// notes which of the two the next artifacts are for.
+	var arts, htmlArts []report.Artifact
+	var printed, inHTML bool
+	report.Study(d, func(name string, figure int, extended bool) bool {
+		printed = opts.Figure == 0 || opts.Figure == figure
 		if extended {
-			return opts.Extended
+			printed = opts.Extended
 		}
-		return opts.Figure == 0 || opts.Figure == figure
+		inHTML = opts.HTMLPath != "" && report.InHTMLReport(name, figure, extended)
+		return printed || inHTML
 	}, func(a report.Artifact) {
-		fmt.Fprintln(w, a.Text)
-		arts = append(arts, a)
+		if printed {
+			fmt.Fprintln(w, a.Text)
+			arts = append(arts, a)
+		}
+		if inHTML {
+			htmlArts = append(htmlArts, a)
+		}
 	})
 
 	// Files are written once every selected artifact is printed: the CSV
@@ -80,7 +91,7 @@ func runAnalyze(opts options, w io.Writer) error {
 		}
 	}
 	if opts.HTMLPath != "" {
-		doc, err := report.RenderHTML(report.BuildHTMLReport(d))
+		doc, err := report.RenderHTML(report.BuildHTMLReport(htmlArts))
 		if err != nil {
 			return err
 		}

@@ -194,7 +194,7 @@ func TestBuildShardServer(t *testing.T) {
 	// replica, fingerprint, count, then 12 bytes per hit. The fingerprint
 	// is the one a seed-7 three-shard coordinator expects: its document
 	// table's index.Fingerprint with the shard count folded in.
-	const corpus = 0x04f0d83eb252485f
+	const corpus uint64 = 0x9246838aa48274fb
 	le := binary.LittleEndian
 	if len(body) < 24 || string(body[:4]) != "GSF1" {
 		t.Fatalf("shard reply is not a frame: %q", body)

@@ -153,7 +153,9 @@ type Crawler struct {
 	Telemetry *telemetry.Registry
 	// Transport, when set, is installed in every browser the crawler
 	// builds. Fault-injection tests pass a browser.ChaosTransport here;
-	// production leaves it nil.
+	// production leaves it nil, and each phase or validation run then
+	// shares one keep-alive transport among its browsers (see
+	// runTransport).
 	Transport http.RoundTripper
 	// Spans, when set, records the campaign timeline: one span per
 	// campaign, phase, and term sweep (nested), plus one "browser.fetch"
@@ -276,8 +278,9 @@ type vantage struct {
 
 // newVantages builds the treatment/control browser pairs for a location
 // set, spreading them across the machine pool so no single IP carries
-// enough load to trip the engine's rate limiter.
-func (c *Crawler) newVantages(locs []geo.Location) ([]vantage, error) {
+// enough load to trip the engine's rate limiter. rt is the run's
+// transport (runTransport).
+func (c *Crawler) newVantages(locs []geo.Location, rt http.RoundTripper) ([]vantage, error) {
 	c.instruments() // ensure c.Telemetry exists for the browser pool
 	machines := c.MachineIPs()
 	out := make([]vantage, 0, len(locs))
@@ -290,7 +293,7 @@ func (c *Crawler) newVantages(locs []geo.Location) ([]vantage, error) {
 			if c.cfg.PinnedDatacenter != "" {
 				opts = append(opts, browser.WithPinnedDatacenter(c.cfg.PinnedDatacenter))
 			}
-			opts = append(opts, c.reliabilityOptions()...)
+			opts = append(opts, c.reliabilityOptions(rt)...)
 			b, err := browser.New(c.baseURL, opts...)
 			if err != nil {
 				return nil, err
@@ -312,10 +315,11 @@ func (c *Crawler) newVantages(locs []geo.Location) ([]vantage, error) {
 }
 
 // reliabilityOptions translates the crawl config's retry policy into
-// browser options shared by every browser the crawler builds. Retries back
-// off on the campaign clock, so virtual-time campaigns replay a 30-second
-// backoff instantly while wall-clock deployments genuinely wait.
-func (c *Crawler) reliabilityOptions() []browser.Option {
+// browser options shared by every browser the crawler builds, installing
+// the run's transport rt. Retries back off on the campaign clock, so
+// virtual-time campaigns replay a 30-second backoff instantly while
+// wall-clock deployments genuinely wait.
+func (c *Crawler) reliabilityOptions(rt http.RoundTripper) []browser.Option {
 	var opts []browser.Option
 	if c.cfg.RetryAttempts > 0 {
 		opts = append(opts, browser.WithRetry(c.cfg.RetryAttempts, c.cfg.RetryBackoff))
@@ -332,14 +336,29 @@ func (c *Crawler) reliabilityOptions() []browser.Option {
 	if c.cfg.MaxBodyBytes > 0 {
 		opts = append(opts, browser.WithMaxBodySize(c.cfg.MaxBodyBytes))
 	}
-	if c.Transport != nil {
-		opts = append(opts, browser.WithTransport(c.Transport))
-	}
+	opts = append(opts, browser.WithTransport(rt))
 	if c.Spans != nil {
 		opts = append(opts, browser.WithSpans(c.Spans))
 	}
 	opts = append(opts, browser.WithClock(c.clock))
 	return opts
+}
+
+// runTransport returns the transport one phase or validation run installs
+// in its browsers, and a function to call when the run returns. With
+// Transport set it is that transport, left as it is. Otherwise it is a
+// fresh http.DefaultTransport clone that keeps up to Machines idle
+// connections per host, one per crawl machine, so a lock-step sweep
+// reuses the last sweep's connections instead of re-dialing all but the
+// default two; the returned function closes them.
+func (c *Crawler) runTransport() (http.RoundTripper, func()) {
+	if c.Transport != nil {
+		return c.Transport, func() {}
+	}
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = c.cfg.Machines
+	t.MaxIdleConns = max(t.MaxIdleConns, c.cfg.Machines)
+	return t, t.CloseIdleConnections
 }
 
 // sleepUntil parks the scheduler until an absolute instant on the campaign
@@ -398,6 +417,8 @@ func (c *Crawler) RunPhaseContext(ctx context.Context, p Phase) ([]storage.Obser
 		// whole phase list up front in RunCampaignContext.
 		c.planCampaign([]Phase{p})
 	}
+	rt, closeIdle := c.runTransport()
+	defer closeIdle()
 	var all []storage.Observation
 	if c.ckpt != nil {
 		// Observations recovered from the checkpoint file slot in ahead of
@@ -411,7 +432,7 @@ func (c *Crawler) RunPhaseContext(ctx context.Context, p Phase) ([]storage.Obser
 		if len(locs) == 0 {
 			return nil, fmt.Errorf("crawler: no locations at %s", g)
 		}
-		vans, err := c.newVantages(locs)
+		vans, err := c.newVantages(locs, rt)
 		if err != nil {
 			return nil, err
 		}
@@ -724,6 +745,8 @@ func (c *Crawler) RunValidation(terms []queries.Query, gps geo.Point, nVantage i
 	span.SetAttr("vantages", fmt.Sprint(nVantage))
 	span.SetAttr("terms", fmt.Sprint(len(terms)))
 	defer span.End()
+	rt, closeIdle := c.runTransport()
+	defer closeIdle()
 	browsers := make([]*browser.Browser, nVantage)
 	for i := range browsers {
 		// Spread vantages across distinct /8s, like PlanetLab sites at
@@ -732,7 +755,7 @@ func (c *Crawler) RunValidation(terms []queries.Query, gps geo.Point, nVantage i
 		opts := append([]browser.Option{
 			browser.WithSourceIP(ip),
 			browser.WithTelemetry(c.Telemetry),
-		}, c.reliabilityOptions()...)
+		}, c.reliabilityOptions(rt)...)
 		b, err := browser.New(c.baseURL, opts...)
 		if err != nil {
 			return nil, err

@@ -1,8 +1,11 @@
 package crawler
 
 import (
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -307,5 +310,47 @@ func TestObservationsSorted(t *testing.T) {
 		if a.Day == b.Day && a.Term > b.Term {
 			t.Fatal("observations not sorted by term within day")
 		}
+	}
+}
+
+// TestPhaseKeepsConnectionsAlive pins the crawler's own transport: over a
+// six-sweep phase, browsers that leave Transport nil share one keep-alive
+// pool sized to the machine pool, so the server sees at most Machines
+// connections dialed, and each is closed once the phase returns. On
+// http.DefaultTransport, which keeps two idle connections per host, every
+// 30-fetch sweep re-dialed 28.
+func TestPhaseKeepsConnectionsAlive(t *testing.T) {
+	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
+	eng := engine.New(engine.DefaultConfig(), clk)
+	var dialed, closed atomic.Int64
+	srv := httptest.NewUnstartedServer(serpserver.NewHandler(eng))
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		switch state {
+		case http.StateNew:
+			dialed.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			closed.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	cfg := DefaultConfig()
+	cfg.Machines = 2 * len(geo.StudyDataset().At(geo.County)) // one per fetch of a sweep
+	cr, err := New(cfg, clk, srv.URL, geo.StudyDataset(), queries.StudyCorpus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cr.RunCampaignVirtual(clk, []Phase{smallPhase(3, geo.County, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if n := dialed.Load(); n == 0 || n > int64(cfg.Machines) {
+		t.Fatalf("phase dialed %d connections, want 1..%d (one per machine)", n, cfg.Machines)
+	}
+	// The server sees each close once the client's FIN arrives.
+	for i := 0; i < 200 && closed.Load() < dialed.Load(); i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if c, n := closed.Load(), dialed.Load(); c != n {
+		t.Fatalf("%d of %d connections still open after the phase returned", n-c, n)
 	}
 }

@@ -10,9 +10,11 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,13 +131,13 @@ type Engine struct {
 	// default, a scatter-gather client over shard nodes in the cluster
 	// router (WithRetriever).
 	retriever Retriever
-	// regionPts maps region slug to its centroid for coarse reverse
-	// geocoding of the query coordinate.
-	regionPts map[string]geo.Point
-	history   *historyStore
-	limiter   *rateLimiter
-	ipgeo     *ipGeolocator
-	dcNames   []string
+	// regions are the content regions in the caller's order, whose
+	// centroids reverse-geocode the query coordinate.
+	regions []RegionInfo
+	history *historyStore
+	limiter *rateLimiter
+	ipgeo   *ipGeolocator
+	dcNames []string
 	// reqCount drives per-request randomness (bucket draw, jitter); it
 	// stays an engine-internal atomic so observability can never perturb
 	// the noise model.
@@ -306,13 +308,14 @@ func (e *Engine) classify(term string) (queryClass, string) {
 	return classGeneral, id
 }
 
-// region returns the slug of the state region nearest to pt.
+// region returns the slug of the region whose centroid is nearest to pt;
+// of regions at the same distance, the first in the caller's order.
 func (e *Engine) region(pt geo.Point) string {
 	best := ""
 	bestD := math.Inf(1)
-	for slugName, c := range e.regionPts {
-		if d := geo.DistanceKm(pt, c); d < bestD {
-			best, bestD = slugName, d
+	for _, r := range e.regions {
+		if d := geo.DistanceKm(pt, r.Centroid); d < bestD {
+			best, bestD = r.Region.Slug, d
 		}
 	}
 	return best
@@ -491,7 +494,7 @@ func (e *Engine) Search(req Request) (*Response, error) {
 
 	// --- Stage: rerank (the web, Places and News verticals) ---
 	rerankSpan := stages.begin()
-	var cands []candidate
+	cands := make([]candidate, 0, len(hits)+e.cfg.MaxPlaceOrganic)
 	maxRel := 0.0
 	for _, h := range hits {
 		if h.Score > maxRel {
@@ -604,52 +607,42 @@ func (e *Engine) Search(req Request) (*Response, error) {
 
 	// --- Stage: assemble ---
 	assembleSpan := stages.begin()
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].res.URL < cands[j].res.URL
-	})
-	nOrganic := e.cfg.OrganicCards
-	if nOrganic > len(cands) {
-		nOrganic = len(cands)
-	}
+	slices.SortFunc(cands, byScore)
+	nOrganic := min(e.cfg.OrganicCards, len(cands))
 	page := &serp.Page{
 		Query:      req.Query,
 		Location:   loc.String(),
 		Datacenter: dc,
 		Day:        day,
+		Cards:      make([]serp.Card, 0, nOrganic+2),
 	}
-	seen := make(map[string]bool)
-	appendOrganic := func(c candidate) {
-		if seen[c.res.URL] {
-			return
-		}
-		seen[c.res.URL] = true
-		page.Cards = append(page.Cards, serp.Card{Type: serp.Organic, Results: []serp.Result{c.res}})
-	}
+	// The organic cards' one-result slices are carved from one array:
+	// placed holds the results placed so far, and each card gets a
+	// capacity-limited slice of it, so an append to one card cannot
+	// overwrite the next card's result.
+	placed := make([]serp.Result, 0, nOrganic)
 	// The News card's slot is a property of the day's layout, not of the
 	// request: randomizing it per request would shift every link below it
 	// and register as large phantom noise.
 	newsPos := 2 + int(detrand.Hash("newspos", topic, dayKey)%3)
-	placed := 0
 	for _, c := range cands {
-		if placed >= nOrganic {
+		if len(placed) >= nOrganic {
 			break
 		}
-		if placed == 1 && mapsCard != nil {
+		if len(placed) == 1 && mapsCard != nil {
 			page.Cards = append(page.Cards, *mapsCard)
 			mapsCard = nil
 		}
-		if placed == newsPos && newsCard != nil {
+		if len(placed) == newsPos && newsCard != nil {
 			page.Cards = append(page.Cards, *newsCard)
 			newsCard = nil
 		}
-		before := len(page.Cards)
-		appendOrganic(c)
-		if len(page.Cards) > before {
-			placed++
+		if slices.ContainsFunc(placed, func(r serp.Result) bool { return r.URL == c.res.URL }) {
+			continue // a duplicate of a placed result
 		}
+		placed = append(placed, c.res)
+		n := len(placed)
+		page.Cards = append(page.Cards, serp.Card{Type: serp.Organic, Results: placed[n-1 : n : n]})
 	}
 	// Cards that never found their slot (short pages) go at the end.
 	if mapsCard != nil {
@@ -724,11 +717,16 @@ func (e *Engine) placeCandidates(loc geo.Point, kind string, placeMult float64, 
 			score: s,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
-		}
-		return out[i].res.URL < out[j].res.URL
-	})
+	slices.SortFunc(out, byScore)
 	return out
+}
+
+// byScore orders candidates best first: score descending, ties broken by
+// URL ascending. The organic candidates and the place candidates sort by
+// it.
+func byScore(a, b candidate) int {
+	if c := cmp.Compare(b.score, a.score); c != 0 {
+		return c
+	}
+	return strings.Compare(a.res.URL, b.res.URL)
 }

@@ -41,7 +41,9 @@ type RetrieveRequest struct {
 // RetrieveResult is a retrieval backend's answer.
 type RetrieveResult struct {
 	// Hits are the top-K documents, ordered by score descending with
-	// URL-ascending tie-break (index.MergeHits order).
+	// doc-ID-ascending (URL order) tie-break: index.MergeHits order. Each
+	// Doc points into the backend's document table, which every result
+	// shares: read it, never write through it.
 	Hits []index.Hit
 	// Partial reports that one or more shards of a distributed backend
 	// did not contribute (shed, timed out, or breaker-open) and Hits

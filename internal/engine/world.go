@@ -100,10 +100,8 @@ func New(cfg Config, clock simclock.Clock, opts ...Option) *Engine {
 	}
 
 	regions := make([]webcorpus.Region, len(spec.regions))
-	regionPts := make(map[string]geo.Point, len(spec.regions))
 	for i, ri := range spec.regions {
 		regions[i] = ri.Region
-		regionPts[ri.Region.Slug] = ri.Centroid
 	}
 
 	dcNames := make([]string, cfg.Datacenters)
@@ -131,7 +129,7 @@ func New(cfg Config, clock simclock.Clock, opts ...Option) *Engine {
 		places:    webcorpus.NewPlacesCustom(cfg.Seed, spec.placeKinds),
 		news:      webcorpus.NewNewsWire(cfg.Seed, regions),
 		retriever: retriever,
-		regionPts: regionPts,
+		regions:   spec.regions,
 		history:   newHistoryStore(cfg.HistoryWindow),
 		limiter:   newRateLimiter(cfg.RateBurst, cfg.RatePerMinute),
 		ipgeo:     newIPGeolocator(cfg.Seed, cfg.IPGeoErrorKm),

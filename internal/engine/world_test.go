@@ -151,3 +151,29 @@ func TestNewPlacesCustomDefaultsAndRepairs(t *testing.T) {
 		t.Fatalf("brand display = %q", got)
 	}
 }
+
+// TestRegionTieTakesCallerOrder is the regression test for reverse
+// geocoding by map order: two regions sharing one centroid are at the
+// same distance from every point, and the engine answered whichever its
+// region map happened to yield first. The first region in the caller's
+// order must win, every call.
+func TestRegionTieTakesCallerOrder(t *testing.T) {
+	corpus, err := queries.NewCorpus([]queries.Query{{Term: "Chemist", Category: queries.Local}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	centroid := geo.Point{Lat: 40, Lon: -80}
+	east := RegionInfo{Region: webcorpus.Region{Slug: "east", Name: "East"}, Centroid: centroid}
+	west := RegionInfo{Region: webcorpus.Region{Slug: "west", Name: "West"}, Centroid: centroid}
+	pt := geo.Point{Lat: 41, Lon: -81}
+	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
+	for _, order := range [][]RegionInfo{{east, west}, {west, east}} {
+		e := New(quietConfig(), clk, WithCorpus(corpus), WithRegions(order))
+		want := order[0].Region.Slug
+		for i := 0; i < 200; i++ {
+			if got := e.region(pt); got != want {
+				t.Fatalf("call %d: region = %q, want %q, the first of the tied regions", i, got, want)
+			}
+		}
+	}
+}

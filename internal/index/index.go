@@ -63,22 +63,23 @@ type posting struct {
 
 // Hit is one retrieval result.
 type Hit struct {
-	// Doc is the matched document.
-	Doc webcorpus.Doc
+	// Doc points at the matched document in the index's document table
+	// (or, in a cluster router, the router's copy of that table). The
+	// table is shared by every hit and every shard view and is read-only:
+	// never write through Doc.
+	Doc *webcorpus.Doc
 	// Score is the TF-IDF relevance (higher is better).
 	Score float64
-	// ID is Doc's position in the index's document table — its doc ID, in
-	// DocsOf order for an index built by BuildFromWeb. A cluster shard
-	// sends (ID, Score) pairs; the router resolves IDs in its own copy of
-	// the table.
+	// ID is Doc's position in the document table — its doc ID. The table
+	// is in URL order, so ID order is URL order. A cluster shard sends
+	// (ID, Score) pairs; the router resolves IDs in its own copy of the
+	// table.
 	ID int32
 }
 
-// Index is an in-memory inverted index. Add all documents first, then call
-// Freeze; Search may then be used concurrently.
+// Index is an immutable in-memory inverted index, safe for concurrent
+// use. Its document table is in URL order (see build).
 type Index struct {
-	mu       sync.RWMutex
-	frozen   bool
 	docs     []webcorpus.Doc
 	postings map[string][]posting
 	docNorm  []float64 // per-doc weight norm for length normalization
@@ -94,9 +95,19 @@ type Index struct {
 	ownedDocs int
 }
 
-// New returns an empty index.
-func New() *Index {
-	return &Index{postings: make(map[string][]posting)}
+// build indexes a copy of docs put in URL order (equal URLs keep their
+// order in docs), which becomes the index's document table: a document's
+// ID is its position in URL order.
+func build(docs []webcorpus.Doc) *Index {
+	ix := &Index{
+		docs:     inURLOrder(docs),
+		postings: make(map[string][]posting),
+		docNorm:  make([]float64, len(docs)),
+	}
+	for id := range ix.docs {
+		ix.post(int32(id))
+	}
+	return ix
 }
 
 // fieldWeights control how strongly each document field counts.
@@ -106,21 +117,10 @@ const (
 	snippetWeight = 1.0
 )
 
-// Add indexes a document. It panics if the index is frozen — adding after
-// freeze is a programming error, not a data condition.
-func (ix *Index) Add(d webcorpus.Doc) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.frozen {
-		panic("index: Add after Freeze")
-	}
-	ix.docs = append(ix.docs, d)
-	ix.post(int32(len(ix.docs)-1), d)
-}
-
-// post indexes ix.docs[id] == d, the next document in ID order: its
-// postings and its norm.
-func (ix *Index) post(id int32, d webcorpus.Doc) {
+// post indexes ix.docs[id], the next document in ID order: its postings
+// and its norm.
+func (ix *Index) post(id int32) {
+	d := &ix.docs[id]
 	weights := make(map[string]float64)
 	for _, t := range Tokenize(d.Title) {
 		weights[t] += titleWeight
@@ -148,36 +148,18 @@ func (ix *Index) post(id int32, d webcorpus.Doc) {
 		ix.postings[t] = append(ix.postings[t], posting{docID: id, weight: float32(w)})
 		norm += w * w
 	}
-	ix.docNorm = append(ix.docNorm, math.Sqrt(norm))
+	ix.docNorm[id] = math.Sqrt(norm)
 }
 
-// AddAll indexes a batch of documents.
-func (ix *Index) AddAll(docs []webcorpus.Doc) {
-	for _, d := range docs {
-		ix.Add(d)
-	}
-}
-
-// Freeze finalizes the index for concurrent searching.
-func (ix *Index) Freeze() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.frozen = true
-}
-
-// Docs returns the document table in doc-ID order — the full corpus's,
-// in a shard view too. The slice must not be mutated.
+// Docs returns the document table in doc-ID order, which is URL order —
+// the full corpus's, in a shard view too. The slice must not be mutated.
 func (ix *Index) Docs() []webcorpus.Doc {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	return ix.docs
 }
 
 // Len returns the number of searchable documents: the partition size in a
 // shard view, the corpus size otherwise.
 func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if ix.df != nil {
 		return ix.ownedDocs
 	}
@@ -185,14 +167,13 @@ func (ix *Index) Len() int {
 }
 
 // Search returns the top-k documents for the query by TF-IDF cosine score.
-// Ties are broken by URL so results are deterministic.
+// Ties are broken by doc ID, which is URL order, so results are
+// deterministic. Each hit's Doc points into the document table.
 //
 // Scores accumulate into pooled dense per-document arrays, in query-token
 // order; the matching (document, score) pairs are sorted in MergeHits's
 // order and only the top k become Hits.
 func (ix *Index) Search(query string, k int) []Hit {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if k <= 0 {
 		return nil
 	}
@@ -249,12 +230,12 @@ func (ix *Index) Search(query string, k int) []Hit {
 		if c := cmp.Compare(b.score, a.score); c != 0 {
 			return c
 		}
-		return strings.Compare(ix.docs[a.id].URL, ix.docs[b.id].URL)
+		return cmp.Compare(a.id, b.id)
 	})
 	top := acc.ranked[:min(k, len(acc.ranked))]
 	hits := make([]Hit, len(top))
 	for i, sd := range top {
-		hits[i] = Hit{Doc: ix.docs[sd.id], Score: sd.score, ID: sd.id}
+		hits[i] = Hit{Doc: &ix.docs[sd.id], Score: sd.score, ID: sd.id}
 	}
 	return hits
 }
@@ -340,28 +321,20 @@ func (ix *Index) docFreq(t string, plistLen int) int {
 
 // Vocabulary returns the number of distinct tokens in the index.
 func (ix *Index) Vocabulary() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	return len(ix.postings)
 }
 
-// Shard returns a document-partitioned view of a frozen index: posting
-// lists keep only the documents the owns predicate claims, while the IDF
+// Shard returns a document-partitioned view of the index: posting lists
+// keep only the documents the owns predicate claims, while the IDF
 // denominators and per-document norms remain those of the FULL index.
 // Scores computed by different shards of the same corpus are therefore
 // globally comparable, and the union of every shard's Search results
 // reproduces the unsharded ranking bit for bit — the property the SERP
 // cluster's scatter-gather merge relies on for byte-identical pages at
-// any shard count. The view shares the parent's document table; it panics
-// if the index is not frozen.
+// any shard count. The view shares the parent's document table, so its
+// hits point into the same documents and carry the same IDs.
 func (ix *Index) Shard(owns func(d webcorpus.Doc) bool) *Index {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if !ix.frozen {
-		panic("index: Shard before Freeze")
-	}
 	shard := &Index{
-		frozen:   true,
 		docs:     ix.docs,
 		docNorm:  ix.docNorm,
 		postings: make(map[string][]posting),
@@ -396,17 +369,18 @@ func (ix *Index) Shard(owns func(d webcorpus.Doc) bool) *Index {
 }
 
 // MergeHits sorts hits with Search's exact ordering — score descending,
-// ties broken by URL ascending — and truncates to k. It is the single
-// merge used by the cluster router to fold per-shard rankings into one
-// list: because shard scores are globally comparable (see Shard), merging
-// the union of per-shard top-k lists reproduces the monolithic index's
-// top k exactly. The input is sorted in place.
+// ties broken by doc ID ascending, which is URL order — and truncates to
+// k. It is the single merge used by the cluster router to fold per-shard
+// rankings into one list: because shard scores are globally comparable
+// (see Shard) and every node numbers the documents alike (see DocsOf),
+// merging the union of per-shard top-k lists reproduces the monolithic
+// index's top k exactly. The input is sorted in place.
 func MergeHits(hits []Hit, k int) []Hit {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+	slices.SortFunc(hits, func(a, b Hit) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return hits[i].Doc.URL < hits[j].Doc.URL
+		return cmp.Compare(a.ID, b.ID)
 	})
 	if k >= 0 && len(hits) > k {
 		hits = hits[:k]
@@ -414,29 +388,43 @@ func MergeHits(hits []Hit, k int) []Hit {
 	return hits
 }
 
-// DocsOf returns every document in w in doc-ID order: topics sorted, each
-// topic's documents in Web.Docs order. It is the one definition of that
-// order: BuildFromWeb indexes this table, and a cluster router resolves
-// shard replies' doc IDs through it.
+// DocsOf returns every document in w in doc-ID order: sorted by URL, and
+// documents with equal URLs in Web.Docs order over the sorted topics. It
+// is the one definition of that order: BuildFromWeb indexes this table,
+// and a cluster router resolves shard replies' doc IDs through it.
 func DocsOf(w *webcorpus.Web) []webcorpus.Doc {
 	docs := make([]webcorpus.Doc, 0, w.Size())
 	for _, topic := range w.Topics() {
 		docs = append(docs, w.Docs(topic)...)
 	}
-	return docs
+	return inURLOrder(docs)
 }
 
-// BuildFromWeb constructs and freezes an index over DocsOf(w), which
-// becomes its document table.
-func BuildFromWeb(w *webcorpus.Web) *Index {
-	ix := New()
-	ix.docs = DocsOf(w)
-	ix.docNorm = make([]float64, 0, len(ix.docs))
-	for id, d := range ix.docs {
-		ix.post(int32(id), d)
+// inURLOrder returns a copy of docs sorted by URL, equal URLs in their
+// order in docs. It sorts a permutation and copies each document once,
+// rather than moving the documents themselves through the sort.
+func inURLOrder(docs []webcorpus.Doc) []webcorpus.Doc {
+	perm := make([]int32, len(docs))
+	for i := range perm {
+		perm[i] = int32(i)
 	}
-	ix.Freeze()
-	return ix
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := strings.Compare(docs[a].URL, docs[b].URL); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	out := make([]webcorpus.Doc, len(docs))
+	for i, p := range perm {
+		out[i] = docs[p]
+	}
+	return out
+}
+
+// BuildFromWeb constructs an index over DocsOf(w), which becomes its
+// document table.
+func BuildFromWeb(w *webcorpus.Web) *Index {
+	return build(DocsOf(w))
 }
 
 // FNV-1a, 64-bit.

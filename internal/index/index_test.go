@@ -46,11 +46,11 @@ func doc(url, title, snippet, topic string) webcorpus.Doc {
 }
 
 func TestSearchBasicRelevance(t *testing.T) {
-	ix := New()
-	ix.Add(doc("https://a/", "Coffee House Guide", "All about coffee.", "coffee"))
-	ix.Add(doc("https://b/", "Tea Emporium", "All about tea.", "tea"))
-	ix.Add(doc("https://c/", "Coffee and Tea", "Both beverages.", "beverages"))
-	ix.Freeze()
+	ix := build([]webcorpus.Doc{
+		doc("https://a/", "Coffee House Guide", "All about coffee.", "coffee"),
+		doc("https://b/", "Tea Emporium", "All about tea.", "tea"),
+		doc("https://c/", "Coffee and Tea", "Both beverages.", "beverages"),
+	})
 	hits := ix.Search("coffee", 10)
 	if len(hits) != 2 {
 		t.Fatalf("hits = %d, want 2", len(hits))
@@ -61,11 +61,11 @@ func TestSearchBasicRelevance(t *testing.T) {
 }
 
 func TestSearchMultiTokenPrecision(t *testing.T) {
-	ix := New()
-	ix.Add(doc("https://hs/", "Lincoln High School", "A public high school.", "high-school"))
-	ix.Add(doc("https://s/", "Lincoln School", "A public school.", "school"))
-	ix.Add(doc("https://h/", "High Tower", "A very high tower.", "tower"))
-	ix.Freeze()
+	ix := build([]webcorpus.Doc{
+		doc("https://hs/", "Lincoln High School", "A public high school.", "high-school"),
+		doc("https://s/", "Lincoln School", "A public school.", "school"),
+		doc("https://h/", "High Tower", "A very high tower.", "tower"),
+	})
 	hits := ix.Search("high school", 10)
 	if len(hits) == 0 || hits[0].Doc.URL != "https://hs/" {
 		t.Fatalf("top hit for 'high school' = %+v", hits)
@@ -79,9 +79,9 @@ func TestSearchMultiTokenPrecision(t *testing.T) {
 }
 
 func TestSearchHalfCoverageFilter(t *testing.T) {
-	ix := New()
-	ix.Add(doc("https://x/", "Warming Trends", "Warming only.", "x"))
-	ix.Freeze()
+	ix := build([]webcorpus.Doc{
+		doc("https://x/", "Warming Trends", "Warming only.", "x"),
+	})
 	// One of three meaningful tokens matches -> filtered out.
 	if hits := ix.Search("global warming hoax debate", 10); len(hits) != 0 {
 		t.Fatalf("low-coverage doc returned: %+v", hits)
@@ -95,10 +95,10 @@ func TestSearchHalfCoverageFilter(t *testing.T) {
 // now distinct-terms-matched / distinct-terms-queried, making a repeated
 // query exactly equivalent to its deduplicated form.
 func TestSearchRepeatedQueryTokens(t *testing.T) {
-	ix := New()
-	ix.Add(doc("https://p/", "Pizza Palace", "Best pizza in town.", "pizza"))
-	ix.Add(doc("https://q/", "Cheap Pizza Joint", "Cheap pizza daily.", "pizza"))
-	ix.Freeze()
+	ix := build([]webcorpus.Doc{
+		doc("https://p/", "Pizza Palace", "Best pizza in town.", "pizza"),
+		doc("https://q/", "Cheap Pizza Joint", "Cheap pizza daily.", "pizza"),
+	})
 
 	single := ix.Search("pizza", 10)
 	repeated := ix.Search("pizza pizza", 10)
@@ -130,14 +130,14 @@ func TestSearchRepeatedQueryTokens(t *testing.T) {
 	}
 }
 
-// TestSearchNonASCIIEndToEnd drives accented titles through Add and
+// TestSearchNonASCIIEndToEnd drives accented titles through build and
 // Search: a custom world naming businesses "Café" or "Zürich" must be
 // retrievable by those words (the old ASCII-only tokenizer shredded them).
 func TestSearchNonASCIIEndToEnd(t *testing.T) {
-	ix := New()
-	ix.Add(doc("https://cafe/", "Café Zürich", "The best café near the lake.", "café"))
-	ix.Add(doc("https://caf/", "Caf Industries", "Industrial caf supplies.", "caf"))
-	ix.Freeze()
+	ix := build([]webcorpus.Doc{
+		doc("https://cafe/", "Café Zürich", "The best café near the lake.", "café"),
+		doc("https://caf/", "Caf Industries", "Industrial caf supplies.", "caf"),
+	})
 
 	hits := ix.Search("café", 10)
 	if len(hits) != 1 || hits[0].Doc.URL != "https://cafe/" {
@@ -154,9 +154,9 @@ func TestSearchNonASCIIEndToEnd(t *testing.T) {
 }
 
 func TestSearchEmptyAndDegenerate(t *testing.T) {
-	ix := New()
-	ix.Add(doc("https://a/", "Coffee", "Coffee.", "coffee"))
-	ix.Freeze()
+	ix := build([]webcorpus.Doc{
+		doc("https://a/", "Coffee", "Coffee.", "coffee"),
+	})
 	if hits := ix.Search("", 10); hits != nil {
 		t.Fatalf("empty query returned %v", hits)
 	}
@@ -172,26 +172,25 @@ func TestSearchEmptyAndDegenerate(t *testing.T) {
 }
 
 func TestSearchKLimit(t *testing.T) {
-	ix := New()
+	var docs []webcorpus.Doc
 	for i := 0; i < 20; i++ {
-		ix.Add(doc("https://d/"+strings.Repeat("x", i+1), "Coffee Page", "About coffee.", "coffee"))
+		docs = append(docs, doc("https://d/"+strings.Repeat("x", i+1), "Coffee Page", "About coffee.", "coffee"))
 	}
-	ix.Freeze()
+	ix := build(docs)
 	if hits := ix.Search("coffee", 5); len(hits) != 5 {
 		t.Fatalf("k=5 returned %d hits", len(hits))
 	}
 }
 
 func TestSearchDeterministicTieBreak(t *testing.T) {
-	build := func() *Index {
-		ix := New()
-		ix.Add(doc("https://b/", "Coffee", "Coffee.", "coffee"))
-		ix.Add(doc("https://a/", "Coffee", "Coffee.", "coffee"))
-		ix.Freeze()
-		return ix
+	mk := func() *Index {
+		return build([]webcorpus.Doc{
+			doc("https://b/", "Coffee", "Coffee.", "coffee"),
+			doc("https://a/", "Coffee", "Coffee.", "coffee"),
+		})
 	}
-	h1 := build().Search("coffee", 10)
-	h2 := build().Search("coffee", 10)
+	h1 := mk().Search("coffee", 10)
+	h2 := mk().Search("coffee", 10)
 	for i := range h1 {
 		if h1[i].Doc.URL != h2[i].Doc.URL {
 			t.Fatal("tie-break not deterministic")
@@ -200,17 +199,6 @@ func TestSearchDeterministicTieBreak(t *testing.T) {
 	if h1[0].Doc.URL != "https://a/" {
 		t.Fatalf("ties not broken by URL: %v", h1[0].Doc.URL)
 	}
-}
-
-func TestAddAfterFreezePanics(t *testing.T) {
-	ix := New()
-	ix.Freeze()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add after Freeze did not panic")
-		}
-	}()
-	ix.Add(doc("https://a/", "x", "y", "z"))
 }
 
 func TestBuildFromWebCoversCorpus(t *testing.T) {

@@ -51,8 +51,9 @@ func referenceSearch(ix *Index, query string, k int) []Hit {
 		}
 		coverage := float64(matched[id]) / float64(len(qTokens))
 		hits = append(hits, Hit{
-			Doc:   ix.docs[id],
+			Doc:   &ix.docs[id],
 			Score: (scores[id] / ix.docNorm[id]) * (0.5 + 0.5*coverage) * coverage,
+			ID:    id,
 		})
 	}
 	sort.Slice(hits, func(i, j int) bool {
@@ -84,7 +85,8 @@ func TestSearchMatchesReference(t *testing.T) {
 						vi, q.Term, k, len(got), got == nil, len(want), want == nil)
 				}
 				for i := range want {
-					if got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					if got[i].Doc != want[i].Doc || got[i].ID != want[i].ID ||
+						math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
 						t.Fatalf("view %d %q k=%d rank %d: {%s %v}, reference {%s %v}",
 							vi, q.Term, k, i, got[i].Doc.URL, got[i].Score, want[i].Doc.URL, want[i].Score)
 					}

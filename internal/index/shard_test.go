@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"geoserp/internal/detrand"
@@ -84,10 +85,10 @@ func TestShardScoresMatchMonolith(t *testing.T) {
 // distinct-term coverage filter as the monolith: the matched-term counts
 // of a retained document are not diluted by partitioning.
 func TestShardHonoursCoverageFilter(t *testing.T) {
-	ix := New()
-	ix.Add(doc("https://hs/", "Lincoln High School", "A public high school.", "high-school"))
-	ix.Add(doc("https://x/", "Tower Guide", "A very high tower.", "tower"))
-	ix.Freeze()
+	ix := build([]webcorpus.Doc{
+		doc("https://hs/", "Lincoln High School", "A public high school.", "high-school"),
+		doc("https://x/", "Tower Guide", "A very high tower.", "tower"),
+	})
 	all := ix.Shard(func(webcorpus.Doc) bool { return true })
 	want := ix.Search("high school", 10)
 	hits := all.Search("high school", 10)
@@ -109,17 +110,6 @@ func TestShardHonoursCoverageFilter(t *testing.T) {
 	if hits := none.Search("high school", 10); hits != nil {
 		t.Fatalf("empty shard returned hits: %+v", hits)
 	}
-}
-
-// TestShardRequiresFreeze documents that sharding a mutable index is a
-// programming error.
-func TestShardRequiresFreeze(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Shard before Freeze did not panic")
-		}
-	}()
-	New().Shard(func(webcorpus.Doc) bool { return true })
 }
 
 var searchSink []Hit
@@ -145,7 +135,7 @@ func TestDocTableAndFingerprint(t *testing.T) {
 		t.Fatal("index table differs from DocsOf")
 	}
 	for _, h := range shardBy(ix, 3)[1].Search("Coffee", 48) {
-		if docs[h.ID] != h.Doc {
+		if docs[h.ID] != *h.Doc {
 			t.Fatalf("hit ID %d names %s, hit is %s", h.ID, docs[h.ID].URL, h.Doc.URL)
 		}
 	}
@@ -175,5 +165,52 @@ func TestDocTableAndFingerprint(t *testing.T) {
 	}
 	if Fingerprint([]webcorpus.Doc{base, base}) == want {
 		t.Error("a second document leaves the fingerprint unchanged")
+	}
+}
+
+// TestDocTableInURLOrder pins the order MergeHits's ID tie-break relies
+// on: a built table is sorted by URL, documents with equal URLs keep
+// their input order, and the study table holds every document once.
+func TestDocTableInURLOrder(t *testing.T) {
+	ix, w := buildStudyIndex(t)
+	docs := ix.Docs()
+	if len(docs) != w.Size() {
+		t.Fatalf("table has %d documents, web has %d", len(docs), w.Size())
+	}
+	if !slices.IsSortedFunc(docs, func(a, b webcorpus.Doc) int { return strings.Compare(a.URL, b.URL) }) {
+		t.Fatal("study document table is not in URL order")
+	}
+
+	dup := build([]webcorpus.Doc{
+		doc("https://c/", "Second C", "Coffee.", "coffee"),
+		doc("https://a/", "Only A", "Coffee.", "coffee"),
+		doc("https://c/", "First C", "Coffee.", "coffee"),
+		doc("https://b/", "Only B", "Coffee.", "coffee"),
+	})
+	var got []string
+	for _, d := range dup.Docs() {
+		got = append(got, d.Title)
+	}
+	if want := []string{"Only A", "Only B", "Second C", "First C"}; !slices.Equal(got, want) {
+		t.Fatalf("table order = %q, want %q", got, want)
+	}
+}
+
+// TestHitsPointIntoDocTable checks that every hit, on the full index and
+// on each shard view, points at its own entry of the one shared table —
+// the same document, not an equal copy — for every study term.
+func TestHitsPointIntoDocTable(t *testing.T) {
+	ix, _ := buildStudyIndex(t)
+	docs := ix.Docs()
+	views := append([]*Index{ix}, shardBy(ix, 3)...)
+	for vi, v := range views {
+		for _, q := range queries.StudyCorpus().All() {
+			for _, h := range v.Search(q.Term, 48) {
+				if h.Doc != &docs[h.ID] {
+					t.Fatalf("view %d %q: hit ID %d (%s) does not point at table entry %d",
+						vi, q.Term, h.ID, h.Doc.URL, h.ID)
+				}
+			}
+		}
 	}
 }

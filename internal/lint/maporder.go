@@ -14,7 +14,7 @@ import (
 // same-seed runs — exactly the bug class that would desync byte-identical
 // cluster traces, merged SERPs, or /statz snapshots.
 //
-// Two sink shapes are recognized inside the loop body:
+// Three sink shapes are recognized inside the loop body:
 //
 //   - append: `s = append(s, ...)`. Accepted when the slice is passed to a
 //     sort (sort.*/slices.* or any call whose name contains "Sort") after
@@ -22,6 +22,13 @@ import (
 //   - direct write: a call to Encode/Write/WriteString/WriteByte/
 //     WriteRune, or fmt's Fprint/Fprintf/Fprintln/Print/Printf/Println —
 //     the iteration order escapes immediately, so no later sort can help.
+//   - selection: an argmin or argmax, `if d < bestD { best, bestD = k, d }`,
+//     that stores the loop's key or value under an ordering comparison.
+//     Of two entries that tie, the one the map yields first wins. A stored
+//     expression that is itself compared is accepted: a value-only min or
+//     max (`if v > max { max = v }`) is the same whatever the order, and an
+//     argmin that breaks ties on the key (`|| d == bestD && k < best`) is
+//     too.
 //
 // Appends to slices declared inside the loop body are exempt: a
 // per-iteration slice is rebuilt fresh each pass, so its internal order
@@ -33,14 +40,17 @@ import (
 // test idiom, and assertions compare contents, not order.
 var maporderAnalyzer = &Analyzer{
 	Name: "maporder",
-	Doc: "range over a map feeding an append, encoder, io.Writer, or hash needs a " +
-		"deterministic sort, or same-seed runs stop being byte-identical",
+	Doc: "range over a map feeding an append, encoder, io.Writer, hash, or an argmin/argmax " +
+		"needs a deterministic order, or same-seed runs stop being byte-identical",
 	SkipTestFiles: true,
 	run:           runMaporder,
 }
 
 const maporderHint = "collect the keys, sort them, and iterate the sorted slice " +
 	"(or sort the collected slice right after the loop)"
+
+const maporderSelectHint = "iterate a slice in a fixed order, or break ties on the key " +
+	"in the comparison itself"
 
 // maporderWriteSinks are method names that emit data in call order.
 var maporderWriteSinks = map[string]bool{
@@ -93,8 +103,11 @@ func runMaporder(p *Pass, f *ast.File) {
 // checkMapRange inspects one map-range loop body for order-sensitive sinks.
 func checkMapRange(p *Pass, f *ast.File, body *ast.BlockStmt, rng *ast.RangeStmt) {
 	var appends []*ast.AssignStmt
+	var selections []*ast.IfStmt
 	inspectNoFuncLit(rng.Body, func(n ast.Node) {
 		switch st := n.(type) {
+		case *ast.IfStmt:
+			selections = append(selections, st)
 		case *ast.AssignStmt:
 			for i, rhs := range st.Rhs {
 				call, ok := rhs.(*ast.CallExpr)
@@ -122,12 +135,14 @@ func checkMapRange(p *Pass, f *ast.File, body *ast.BlockStmt, rng *ast.RangeStmt
 			}
 		}
 	})
-	if len(appends) == 0 {
-		return
-	}
 	// A slice declared inside the loop body is rebuilt per iteration; its
-	// element order cannot depend on map iteration order.
+	// element order cannot depend on map iteration order. Likewise a
+	// selection stored into a loop-local variable does not outlive its
+	// iteration.
 	loopLocal := declaredNames(rng.Body)
+	for _, st := range selections {
+		checkSelection(p, rng, st, loopLocal)
+	}
 	for _, st := range appends {
 		for i, rhs := range st.Rhs {
 			call, ok := rhs.(*ast.CallExpr)
@@ -145,6 +160,58 @@ func checkMapRange(p *Pass, f *ast.File, body *ast.BlockStmt, rng *ast.RangeStmt
 				"append to %q inside range over map without a deterministic sort after the loop", target)
 		}
 	}
+}
+
+// checkSelection flags an argmin/argmax in a map-range loop: an if whose
+// condition makes an ordering comparison and whose body assigns the
+// loop's key or value to a variable that outlives the iteration. A stored
+// expression that is an operand of one of the comparisons is accepted
+// (see maporderAnalyzer).
+func checkSelection(p *Pass, rng *ast.RangeStmt, st *ast.IfStmt, loopLocal map[string]bool) {
+	var loopVars []string
+	for _, e := range []ast.Expr{rng.Key, rng.Value} {
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+			loopVars = append(loopVars, id.Name)
+		}
+	}
+	compared := map[string]bool{}
+	ast.Inspect(st.Cond, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BinaryExpr); ok {
+			switch b.Op {
+			case token.LSS, token.LEQ, token.GTR, token.GEQ:
+				compared[types.ExprString(b.X)] = true
+				compared[types.ExprString(b.Y)] = true
+			}
+		}
+		return true
+	})
+	if len(loopVars) == 0 || len(compared) == 0 {
+		return
+	}
+	inspectNoFuncLit(st.Body, func(n ast.Node) {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || as.Tok != token.ASSIGN {
+			return
+		}
+		for i, lhs := range as.Lhs {
+			rhs := as.Rhs[0]
+			if len(as.Rhs) == len(as.Lhs) {
+				rhs = as.Rhs[i]
+			}
+			target := types.ExprString(lhs)
+			if loopLocal[target] || compared[types.ExprString(rhs)] {
+				continue
+			}
+			for _, v := range loopVars {
+				if exprMentions(rhs, v) {
+					p.Reportf(as.Pos(), maporderSelectHint,
+						"%q stored under an ordering comparison inside range over map: "+
+							"entries that tie resolve in nondeterministic iteration order", target)
+					return
+				}
+			}
+		}
+	})
 }
 
 // declaredNames collects every identifier declared inside block: `x := ...`

@@ -1,7 +1,8 @@
 // Package maporderdata seeds maporder violations for the golden harness:
-// map iteration feeding an append that is never sorted, or a direct
-// write/encode sink, is flagged; sorted collections, loop-local slices,
-// and //lint:allow are not.
+// map iteration feeding an append that is never sorted, a direct
+// write/encode sink, or an argmin/argmax that stores the loop's key or
+// value is flagged; sorted collections, loop-local slices, value-only
+// min/max, key tie-breaks and //lint:allow are not.
 package maporderdata
 
 import (
@@ -98,4 +99,64 @@ func allowed(m map[string]int) []int {
 		vals = append(vals, v)
 	}
 	return vals
+}
+
+// badArgmin keeps the nearest key: two keys at the same distance resolve
+// by whichever the map yields first.
+func badArgmin(m map[string]float64, x float64) string {
+	best, bestD := "", 1e308
+	for k, c := range m {
+		if d := abs(c - x); d < bestD {
+			best, bestD = k, d // want "maporder: \"best\" stored under an ordering comparison inside range over map"
+		}
+	}
+	return best
+}
+
+type scored struct {
+	name  string
+	score float64
+}
+
+// badArgmaxValue keeps the best-scoring value; entries with equal scores
+// but different names tie.
+func badArgmaxValue(m map[string]scored) scored {
+	var best scored
+	for _, v := range m {
+		if v.score > best.score {
+			best = v // want "maporder: \"best\" stored under an ordering comparison inside range over map"
+		}
+	}
+	return best
+}
+
+// goodValueMax keeps only the largest value, which is the same whatever
+// order the map yields its entries in.
+func goodValueMax(m map[string]int) int {
+	max := 0
+	for _, v := range m {
+		if v > max {
+			max = v
+		}
+	}
+	return max
+}
+
+// goodKeyTieBreak breaks distance ties on the key itself, so the selection
+// is a total order.
+func goodKeyTieBreak(m map[string]float64, x float64) string {
+	best, bestD := "", 1e308
+	for k, c := range m {
+		if d := abs(c - x); d < bestD || d == bestD && k < best {
+			best, bestD = k, d
+		}
+	}
+	return best
+}
+
+func abs(x float64) float64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"html/template"
 	"strings"
-
-	"geoserp/internal/analysis"
 )
 
 // HTMLSection is one block of the self-contained HTML report: a heading,
@@ -60,20 +58,25 @@ func RenderHTML(r HTMLReport) (string, error) {
 	return b.String(), nil
 }
 
-// BuildHTMLReport assembles the study report from a dataset: the
-// scorecard first, then Table 1, Figures 2–8, the demographics analysis
-// and, alone among the follow-ups, the distance curve. An artifact's
-// first image without a heading is inlined in its section; each image
-// with a heading gets a section of its own.
-func BuildHTMLReport(d *analysis.Dataset) HTMLReport {
+// InHTMLReport is the HTML report's selection for Study: Table 1,
+// Figures 2–8, demographics, the scorecard and, alone among the
+// follow-ups, the distance curve.
+func InHTMLReport(name string, _ int, extended bool) bool {
+	return !extended || name == "distance_decay"
+}
+
+// BuildHTMLReport lays out the study report from arts, the artifacts
+// Study emits under InHTMLReport, in the order it emits them: the
+// scorecard first, then the rest in report order. An artifact's first
+// image without a heading is inlined in its section; each image with a
+// heading gets a section of its own.
+func BuildHTMLReport(arts []Artifact) HTMLReport {
 	r := HTMLReport{
 		Title: "Location, Location, Location — reproduction report",
 		Subtitle: "Kliman-Silver, Hannák, Lazer, Wilson, Mislove (IMC 2015), " +
 			"reproduced against the geoserp synthetic engine.",
 	}
-	Study(d, func(name string, _ int, extended bool) bool {
-		return !extended || name == "distance_decay"
-	}, func(a Artifact) {
+	for _, a := range arts {
 		sections := []HTMLSection{{Heading: a.Heading, PreText: a.Text}}
 		for _, img := range a.Images {
 			if img.Heading != "" {
@@ -87,6 +90,6 @@ func BuildHTMLReport(d *analysis.Dataset) HTMLReport {
 		} else {
 			r.Sections = append(r.Sections, sections...)
 		}
-	})
+	}
 	return r
 }

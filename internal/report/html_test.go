@@ -64,7 +64,9 @@ func TestBuildHTMLReportFromDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := BuildHTMLReport(d)
+	var arts []Artifact
+	Study(d, InHTMLReport, func(a Artifact) { arts = append(arts, a) })
+	r := BuildHTMLReport(arts)
 	if len(r.Sections) < 10 {
 		t.Fatalf("sections = %d, want >= 10", len(r.Sections))
 	}

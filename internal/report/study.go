@@ -39,9 +39,12 @@ type Image struct {
 // follow-up analyses) and computes and emits each one want selects. want
 // sees the artifact's name, the -figure number that selects it (1 is
 // Table 1; 0 for one printed only with every figure) and whether it is an
-// -extended follow-up. The location clusters are asked for once, as
-// "clusters", and come as one artifact per granularity. d is read only for
-// selected artifacts, so it may be nil when want selects Table 1 alone.
+// -extended follow-up. want is asked about each artifact just before it is
+// computed and emitted, so a caller serving several selections in one pass
+// can note which of them want answered for and route what emit receives.
+// The location clusters are asked for once, as "clusters", and come as one
+// artifact per granularity. d is read only for selected artifacts, so it
+// may be nil when want selects Table 1 alone.
 func Study(d *analysis.Dataset, want func(name string, figure int, extended bool) bool, emit func(Artifact)) {
 	if want("table1", 1, false) {
 		emit(Artifact{Name: "table1", Heading: "Table 1 — controversial search terms",

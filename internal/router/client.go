@@ -61,18 +61,20 @@ type ClientConfig struct {
 	// http.DefaultTransport; cluster tests and the soak rig install an
 	// in-process transport so no sockets are involved.
 	Transport http.RoundTripper
-	// Docs is the corpus document table in doc-ID order: index.DocsOf of
-	// the world the shards regenerate, or the Docs of an index built from
-	// it. Reply frames carry doc IDs, which the client resolves through
-	// this table, and a reply whose fingerprint differs from the table's
-	// folded with len(Shards) — a shard of another world or another
-	// partition — is rejected as misrouted. Required.
+	// Docs is the corpus document table in doc-ID order, which is URL
+	// order: index.DocsOf of the world the shards regenerate, or the Docs
+	// of an index built from it. Reply frames carry doc IDs, which the
+	// client resolves to pointers into this table, so the table is shared
+	// by every retrieval's hits and must not be modified after NewClient.
+	// A reply whose fingerprint differs from the table's folded with
+	// len(Shards) — a shard of another world or another partition — is
+	// rejected as misrouted. Required.
 	Docs []webcorpus.Doc
 }
 
 // Client fans one retrieval out to every shard concurrently, merges the
 // per-shard top-k rankings with the same comparator the index itself uses
-// (score descending, URL ascending — URLs are unique across the disjoint
+// (score descending, doc ID ascending — IDs are unique across the disjoint
 // partition, so the merged order is total and identical run to run no
 // matter which shard answers first), and implements engine.Retriever so a
 // coordinator engine is just engine.New(..., WithRetriever(client)).

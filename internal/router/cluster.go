@@ -123,8 +123,8 @@ func NewLocalCluster(cfg ClusterConfig) *LocalCluster {
 	urls := make([][]string, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		i := i
-		// One frozen view per shard, shared by its replicas — exactly what
-		// a real deployment gets from every replica regenerating the
+		// One view per shard, shared by its replicas — exactly what a
+		// real deployment gets from every replica regenerating the
 		// identical world from the seed.
 		view := full.Shard(func(d webcorpus.Doc) bool { return ring.Owner(d.URL) == i })
 		handlers[i] = make([]*ShardHandler, replicas)

@@ -51,8 +51,9 @@ func appendFrame(b []byte, shard, replica int, corpus uint64, hits []index.Hit) 
 	return b
 }
 
-// decodeFrame parses one frame, resolving each doc ID through docs. The
-// bytes are untrusted: a wrong magic, a count above maxShardK, a length
+// decodeFrame parses one frame, resolving each doc ID to a pointer into
+// docs, which the hits share and must not write through. The bytes are
+// untrusted: a wrong magic, a count above maxShardK, a length
 // other than the count implies, a doc ID outside docs, or a non-finite
 // score is an error.
 func decodeFrame(b []byte, docs []webcorpus.Doc) (ShardResponse, error) {
@@ -88,7 +89,7 @@ func decodeFrame(b []byte, docs []webcorpus.Doc) (ShardResponse, error) {
 		if math.IsNaN(score) || math.IsInf(score, 0) {
 			return ShardResponse{}, fmt.Errorf("hit %d: non-finite score %v", i, score)
 		}
-		sr.Hits[i] = index.Hit{Doc: docs[id], Score: score, ID: int32(id)}
+		sr.Hits[i] = index.Hit{Doc: &docs[id], Score: score, ID: int32(id)}
 	}
 	return sr, nil
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -52,6 +54,52 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if len(want) == 0 || !slices.Equal(sr.Hits, want) {
 		t.Fatalf("decoded hits differ from the shard's Search:\n got  %v\n want %v", sr.Hits, want)
+	}
+
+	// A router holds its own copy of the table: every hit points at its
+	// ID's entry in the caller's table, not at the shard's document.
+	table := CorpusDocs(1, nil)
+	sr, err = decodeFrame(fx.reply("coffee"), table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range sr.Hits {
+		if h.Doc != &table[h.ID] || *h.Doc != *want[i].Doc || h.ID != want[i].ID || h.Score != want[i].Score {
+			t.Fatalf("hit %d: ID %d (%s) is not the caller's table entry for the shard's hit %d (%s)",
+				i, h.ID, h.Doc.URL, want[i].ID, want[i].Doc.URL)
+		}
+	}
+}
+
+// TestMergeHitsMatchesURLOrder merges a shuffled union of three shards'
+// top-k lists and compares it with a reference sort of the same union by
+// (score descending, URL ascending): the doc-ID tie-break must give
+// exactly the URL order, for every study term.
+func TestMergeHitsMatchesURLOrder(t *testing.T) {
+	full := index.BuildFromWeb(studyWeb(1, nil))
+	ring := NewRing(3, 0)
+	views := make([]*index.Index, ring.Shards())
+	for i := range views {
+		views[i] = full.Shard(func(d webcorpus.Doc) bool { return ring.Owner(d.URL) == i })
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, q := range queries.StudyCorpus().All() {
+		var union []index.Hit
+		for _, v := range views {
+			union = append(union, v.Search(q.Term, defaultShardK)...)
+		}
+		rng.Shuffle(len(union), func(i, j int) { union[i], union[j] = union[j], union[i] })
+		want := slices.Clone(union)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Score != want[j].Score {
+				return want[i].Score > want[j].Score
+			}
+			return want[i].Doc.URL < want[j].Doc.URL
+		})
+		want = want[:min(defaultShardK, len(want))]
+		if got := index.MergeHits(union, defaultShardK); !slices.Equal(got, want) {
+			t.Fatalf("%q: merged ranking differs from the (score, URL) reference:\n got  %v\n want %v", q.Term, got, want)
+		}
 	}
 }
 
@@ -187,7 +235,7 @@ func FuzzShardReply(f *testing.F) {
 			t.Fatalf("accepted frame re-encodes differently:\n in  %x\n out %x", b, re)
 		}
 		for i, h := range sr.Hits {
-			if h.ID < 0 || int(h.ID) >= len(fx.docs) || h.Doc != fx.docs[h.ID] {
+			if h.ID < 0 || int(h.ID) >= len(fx.docs) || h.Doc != &fx.docs[h.ID] {
 				t.Fatalf("hit %d: ID %d does not index the %d-document table", i, h.ID, len(fx.docs))
 			}
 		}

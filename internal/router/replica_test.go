@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"geoserp/internal/engine"
+	"geoserp/internal/index"
 	"geoserp/internal/simclock"
 )
 
@@ -201,7 +202,9 @@ func TestAttemptTimeoutFailsOver(t *testing.T) {
 	if err != nil || got.Partial {
 		t.Fatalf("Retrieve: partial %v, err %v; want the other replica's full answer", got.Partial, err)
 	}
-	if !slices.Equal(got.Hits, want.Hits) {
+	// The two clusters hold separate document tables, so compare the
+	// hits by (ID, Score), not by their Doc pointers.
+	if !slices.EqualFunc(got.Hits, want.Hits, func(a, b index.Hit) bool { return a.ID == b.ID && a.Score == b.Score }) {
 		t.Fatalf("hits differ from the unblocked cluster's:\n got  %v\n want %v", got.Hits, want.Hits)
 	}
 	outcomes := cl.Client.perReplica.Values()

@@ -343,7 +343,7 @@ func TestShardHandlerSurface(t *testing.T) {
 		allow, ctype, body string
 	}{
 		{http.MethodHead, SearchPath + "?q=coffee&k=5", http.StatusOK, "", "application/octet-stream",
-			"sha256:8dd0ce4f6b189881623196b4e4bc546816cfe99285f6b80a7fb6822c73e7e81d"},
+			"sha256:220c6c1bcbd10991862287015e66bb441bebdb3e59f3b8fab768a44810563243"},
 		{http.MethodPost, SearchPath + "?q=coffee&k=5", http.StatusMethodNotAllowed, "GET, HEAD", text,
 			"Method Not Allowed\n"},
 		{http.MethodGet, SearchPath + "/?q=coffee&k=5", http.StatusNotFound, "", text, "404 page not found\n"},
@@ -353,9 +353,9 @@ func TestShardHandlerSurface(t *testing.T) {
 		// 626 of this shard's documents match "local": the frame is
 		// clamped to maxShardK hits, 24 + 12*512 = 6168 bytes.
 		{http.MethodGet, SearchPath + "?q=local&k=9999", http.StatusOK, "", "application/octet-stream",
-			"sha256:47002b19a8ecf6eebd15c110ed668a61a8e4b0255829f855ca32e796760f51ab"},
+			"sha256:e4a95434fbd42b00121d1aa15535f4d7e8b0e003a6578c42210e4794819ae30e"},
 		{http.MethodGet, "/healthz", http.StatusOK, "", "application/json",
-			`{"corpus":"7dbde428cdfdc927","docs":2194,"replica":0,"shard":0,"status":"ok"}` + "\n"},
+			`{"corpus":"da735b218ea26221","docs":2194,"replica":0,"shard":0,"status":"ok"}` + "\n"},
 		{http.MethodGet, "/nope", http.StatusNotFound, "", text, "404 page not found\n"},
 	}
 	for _, c := range surface {

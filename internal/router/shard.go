@@ -41,8 +41,8 @@ type ShardResponse struct {
 	// corpus, or cut for another shard count).
 	Corpus uint64
 	// Hits is the shard's top-k, already in merge order (score descending,
-	// URL ascending), with each Doc resolved from its ID through the
-	// router's document table.
+	// doc ID ascending, which is URL order), with each Doc pointing at its
+	// ID's entry in the router's read-only document table.
 	Hits []index.Hit
 }
 
@@ -111,10 +111,10 @@ func WithShardReplica(r int) ShardOption {
 	return func(h *ShardHandler) { h.replica = r }
 }
 
-// NewShardHandler builds a shard node serving the given (already frozen)
-// shard index view as shard id of a count-shard partition. It fingerprints
-// the view's document table and the count once, here, for every reply
-// frame and /healthz.
+// NewShardHandler builds a shard node serving the given shard index view
+// as shard id of a count-shard partition. It fingerprints the view's
+// document table and the count once, here, for every reply frame and
+// /healthz.
 func NewShardHandler(id, count int, idx *index.Index, opts ...ShardOption) *ShardHandler {
 	h := &ShardHandler{id: id, idx: idx, corpus: partitionFingerprint(idx.Docs(), count),
 		mux: http.NewServeMux(), wall: simclock.Wall()}
