@@ -145,16 +145,16 @@ func runCrawl(opts options) (int, error) {
 	}
 	partialPath := opts.Out + ".partial"
 
+	// The in-process engine runs on a virtual clock, which the crawler
+	// drives; a live server gets real time and real waits.
 	reg := telemetry.NewRegistry()
-	var obs []storage.Observation
-	var err error
-	var cr *crawler.Crawler
-	var spans *telemetry.SpanRecorder
-	var stz *statzRuntime
-	defer func() { stz.stop() }()
+	clk := simclock.Clock(simclock.Wall())
 	if opts.Server == "" {
-		clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
-		spans = newCampaignRecorder(opts, clk)
+		clk = simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
+	}
+	spans := newCampaignRecorder(opts, clk)
+	baseURL := opts.Server
+	if baseURL == "" {
 		ecfg := engine.DefaultConfig()
 		if opts.Seed != 0 {
 			ecfg.Seed = opts.Seed
@@ -166,50 +166,40 @@ func runCrawl(opts options) (int, error) {
 		if spans != nil {
 			handlerOpts = append(handlerOpts, serpserver.WithSpans(spans))
 		}
-		srv, lerr := serpserver.Listen("127.0.0.1:0", serpserver.NewHandler(eng, handlerOpts...))
-		if lerr != nil {
-			return 0, lerr
+		srv, err := serpserver.Listen("127.0.0.1:0", serpserver.NewHandler(eng, handlerOpts...))
+		if err != nil {
+			return 0, err
 		}
 		srv.Start()
-		logger.Info("in-process engine ready", "url", srv.URL())
-		cr, err = crawler.New(ccfg, clk, srv.URL(), ds, corpus)
-		if err != nil {
-			return 0, err
-		}
-		cr.Logger, cr.Telemetry, cr.Spans = logger, reg, spans
-		if err := setupCheckpoint(cr, opts, ckptPath, partialPath, logger); err != nil {
-			return 0, err
-		}
-		if stz, err = setupStatz(cr, opts, clk, reg, spans, logger); err != nil {
-			return 0, err
-		}
-		campaignStart := clk.Now()
-		obs, err = cr.RunCampaignVirtual(clk, phases)
-		if err == nil {
-			// The virtual elapsed time is the campaign's simulated schedule
-			// (e.g. "30 days"), not how long the hardware took — main logs
-			// the wall-clock elapsed separately.
-			logger.Info("virtual campaign complete",
-				"virtual_elapsed", clk.Now().Sub(campaignStart).String())
-		}
+		baseURL = srv.URL()
+		logger.Info("in-process engine ready", "url", baseURL)
 	} else {
-		logger.Info("targeting live server (wall-clock waits apply)", "server", opts.Server)
-		spans = newCampaignRecorder(opts, simclock.Wall())
-		cr, err = crawler.New(ccfg, simclock.Wall(), opts.Server, ds, corpus)
-		if err != nil {
-			return 0, err
-		}
-		cr.Logger, cr.Telemetry, cr.Spans = logger, reg, spans
-		if err := setupCheckpoint(cr, opts, ckptPath, partialPath, logger); err != nil {
-			return 0, err
-		}
-		if stz, err = setupStatz(cr, opts, simclock.Wall(), reg, spans, logger); err != nil {
-			return 0, err
-		}
-		obs, err = cr.RunCampaign(phases)
+		logger.Info("targeting live server (wall-clock waits apply)", "server", baseURL)
 	}
+	cr, err := crawler.New(ccfg, clk, baseURL, ds, corpus)
+	if err != nil {
+		return 0, err
+	}
+	cr.Logger, cr.Telemetry, cr.Spans = logger, reg, spans
+	if err := setupCheckpoint(cr, opts, ckptPath, partialPath, logger); err != nil {
+		return 0, err
+	}
+	stz, err := setupStatz(cr, opts, clk, reg, spans, logger)
+	if err != nil {
+		return 0, err
+	}
+	defer stz.stop()
+	campaignStart := clk.Now()
+	obs, err := cr.RunCampaign(context.Background(), phases)
 	if err != nil {
 		return 0, fmt.Errorf("crawl: campaign (restartable with -resume): %w", err)
+	}
+	if opts.Server == "" {
+		// The virtual elapsed time is the campaign's simulated schedule
+		// (e.g. "30 days"), not how long the hardware took — main logs
+		// the wall-clock elapsed separately.
+		logger.Info("virtual campaign complete",
+			"virtual_elapsed", clk.Now().Sub(campaignStart).String())
 	}
 	if err := storage.SaveJSONL(opts.Out, obs); err != nil {
 		return 0, fmt.Errorf("crawl: save: %w", err)

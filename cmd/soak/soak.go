@@ -402,7 +402,7 @@ func runSoak(opts soakOptions) (*soakSummary, error) {
 	}
 
 	start := clk.Now()
-	obs, err := cr.RunCampaignVirtual(clk, []crawler.Phase{phase})
+	obs, err := cr.RunCampaign(context.Background(), []crawler.Phase{phase})
 	close(pollStop)
 	pollWG.Wait()
 	if err != nil {

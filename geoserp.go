@@ -135,7 +135,8 @@ func DefaultStudyConfig() StudyConfig {
 // engine, a real HTTP server in front of it, and the crawler pool — the
 // in-process equivalent of the paper's full measurement deployment.
 type Study struct {
-	// Clock is the virtual clock shared by engine and crawler.
+	// Clock is the virtual clock shared by engine and crawler. The
+	// crawler drives it while RunPhases or RunValidation runs.
 	Clock *simclock.Manual
 	// Engine is the synthetic search engine under measurement.
 	Engine *engine.Engine
@@ -205,28 +206,16 @@ func (s *Study) ScaledPhases(termsPerCategory, days int) []Phase {
 // RunPhases executes a campaign under virtual time and returns the
 // observations.
 func (s *Study) RunPhases(phases []Phase) ([]Observation, error) {
-	return s.Crawler.RunCampaignVirtual(s.Clock, phases)
+	return s.Crawler.RunCampaign(context.Background(), phases)
 }
 
 // RunValidation runs the §2.2 GPS-vs-IP validation experiment with the
 // given number of vantage machines and returns its summary. The default
 // inputs match the paper: controversial terms, 50 vantages.
 func (s *Study) RunValidation(terms []Query, gps Point, vantages int) (ValidationResult, error) {
-	type result struct {
-		pages map[string][]*Page
-		err   error
+	pages, err := s.Crawler.RunValidation(terms, gps, vantages)
+	if err != nil {
+		return ValidationResult{}, err
 	}
-	done := make(chan result, 1)
-	stop := make(chan struct{})
-	go func() {
-		pages, err := s.Crawler.RunValidation(terms, gps, vantages)
-		done <- result{pages, err}
-		close(stop)
-	}()
-	s.Clock.DriveUntil(stop)
-	r := <-done
-	if r.err != nil {
-		return ValidationResult{}, r.err
-	}
-	return analysis.ValidateGPSOverIP(r.pages), nil
+	return analysis.ValidateGPSOverIP(pages), nil
 }

@@ -138,31 +138,34 @@ func (d *Dataset) DistanceDecay(locs *geo.Dataset, category string) ([]DecayBin,
 		jaccard float64
 	}
 	var samples []sample
+	// One Comparer per (granularity, term, day): each treatment page is
+	// prepared once, then compared with every other location's.
+	var c metrics.Comparer
+	var pages []*metrics.PageLinks
+	var at []geo.Point
 	for _, g := range d.orderedGranularities() {
 		ids := d.locationsByGranularity[g]
+		points := make([]*geo.Point, len(ids)) // nil where locs lacks the ID
+		for i, id := range ids {
+			if l, ok := locs.ByID(id); ok {
+				points[i] = &l.Point
+			}
+		}
 		for _, term := range d.termsByCategory[category] {
 			for _, day := range d.days {
-				for i := 0; i < len(ids); i++ {
-					pa, ok := d.lookup(g, term, day, ids[i])
-					if !ok || pa.treatment == nil {
-						continue
+				c.Reset()
+				pages, at = pages[:0], at[:0]
+				for i, id := range ids {
+					if p, ok := d.lookup(g, term, day, id); ok && p.treatment != nil && points[i] != nil {
+						pages = append(pages, c.Prepare(p.treatment))
+						at = append(at, *points[i])
 					}
-					la, okA := locs.ByID(ids[i])
-					if !okA {
-						continue
-					}
-					for j := i + 1; j < len(ids); j++ {
-						pb, ok := d.lookup(g, term, day, ids[j])
-						if !ok || pb.treatment == nil {
-							continue
-						}
-						lb, okB := locs.ByID(ids[j])
-						if !okB {
-							continue
-						}
-						cmp := metrics.ComparePages(pa.treatment, pb.treatment)
+				}
+				for i := range pages {
+					for j := i + 1; j < len(pages); j++ {
+						cmp := c.Compare(pages[i], pages[j])
 						samples = append(samples, sample{
-							km:      geo.DistanceKm(la.Point, lb.Point),
+							km:      geo.DistanceKm(at[i], at[j]),
 							edit:    float64(cmp.EditDistance),
 							jaccard: cmp.Jaccard,
 						})

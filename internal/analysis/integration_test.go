@@ -5,6 +5,7 @@ package analysis_test
 // are checked against the paper's qualitative findings.
 
 import (
+	"context"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -46,7 +47,7 @@ func runSmallCampaign(t *testing.T) []storage.Observation {
 		Granularities: geo.Granularities,
 		Days:          2,
 	}
-	obs, err := cr.RunCampaignVirtual(clk, []crawler.Phase{phase})
+	obs, err := cr.RunCampaign(context.Background(), []crawler.Phase{phase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func TestScopeAnalysisEndToEnd(t *testing.T) {
 		Granularities: []geo.Granularity{geo.National},
 		Days:          2,
 	}
-	obs, err := cr.RunCampaignVirtual(clk, []crawler.Phase{phase})
+	obs, err := cr.RunCampaign(context.Background(), []crawler.Phase{phase})
 	if err != nil {
 		t.Fatal(err)
 	}

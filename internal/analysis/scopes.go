@@ -3,7 +3,6 @@ package analysis
 import (
 	"geoserp/internal/metrics"
 	"geoserp/internal/queries"
-	"geoserp/internal/serp"
 	"geoserp/internal/stats"
 )
 
@@ -67,20 +66,25 @@ func (d *Dataset) PoliticianScopeBreakdown(corpus *queries.Corpus) []ScopeCell {
 // granularity g whose term keep accepts.
 func (d *Dataset) pairwiseByTerm(g, category string, keep func(string) bool) (js, es []float64) {
 	locs := d.locationsByGranularity[g]
+	// Each treatment page is prepared once per (term, day), as in
+	// DistanceDecay.
+	var c metrics.Comparer
+	var pages []*metrics.PageLinks
 	for _, term := range d.termsByCategory[category] {
 		if !keep(term) {
 			continue
 		}
 		for _, day := range d.days {
-			var pages []*serp.Page
+			c.Reset()
+			pages = pages[:0]
 			for _, loc := range locs {
 				if p, ok := d.lookup(g, term, day, loc); ok && p.treatment != nil {
-					pages = append(pages, p.treatment)
+					pages = append(pages, c.Prepare(p.treatment))
 				}
 			}
 			for i := 0; i < len(pages); i++ {
 				for j := i + 1; j < len(pages); j++ {
-					cmp := metrics.ComparePages(pages[i], pages[j])
+					cmp := c.Compare(pages[i], pages[j])
 					js = append(js, cmp.Jaccard)
 					es = append(es, float64(cmp.EditDistance))
 				}

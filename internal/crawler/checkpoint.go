@@ -22,11 +22,9 @@ type checkpointState struct {
 	ck  storage.Checkpoint
 	// seen counts sweep slots passed this run (skipped or executed).
 	seen int
-	// prior holds the recovered observations grouped by phase name.
-	prior map[string][]storage.Observation
-	// priorBySweep indexes the same recovered observations by sweep slot,
-	// so skipped sweeps can be replayed to the crawler's SweepSink.
-	priorBySweep map[sweepSlot][]storage.Observation
+	// recovered holds the observations read back from the partial file,
+	// by sweep slot; each skipped slot takes its own out (recover).
+	recovered map[sweepSlot][]storage.Observation
 }
 
 // sweepSlot identifies one term sweep in the campaign's deterministic
@@ -38,9 +36,31 @@ type sweepSlot struct {
 	term        string
 }
 
-// priorFor returns the recovered observations of one checkpointed sweep.
-func (cs *checkpointState) priorFor(phase, gran string, day int, term string) []storage.Observation {
-	return cs.priorBySweep[sweepSlot{phase, gran, day, term}]
+// recover serves one skipped sweep slot: it takes the slot's recovered
+// observations out of the index. Once the last slot the checkpoint covers
+// is passed, and so before this run fetches anything, it refuses a
+// checkpoint written for another plan: one whose last sweep is not this
+// slot, or whose recovered sweeps some slot of this plan did not claim.
+func (cs *checkpointState) recover(slot sweepSlot) ([]storage.Observation, error) {
+	obs := cs.recovered[slot]
+	delete(cs.recovered, slot)
+	cs.seen++
+	if cs.seen < cs.ck.Sweeps {
+		return obs, nil
+	}
+	if last := (sweepSlot{cs.ck.Phase, cs.ck.Granularity, cs.ck.Day, cs.ck.Term}); slot != last {
+		return nil, fmt.Errorf("crawler: resume: checkpoint's sweep %d is %s, this plan's is %s",
+			cs.ck.Sweeps, last, slot)
+	}
+	if n := len(cs.recovered); n > 0 {
+		return nil, fmt.Errorf("crawler: resume: %d recovered sweeps are not in this plan's first %d", n, cs.ck.Sweeps)
+	}
+	return obs, nil
+}
+
+// String names the slot in resume errors.
+func (s sweepSlot) String() string {
+	return fmt.Sprintf("%s/%s day %d %q", s.phase, s.granularity, s.day, s.term)
 }
 
 // skipping reports whether the next sweep slot is already covered by the
@@ -76,11 +96,10 @@ func (cs *checkpointState) record(phase, gran string, day int, term string, obs 
 // restarted with Resume and loses at most the sweep that was in flight.
 func (c *Crawler) EnableCheckpoint(path, obsPath string) {
 	c.ckpt = &checkpointState{
-		path:         path,
-		obsPath:      obsPath,
-		clk:          c.clock,
-		prior:        make(map[string][]storage.Observation),
-		priorBySweep: make(map[sweepSlot][]storage.Observation),
+		path:      path,
+		obsPath:   obsPath,
+		clk:       c.clock,
+		recovered: make(map[sweepSlot][]storage.Observation),
 	}
 }
 
@@ -89,6 +108,9 @@ func (c *Crawler) EnableCheckpoint(path, obsPath string) {
 // recovered from obsPath instead of re-fetched. A missing checkpoint means
 // a fresh start. The observation file is truncated to exactly the records
 // the cursor acknowledges, dropping any sweep that was torn by the crash.
+// The campaign run next must be the plan the checkpoint was written for:
+// RunCampaign refuses a plan whose first ck.Sweeps slots end elsewhere or
+// leave recovered sweeps unclaimed, and one with fewer slots.
 func (c *Crawler) Resume(path, obsPath string) error {
 	ck, ok, err := storage.LoadCheckpoint(path)
 	if err != nil {
@@ -109,9 +131,8 @@ func (c *Crawler) Resume(path, obsPath string) error {
 	}
 	c.ckpt.ck = ck
 	for _, o := range obs {
-		c.ckpt.prior[o.Phase] = append(c.ckpt.prior[o.Phase], o)
 		slot := sweepSlot{o.Phase, o.Granularity, o.Day, o.Term}
-		c.ckpt.priorBySweep[slot] = append(c.ckpt.priorBySweep[slot], o)
+		c.ckpt.recovered[slot] = append(c.ckpt.recovered[slot], o)
 	}
 	return nil
 }

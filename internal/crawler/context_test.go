@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"geoserp/internal/geo"
-	"geoserp/internal/storage"
 )
 
 func TestRunCampaignContextCancellation(t *testing.T) {
@@ -17,11 +16,7 @@ func TestRunCampaignContextCancellation(t *testing.T) {
 	// Cancel after the first progress callback (first day of sweeps).
 	rig.cr.Progress = func(string) { cancel() }
 
-	var obs []storage.Observation
-	var err error
-	driveClock(rig.clk, func() {
-		obs, err = rig.cr.RunCampaignContext(ctx, []Phase{smallPhase(4, geo.County, 5)})
-	})
+	obs, err := rig.cr.RunCampaign(ctx, []Phase{smallPhase(4, geo.County, 5)})
 	if err == nil {
 		t.Fatal("cancelled campaign completed")
 	}
@@ -37,7 +32,7 @@ func TestRunCampaignContextPreCancelled(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := rig.cr.RunCampaignContext(ctx, []Phase{smallPhase(1, geo.County, 1)})
+	_, err := rig.cr.RunCampaign(ctx, []Phase{smallPhase(1, geo.County, 1)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -47,11 +42,7 @@ func TestRunCampaignContextUncancelledCompletes(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	var obs []storage.Observation
-	var err error
-	driveClock(rig.clk, func() {
-		obs, err = rig.cr.RunCampaignContext(ctx, []Phase{smallPhase(2, geo.County, 1)})
-	})
+	obs, err := rig.cr.RunCampaign(ctx, []Phase{smallPhase(2, geo.County, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

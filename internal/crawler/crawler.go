@@ -175,9 +175,6 @@ type Crawler struct {
 	// handler reads it from request goroutines.
 	progMu sync.Mutex
 	prog   ProgressSnapshot
-	// planned marks that RunCampaignContext already sized the progress
-	// plan, so nested RunPhaseContext calls don't re-plan per phase.
-	planned bool
 	// wall times lock-step rounds for the round-duration histogram: the
 	// campaign clock may be virtual, but the histogram reports how long
 	// the hardware took.
@@ -220,8 +217,8 @@ func (c *Crawler) instruments() *crawlInstruments {
 }
 
 // New builds a crawler. The clock must be the same clock the engine uses
-// when both run in-process (virtual-time campaigns); against a remote
-// server use simclock.Wall().
+// when both run in-process (virtual-time campaigns), and the crawler's run
+// methods drive it; against a remote server use simclock.Wall().
 func New(cfg Config, clk simclock.Clock, baseURL string, ds *geo.Dataset, corpus *queries.Corpus) (*Crawler, error) {
 	if cfg.Machines <= 0 {
 		return nil, fmt.Errorf("crawler: need at least one machine")
@@ -389,22 +386,78 @@ func (c *Crawler) startSpan(ctx context.Context, name string) (context.Context, 
 // fetchResult carries one worker's outcome back to the scheduler.
 type fetchResult struct {
 	obs     storage.Observation
-	err     error
-	shed    bool // err is a terminal server shed, charged to ShedBudget
+	err     error // the fetch failed; obs.Shed tells a terminal shed apart
 	retries int
 }
 
-// RunPhase executes one phase and returns every captured observation,
-// sorted by (day, granularity, term, location, role) for deterministic
-// downstream processing.
-func (c *Crawler) RunPhase(p Phase) ([]storage.Observation, error) {
-	return c.RunPhaseContext(context.Background(), p)
+// drive runs fn, one whole campaign run, to completion. On a Manual clock
+// the crawler drives the clock itself: fn runs on its own goroutine while
+// DriveUntil hops virtual time across every inter-query and day-boundary
+// sleep, and keeps hopping until fn has returned, so a cancelled run never
+// strands workers parked in virtual sleeps. On any other clock fn runs
+// inline and sleeps in real time.
+func (c *Crawler) drive(fn func() error) error {
+	clk, ok := c.clock.(*simclock.Manual)
+	if !ok {
+		return fn()
+	}
+	done := make(chan struct{})
+	var err error
+	go func() {
+		defer close(done)
+		err = fn()
+	}()
+	clk.DriveUntil(done)
+	return err
 }
 
-// RunPhaseContext is RunPhase with cancellation: the context is checked at
-// every term boundary, so a cancelled multi-day campaign stops within one
-// lock-step sweep (plus its inter-term wait on a wall clock).
-func (c *Crawler) RunPhaseContext(ctx context.Context, p Phase) ([]storage.Observation, error) {
+// RunCampaign executes every phase in order and returns the observations,
+// each phase's sorted by (day, granularity, term, location, role). The
+// context is checked at every term boundary, so a cancelled multi-day
+// campaign stops within one lock-step sweep (plus its inter-term wait on a
+// wall clock). On a Manual clock the crawler drives virtual time itself —
+// "30 days" of crawling complete in seconds, lock-step semantics intact;
+// callers must not drive the crawler's clock. On any other clock the
+// campaign runs in real time.
+func (c *Crawler) RunCampaign(ctx context.Context, phases []Phase) ([]storage.Observation, error) {
+	ctx, span := c.startSpan(ctx, "crawler.campaign")
+	span.SetAttr("phases", fmt.Sprint(len(phases)))
+	defer span.End()
+	c.planCampaign(phases)
+	var all []storage.Observation
+	err := c.drive(func() error {
+		for _, p := range phases {
+			obs, err := c.runPhase(ctx, p)
+			if err != nil {
+				return fmt.Errorf("crawler: phase %q: %w", p.Name, err)
+			}
+			all = append(all, obs...)
+		}
+		return nil
+	})
+	if err == nil && c.ckpt != nil && c.ckpt.skipping() {
+		err = fmt.Errorf("crawler: resume: checkpoint covers %d sweeps, the plan has %d", c.ckpt.ck.Sweeps, c.ckpt.seen)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return all, nil
+}
+
+// RunCampaignVirtual is RunCampaign(context.Background(), phases) for a
+// caller that names the crawler's Manual clock; any other clock is an
+// error. The benchmark module (perfbench) calls it.
+func (c *Crawler) RunCampaignVirtual(clk *simclock.Manual, phases []Phase) ([]storage.Observation, error) {
+	if simclock.Clock(clk) != c.clock {
+		return nil, fmt.Errorf("crawler: RunCampaignVirtual: clock is not the crawler's")
+	}
+	return c.RunCampaign(context.Background(), phases)
+}
+
+// runPhase executes one phase of a planned campaign and returns every
+// captured observation, sorted by (day, granularity, term, location, role)
+// for deterministic downstream processing.
+func (c *Crawler) runPhase(ctx context.Context, p Phase) ([]storage.Observation, error) {
 	if p.Days <= 0 {
 		return nil, fmt.Errorf("crawler: phase %q has no days", p.Name)
 	}
@@ -412,20 +465,9 @@ func (c *Crawler) RunPhaseContext(ctx context.Context, p Phase) ([]storage.Obser
 	span.SetAttr("phase", p.Name)
 	span.SetAttr("days", fmt.Sprint(p.Days))
 	defer span.End()
-	if !c.planned {
-		// A standalone phase run plans just itself; campaigns plan the
-		// whole phase list up front in RunCampaignContext.
-		c.planCampaign([]Phase{p})
-	}
 	rt, closeIdle := c.runTransport()
 	defer closeIdle()
 	var all []storage.Observation
-	if c.ckpt != nil {
-		// Observations recovered from the checkpoint file slot in ahead of
-		// anything fetched this run; the final sort interleaves them
-		// exactly as an uninterrupted campaign would have produced them.
-		all = append(all, c.ckpt.prior[p.Name]...)
-	}
 	_, manualClock := c.clock.(*simclock.Manual)
 	for _, g := range p.Granularities {
 		locs := c.ds.At(g)
@@ -463,9 +505,12 @@ func (c *Crawler) RunPhaseContext(ctx context.Context, p Phase) ([]storage.Obser
 					// nothing. The recovered observations still flow to the
 					// sink: a resumed campaign's streaming scorecard must
 					// cover the sweeps it did not re-fetch.
-					c.ckpt.seen++
-					c.notifySweep(p.Name, g, day, q.Term, slotStart,
-						c.ckpt.priorFor(p.Name, g.Short(), day, q.Term), true)
+					obs, err := c.ckpt.recover(sweepSlot{p.Name, g.Short(), day, q.Term})
+					if err != nil {
+						return nil, err
+					}
+					all = append(all, obs...)
+					c.notifySweep(p.Name, g, day, q.Term, slotStart, obs, true)
 					if manualClock {
 						c.sleepUntil(nextSlot)
 					}
@@ -516,60 +561,53 @@ func (c *Crawler) RunPhaseContext(ctx context.Context, p Phase) ([]storage.Obser
 	return all, nil
 }
 
-// RunCampaignVirtual runs a campaign under a Manual clock, driving virtual
-// time forward whenever the crawler parks in its inter-query or day-boundary
-// sleeps. This is how "30 days" of crawling completes in seconds: the
-// lock-step semantics are preserved exactly, only the idle waiting is
-// elided.
-func (c *Crawler) RunCampaignVirtual(clk *simclock.Manual, phases []Phase) ([]storage.Observation, error) {
-	return c.RunCampaignVirtualContext(context.Background(), clk, phases)
-}
-
-// RunCampaignVirtualContext is RunCampaignVirtual with cancellation. The
-// clock keeps driving until the campaign goroutine has fully unwound, so a
-// cancelled campaign never strands workers parked in virtual sleeps.
-func (c *Crawler) RunCampaignVirtualContext(ctx context.Context, clk *simclock.Manual, phases []Phase) ([]storage.Observation, error) {
-	type result struct {
-		obs []storage.Observation
-		err error
+// lockstep runs one lock-step round: fetch(ctx, i) for every i in [0, n),
+// all launched at the same campaign instant, and returns once every fetch
+// has returned. It is the only place the crawler holds the clock. Each
+// worker holds it from *before* launch until it returns, so DriveUntil may
+// not hop to a parked retry deadline while any fetch of the round is still
+// runnable but not yet on the wire; fetch's ctx carries the hold
+// (simclock.WithHeld), so backoff sleeps inside SearchContext go through
+// SleepHeld. The dispatcher also holds the clock until the last worker is
+// launched: a worker whose first attempt fails at once drops its hold in
+// SleepHeld, and without this one DriveUntil could then advance the clock
+// before the later workers are even held.
+func (c *Crawler) lockstep(ctx context.Context, n int, fetch func(ctx context.Context, i int)) {
+	holder := simclock.HolderOf(c.clock)
+	held := simclock.WithHeld(ctx, holder)
+	if holder != nil {
+		holder.Hold()
 	}
-	done := make(chan result, 1)
-	stop := make(chan struct{})
-	go func() {
-		obs, err := c.RunCampaignContext(ctx, phases)
-		done <- result{obs, err}
-		close(stop)
-	}()
-	// Block-free driving: hop to each pending deadline, park between
-	// sleeps. No polling loop — the driver burns no core while fetches
-	// are in flight.
-	clk.DriveUntil(stop)
-	r := <-done
-	return r.obs, r.err
-}
-
-// RunCampaign executes every phase in order.
-func (c *Crawler) RunCampaign(phases []Phase) ([]storage.Observation, error) {
-	return c.RunCampaignContext(context.Background(), phases)
-}
-
-// RunCampaignContext is RunCampaign with cancellation.
-func (c *Crawler) RunCampaignContext(ctx context.Context, phases []Phase) ([]storage.Observation, error) {
-	ctx, span := c.startSpan(ctx, "crawler.campaign")
-	span.SetAttr("phases", fmt.Sprint(len(phases)))
-	defer span.End()
-	c.planCampaign(phases)
-	c.planned = true
-	defer func() { c.planned = false }()
-	var all []storage.Observation
-	for _, p := range phases {
-		obs, err := c.RunPhaseContext(ctx, p)
-		if err != nil {
-			return nil, fmt.Errorf("crawler: phase %q: %w", p.Name, err)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		if holder != nil {
+			holder.Hold()
 		}
-		all = append(all, obs...)
+		go func(i int) {
+			defer wg.Done()
+			if holder != nil {
+				defer holder.Release()
+			}
+			fetch(held, i)
+		}(i)
 	}
-	return all, nil
+	if holder != nil {
+		holder.Release()
+	}
+	wg.Wait()
+}
+
+// search is one fetch of a lock-step round: term from b under the given
+// trace ID, with b's cookies cleared afterwards when the config asks for
+// it.
+func (c *Crawler) search(ctx context.Context, b *browser.Browser, trace, term string) (*serp.Page, error) {
+	b.SetTraceID(trace)
+	page, err := b.SearchContext(ctx, term)
+	if c.cfg.ClearCookies {
+		b.ClearCookies()
+	}
+	return page, err
 }
 
 // sweepTerm issues the query from every vantage — treatment and control —
@@ -590,87 +628,50 @@ func (c *Crawler) sweepTerm(ctx context.Context, phase string, q queries.Query, 
 	span.SetAttr("granularity", g.Short())
 	span.SetAttr("day", fmt.Sprint(day))
 	defer span.End()
-	results := make(chan fetchResult, len(vans)*2)
-	var wg sync.WaitGroup
 	now := c.clock.Now()
 	roundStart := c.wall.Now()
-	// Hold the virtual clock per worker from *before* launch: the driver
-	// may not hop to a parked retry deadline while any fetch in this round
-	// is still runnable but not yet on the wire. Workers release on exit;
-	// backoff sleeps inside SearchContext go through SleepHeld. The
-	// dispatcher also holds the clock until the last worker is launched: a
-	// worker whose first attempt fails at once drops its hold in SleepHeld,
-	// and without this one DriveUntil could then advance the clock before
-	// the later workers are even held.
-	holder := simclock.HolderOf(c.clock)
-	fetchCtx := simclock.WithHeld(ctx, holder)
-	if holder != nil {
-		holder.Hold()
-	}
-	for _, v := range vans {
-		for _, role := range []storage.Role{storage.Treatment, storage.Control} {
-			b := v.treatment
-			if role == storage.Control {
-				b = v.control
-			}
-			trace := telemetry.MintTraceID(0, phase, g.Short(), fmt.Sprint(day), q.Term, v.loc.ID, string(role))
-			wg.Add(1)
-			if holder != nil {
-				holder.Hold()
-			}
-			go func(v vantage, role storage.Role, b *browser.Browser, trace string) {
-				defer wg.Done()
-				if holder != nil {
-					defer holder.Release()
-				}
-				inst.queries.Inc()
-				if c.Logger != nil {
-					c.Logger.Debug("fetch",
-						"trace", trace, "phase", phase, "term", q.Term,
-						"location", v.loc.ID, "role", string(role), "day", day)
-				}
-				b.SetTraceID(trace)
-				retriesBefore := b.Retries()
-				page, err := b.SearchContext(fetchCtx, q.Term)
-				if c.cfg.ClearCookies {
-					b.ClearCookies()
-				}
-				obs := storage.Observation{
-					Phase:       phase,
-					Term:        q.Term,
-					Category:    q.Category.Short(),
-					Granularity: g.Short(),
-					LocationID:  v.loc.ID,
-					Role:        role,
-					Day:         day,
-					MachineIP:   b.SourceIP(),
-					TraceID:     trace,
-					FetchedAt:   now,
-				}
-				if err != nil {
-					obs.Failed = true
-					obs.Err = err.Error()
-					obs.Shed = browser.IsShed(err)
-					results <- fetchResult{
-						obs:     obs,
-						err:     fmt.Errorf("crawler: %s %s %q: %w", v.loc.ID, role, q.Term, err),
-						shed:    obs.Shed,
-						retries: b.Retries() - retriesBefore,
-					}
-					return
-				}
-				obs.Datacenter = page.Datacenter
-				obs.TraceID = page.TraceID
-				obs.Page = page
-				results <- fetchResult{obs: obs, retries: b.Retries() - retriesBefore}
-			}(v, role, b, trace)
+	// Fetch 2v is vantage v's treatment, 2v+1 its control.
+	results := make([]fetchResult, len(vans)*2)
+	c.lockstep(ctx, len(results), func(ctx context.Context, i int) {
+		v := vans[i/2]
+		role, b := storage.Treatment, v.treatment
+		if i%2 == 1 {
+			role, b = storage.Control, v.control
 		}
-	}
-	if holder != nil {
-		holder.Release()
-	}
-	wg.Wait()
-	close(results)
+		trace := telemetry.MintTraceID(0, phase, g.Short(), fmt.Sprint(day), q.Term, v.loc.ID, string(role))
+		inst.queries.Inc()
+		if c.Logger != nil {
+			c.Logger.Debug("fetch",
+				"trace", trace, "phase", phase, "term", q.Term,
+				"location", v.loc.ID, "role", string(role), "day", day)
+		}
+		retriesBefore := b.Retries()
+		page, err := c.search(ctx, b, trace, q.Term)
+		r := &results[i]
+		r.retries = b.Retries() - retriesBefore
+		r.obs = storage.Observation{
+			Phase:       phase,
+			Term:        q.Term,
+			Category:    q.Category.Short(),
+			Granularity: g.Short(),
+			LocationID:  v.loc.ID,
+			Role:        role,
+			Day:         day,
+			MachineIP:   b.SourceIP(),
+			TraceID:     trace,
+			FetchedAt:   now,
+		}
+		if err != nil {
+			r.obs.Failed = true
+			r.obs.Err = err.Error()
+			r.obs.Shed = browser.IsShed(err)
+			r.err = fmt.Errorf("crawler: %s %s %q: %w", v.loc.ID, role, q.Term, err)
+			return
+		}
+		r.obs.Datacenter = page.Datacenter
+		r.obs.TraceID = page.TraceID
+		r.obs.Page = page
+	})
 	inst.roundDur.ObserveSince(roundStart)
 
 	// Shutdown, not flakiness: report the cancellation itself.
@@ -678,10 +679,11 @@ func (c *Crawler) sweepTerm(ctx context.Context, phase string, q queries.Query, 
 		return nil, fmt.Errorf("crawler: sweep %q cancelled: %w", q.Term, err)
 	}
 
-	out := make([]storage.Observation, 0, len(vans)*2)
+	out := make([]storage.Observation, 0, len(results))
 	failed, shed := 0, 0
 	var firstErr, firstShedErr error
-	for r := range results {
+	for i := range results {
+		r := &results[i]
 		if r.retries > 0 {
 			inst.fetchRetries.With(phase).Add(uint64(r.retries))
 		}
@@ -690,7 +692,7 @@ func (c *Crawler) sweepTerm(ctx context.Context, phase string, q queries.Query, 
 			// under admission control means the server chose not to serve,
 			// which an operator tolerates (or not) independently of broken
 			// fetches.
-			if r.shed {
+			if r.obs.Shed {
 				shed++
 				inst.fetchShed.With(phase).Inc()
 				if firstShedErr == nil {
@@ -706,12 +708,12 @@ func (c *Crawler) sweepTerm(ctx context.Context, phase string, q queries.Query, 
 			if c.Logger != nil {
 				c.Logger.Warn("fetch failed", "trace", r.obs.TraceID, "phase", phase,
 					"term", q.Term, "location", r.obs.LocationID, "role", string(r.obs.Role),
-					"day", day, "shed", r.shed, "err", r.obs.Err)
+					"day", day, "shed", r.obs.Shed, "err", r.obs.Err)
 			}
 		}
 		out = append(out, r.obs)
 	}
-	total := len(vans) * 2
+	total := len(results)
 	if budget := int(c.cfg.FailureBudget * float64(total)); failed > budget {
 		return nil, fmt.Errorf("crawler: %d/%d fetches failed (budget %d): %w",
 			failed, total, budget, firstErr)
@@ -721,10 +723,9 @@ func (c *Crawler) sweepTerm(ctx context.Context, phase string, q queries.Query, 
 			shed, total, budget, firstShedErr)
 	}
 	inst.terms.Inc()
-	// Fetches land on the results channel in completion order, which the
-	// scheduler decides. Canonicalize before the sweep is checkpointed or
-	// handed to a SweepSink: recovered and re-executed sweeps must replay
-	// byte-identically across runs.
+	// Canonicalize to (location, role) order before the sweep is
+	// checkpointed or handed to a SweepSink: recovered and re-executed
+	// sweeps must replay byte-identically across runs.
 	sortObservations(out)
 	return out, nil
 }
@@ -735,7 +736,8 @@ func (c *Crawler) sweepTerm(ctx context.Context, phase string, q queries.Query, 
 // US). It returns the fetched pages grouped by term, in vantage order.
 // Vantage browsers are deliberately NOT datacenter-pinned: the experiment
 // measures how much the serving path and IP address matter once GPS is
-// fixed.
+// fixed. Like RunCampaign, it drives a Manual clock itself (callers must
+// not) and runs in real time on any other clock.
 func (c *Crawler) RunValidation(terms []queries.Query, gps geo.Point, nVantage int) (map[string][]*serp.Page, error) {
 	if nVantage <= 0 {
 		return nil, fmt.Errorf("crawler: need at least one vantage")
@@ -764,49 +766,29 @@ func (c *Crawler) RunValidation(terms []queries.Query, gps geo.Point, nVantage i
 		browsers[i] = b
 	}
 	out := make(map[string][]*serp.Page, len(terms))
-	for _, q := range terms {
-		pages := make([]*serp.Page, nVantage)
-		errs := make([]error, nVantage)
-		var wg sync.WaitGroup
-		holder := simclock.HolderOf(c.clock)
-		fetchCtx := simclock.WithHeld(context.Background(), holder)
-		// As in sweepTerm: the dispatcher holds the clock until every
-		// vantage is launched and holding its own.
-		if holder != nil {
-			holder.Hold()
-		}
-		for i, b := range browsers {
-			wg.Add(1)
-			if holder != nil {
-				holder.Hold()
-			}
-			go func(i int, b *browser.Browser) {
-				defer wg.Done()
-				if holder != nil {
-					defer holder.Release()
-				}
+	err := c.drive(func() error {
+		for _, q := range terms {
+			pages := make([]*serp.Page, nVantage)
+			errs := make([]error, nVantage)
+			c.lockstep(context.Background(), nVantage, func(ctx context.Context, i int) {
 				// Trace-keyed like campaign fetches, so the validation
 				// pages — printed first by cmd/repro — are reproducible
 				// regardless of goroutine arrival order.
-				b.SetTraceID(telemetry.MintTraceID(0, "validation", q.Term, fmt.Sprint(i)))
-				p, err := b.SearchContext(fetchCtx, q.Term)
-				if c.cfg.ClearCookies {
-					b.ClearCookies()
+				trace := telemetry.MintTraceID(0, "validation", q.Term, fmt.Sprint(i))
+				pages[i], errs[i] = c.search(ctx, browsers[i], trace, q.Term)
+			})
+			for i, err := range errs {
+				if err != nil {
+					return fmt.Errorf("crawler: validation vantage %d term %q: %w", i, q.Term, err)
 				}
-				pages[i], errs[i] = p, err
-			}(i, b)
-		}
-		if holder != nil {
-			holder.Release()
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("crawler: validation vantage %d term %q: %w", i, q.Term, err)
 			}
+			out[q.Term] = pages
+			c.clock.Sleep(c.cfg.WaitBetweenTerms)
 		}
-		out[q.Term] = pages
-		c.clock.Sleep(c.cfg.WaitBetweenTerms)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"context"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +14,6 @@ import (
 	"geoserp/internal/geo"
 	"geoserp/internal/metrics"
 	"geoserp/internal/queries"
-	"geoserp/internal/serp"
 	"geoserp/internal/serpserver"
 	"geoserp/internal/simclock"
 	"geoserp/internal/storage"
@@ -89,7 +89,7 @@ func TestMachineIPs(t *testing.T) {
 func TestRunPhaseProducesPairedObservations(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	phase := smallPhase(3, geo.County, 2)
-	obs, err := rig.cr.RunCampaignVirtual(rig.clk, []Phase{phase})
+	obs, err := rig.cr.RunCampaign(context.Background(), []Phase{phase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestRunPhaseProducesPairedObservations(t *testing.T) {
 func TestLockStepAcrossLocations(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	phase := smallPhase(2, geo.County, 1)
-	obs, err := rig.cr.RunCampaignVirtual(rig.clk, []Phase{phase})
+	obs, err := rig.cr.RunCampaign(context.Background(), []Phase{phase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDatacenterPinningInCampaign(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PinnedDatacenter = "dc-1"
 	rig := newRig(t, cfg, nil)
-	obs, err := rig.cr.RunCampaignVirtual(rig.clk, []Phase{smallPhase(2, geo.County, 1)})
+	obs, err := rig.cr.RunCampaign(context.Background(), []Phase{smallPhase(2, geo.County, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDatacenterPinningInCampaign(t *testing.T) {
 
 func TestDayAlignmentWithEngine(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
-	obs, err := rig.cr.RunCampaignVirtual(rig.clk, []Phase{smallPhase(2, geo.County, 3)})
+	obs, err := rig.cr.RunCampaign(context.Background(), []Phase{smallPhase(2, geo.County, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestMachineSpreadAvoidsRateLimits(t *testing.T) {
 	// machine pool, a 15-location sweep must succeed — the point of
 	// distributing load over 44 machines.
 	rig := newRig(t, DefaultConfig(), nil)
-	if _, err := rig.cr.RunCampaignVirtual(rig.clk, []Phase{smallPhase(4, geo.County, 1)}); err != nil {
+	if _, err := rig.cr.RunCampaign(context.Background(), []Phase{smallPhase(4, geo.County, 1)}); err != nil {
 		t.Fatalf("campaign tripped the rate limiter: %v", err)
 	}
 	// Sanity: a single-machine crawler with the same limiter fails.
@@ -221,32 +221,44 @@ func TestMachineSpreadAvoidsRateLimits(t *testing.T) {
 		Granularities: []geo.Granularity{geo.State},
 		Days:          1,
 	}
-	if _, err := cr2.RunCampaignVirtual(clk2, []Phase{phase}); err == nil {
+	if _, err := cr2.RunCampaign(context.Background(), []Phase{phase}); err == nil {
 		t.Fatal("single-machine crawl did not trip the rate limiter")
 	}
 }
 
-// driveClock advances the virtual clock until fn (run in a goroutine)
-// completes, mirroring RunCampaignVirtual's driver loop for arbitrary
-// crawler entry points.
-func driveClock(clk *simclock.Manual, fn func()) {
-	done := make(chan struct{})
+// TestRunCampaignVirtualRefusesForeignClock: the crawler drives only its
+// own clock, so naming any other Manual clock is an error — not a
+// campaign parked forever on a clock that nobody drives.
+func TestRunCampaignVirtualRefusesForeignClock(t *testing.T) {
+	rig := newRig(t, DefaultConfig(), nil)
+	phases := []Phase{smallPhase(1, geo.County, 1)}
+	done := make(chan error, 1)
 	go func() {
-		defer close(done)
-		fn()
+		_, err := rig.cr.RunCampaignVirtual(simclock.NewManual(rig.clk.Now()), phases)
+		done <- err
 	}()
-	clk.DriveUntil(done)
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("campaign ran on a clock that is not the crawler's")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("RunCampaignVirtual on a foreign clock did not return")
+	}
+	obs, err := rig.cr.RunCampaignVirtual(rig.clk, phases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obs) != 15*2 {
+		t.Fatalf("observations = %d, want 30", len(obs))
+	}
 }
 
 func TestRunValidationGPSDominates(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	terms := queries.StudyCorpus().Category(queries.Controversial)[:6]
 	gps := geo.Point{Lat: 41.4993, Lon: -81.6944}
-	var out map[string][]*serp.Page
-	var err error
-	driveClock(rig.clk, func() {
-		out, err = rig.cr.RunValidation(terms, gps, 12)
-	})
+	out, err := rig.cr.RunValidation(terms, gps, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +310,7 @@ func TestStudyPhases(t *testing.T) {
 
 func TestObservationsSorted(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
-	obs, err := rig.cr.RunCampaignVirtual(rig.clk, []Phase{smallPhase(3, geo.County, 2)})
+	obs, err := rig.cr.RunCampaign(context.Background(), []Phase{smallPhase(3, geo.County, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +352,7 @@ func TestPhaseKeepsConnectionsAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr.RunCampaignVirtual(clk, []Phase{smallPhase(3, geo.County, 2)}); err != nil {
+	if _, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(3, geo.County, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if n := dialed.Load(); n == 0 || n > int64(cfg.Machines) {

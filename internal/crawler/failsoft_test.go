@@ -23,7 +23,7 @@ import (
 // brokenVantageRig serves every request normally except those from the
 // given vantage coordinate, which always receive a 500 — one persistently
 // broken location in an otherwise healthy campaign.
-func brokenVantageRig(t *testing.T, cfg Config, badLL string) (*simclock.Manual, *Crawler) {
+func brokenVantageRig(t *testing.T, cfg Config, badLL string) *Crawler {
 	t.Helper()
 	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 	eng := engine.New(engine.DefaultConfig(), clk)
@@ -40,17 +40,17 @@ func brokenVantageRig(t *testing.T, cfg Config, badLL string) (*simclock.Manual,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return clk, cr
+	return cr
 }
 
 func TestFailSoftPhaseRecordsFailedObservations(t *testing.T) {
 	badLoc := geo.StudyDataset().At(geo.County)[0]
 	cfg := DefaultConfig()
 	cfg.FailureBudget = 0.1 // 2 failed fetches out of 30 per round
-	clk, cr := brokenVantageRig(t, cfg, badLoc.Point.String())
+	cr := brokenVantageRig(t, cfg, badLoc.Point.String())
 
 	phase := smallPhase(3, geo.County, 1)
-	obs, err := cr.RunCampaignVirtual(clk, []Phase{phase})
+	obs, err := cr.RunCampaign(context.Background(), []Phase{phase})
 	if err != nil {
 		t.Fatalf("campaign aborted despite failure budget: %v", err)
 	}
@@ -99,8 +99,8 @@ func TestFailSoftPhaseRecordsFailedObservations(t *testing.T) {
 func TestFailureBudgetZeroAbortsOnFirstFailure(t *testing.T) {
 	badLoc := geo.StudyDataset().At(geo.County)[0]
 	cfg := DefaultConfig() // FailureBudget 0: strict
-	clk, cr := brokenVantageRig(t, cfg, badLoc.Point.String())
-	if _, err := cr.RunCampaignVirtual(clk, []Phase{smallPhase(2, geo.County, 1)}); err == nil {
+	cr := brokenVantageRig(t, cfg, badLoc.Point.String())
+	if _, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(2, geo.County, 1)}); err == nil {
 		t.Fatal("zero-budget campaign tolerated a failing vantage")
 	}
 }
@@ -123,7 +123,7 @@ func TestFailureBudgetValidation(t *testing.T) {
 // resumeRig builds a fresh engine+server+crawler trio on its own virtual
 // clock; trace-keyed noise makes two rigs with the same seed byte-for-byte
 // interchangeable, which is what checkpoint resume relies on.
-func resumeRig(t *testing.T) (*simclock.Manual, *Crawler) {
+func resumeRig(t *testing.T) *Crawler {
 	t.Helper()
 	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 	eng := engine.New(engine.DefaultConfig(), clk)
@@ -133,7 +133,7 @@ func resumeRig(t *testing.T) (*simclock.Manual, *Crawler) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return clk, cr
+	return cr
 }
 
 func marshalObs(t *testing.T, obs []storage.Observation) string {
@@ -149,12 +149,12 @@ func marshalObs(t *testing.T, obs []storage.Observation) string {
 // the first progress report, returning the checkpoint file's bytes.
 func interruptedRun(t *testing.T, phase Phase, ckptPath, obsPath string) []byte {
 	t.Helper()
-	clk, cr := resumeRig(t)
+	cr := resumeRig(t)
 	cr.EnableCheckpoint(ckptPath, obsPath)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cr.Progress = func(string) { cancel() } // first day-complete report kills the run
-	if _, err := cr.RunCampaignVirtualContext(ctx, clk, []Phase{phase}); err == nil {
+	if _, err := cr.RunCampaign(ctx, []Phase{phase}); err == nil {
 		t.Fatal("cancelled campaign reported success")
 	}
 	data, err := os.ReadFile(ckptPath)
@@ -171,9 +171,9 @@ func TestResumeReproducesUninterruptedCampaign(t *testing.T) {
 	// Reference: the uninterrupted campaign, checkpointing as it goes so
 	// its final cursor file can be compared with the resumed run's.
 	refCkpt := filepath.Join(dir, "reference.ckpt")
-	clkRef, crRef := resumeRig(t)
+	crRef := resumeRig(t)
 	crRef.EnableCheckpoint(refCkpt, filepath.Join(dir, "reference.partial.jsonl"))
-	want, err := crRef.RunCampaignVirtual(clkRef, []Phase{phase})
+	want, err := crRef.RunCampaign(context.Background(), []Phase{phase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,11 @@ func TestResumeReproducesUninterruptedCampaign(t *testing.T) {
 	}
 
 	// Resumed run: a brand-new crawler against a brand-new engine.
-	clk2, cr2 := resumeRig(t)
+	cr2 := resumeRig(t)
 	if err := cr2.Resume(ckptPath, obsPath); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cr2.RunCampaignVirtual(clk2, []Phase{phase})
+	got, err := cr2.RunCampaign(context.Background(), []Phase{phase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,13 +237,52 @@ func TestResumeReproducesUninterruptedCampaign(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesAnotherPlan: a checkpoint resumes only the plan it was
+// written for. Resumed with other terms, the same terms in another order,
+// or a plan shorter than the checkpoint, the campaign fails without
+// fetching anything, instead of splicing the first plan's recovered sweeps
+// in beside the second plan's.
+func TestResumeRefusesAnotherPlan(t *testing.T) {
+	phase := smallPhase(2, geo.County, 2)
+	local := queries.StudyCorpus().Category(queries.Local)
+	for _, tc := range []struct {
+		name string
+		plan Phase
+	}{
+		{"other terms", Phase{Name: phase.Name, Terms: local[2:4], Granularities: phase.Granularities, Days: phase.Days}},
+		{"reordered terms", Phase{Name: phase.Name, Terms: []queries.Query{local[1], local[0]}, Granularities: phase.Granularities, Days: phase.Days}},
+		{"fewer sweeps", smallPhase(1, geo.County, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ckptPath := filepath.Join(dir, "campaign.ckpt")
+			obsPath := filepath.Join(dir, "campaign.partial.jsonl")
+			interruptedRun(t, phase, ckptPath, obsPath) // 2 day-0 sweeps
+			cr := resumeRig(t)
+			if err := cr.Resume(ckptPath, obsPath); err != nil {
+				t.Fatal(err)
+			}
+			obs, err := cr.RunCampaign(context.Background(), []Phase{tc.plan})
+			if err == nil {
+				t.Fatalf("resumed another plan: %d observations", len(obs))
+			}
+			if obs != nil {
+				t.Fatalf("refused resume returned %d observations", len(obs))
+			}
+			if n := cr.instruments().queries.Value(); n != 0 {
+				t.Fatalf("refused resume fetched %d queries first", n)
+			}
+		})
+	}
+}
+
 func TestResumeWithoutCheckpointStartsFresh(t *testing.T) {
 	dir := t.TempDir()
-	clk, cr := resumeRig(t)
+	cr := resumeRig(t)
 	if err := cr.Resume(filepath.Join(dir, "none.ckpt"), filepath.Join(dir, "none.jsonl")); err != nil {
 		t.Fatal(err)
 	}
-	obs, err := cr.RunCampaignVirtual(clk, []Phase{smallPhase(1, geo.County, 1)})
+	obs, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(1, geo.County, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +317,7 @@ func TestChaosCampaignCompletesWithinBudget(t *testing.T) {
 	cr.Transport = chaos
 
 	phase := smallPhase(3, geo.County, 2)
-	obs, err := cr.RunCampaignVirtual(clk, []Phase{phase})
+	obs, err := cr.RunCampaign(context.Background(), []Phase{phase})
 	if err != nil {
 		t.Fatalf("chaos campaign aborted: %v", err)
 	}

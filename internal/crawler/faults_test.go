@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -31,7 +32,7 @@ func (f *faultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.next.ServeHTTP(w, r)
 }
 
-func faultRig(t *testing.T, every int64, status int) (*simclock.Manual, *Crawler) {
+func faultRig(t *testing.T, every int64, status int) *Crawler {
 	t.Helper()
 	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 	eng := engine.New(engine.DefaultConfig(), clk)
@@ -49,14 +50,14 @@ func faultRig(t *testing.T, every int64, status int) (*simclock.Manual, *Crawler
 	if err != nil {
 		t.Fatal(err)
 	}
-	return clk, cr
+	return cr
 }
 
 func TestCampaignSurfacesServerFaults(t *testing.T) {
 	// A server failing 1-in-5 requests with 500s must fail the campaign
 	// loudly — partial, silently corrupted datasets are worse than none.
-	clk, cr := faultRig(t, 5, http.StatusInternalServerError)
-	_, err := cr.RunCampaignVirtual(clk, []Phase{smallPhase(3, geo.County, 1)})
+	cr := faultRig(t, 5, http.StatusInternalServerError)
+	_, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(3, geo.County, 1)})
 	if err == nil {
 		t.Fatal("campaign succeeded despite injected 500s")
 	}
@@ -72,7 +73,7 @@ func TestCampaignSurfacesGarbageResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr.RunCampaignVirtual(clk, []Phase{smallPhase(1, geo.County, 1)}); err == nil {
+	if _, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(1, geo.County, 1)}); err == nil {
 		t.Fatal("campaign accepted unparseable pages")
 	}
 }
@@ -84,19 +85,15 @@ func TestCampaignAgainstUnreachableServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr.RunCampaignVirtual(clk, []Phase{smallPhase(1, geo.County, 1)}); err == nil {
+	if _, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(1, geo.County, 1)}); err == nil {
 		t.Fatal("campaign succeeded against an unreachable server")
 	}
 }
 
 func TestValidationSurfacesFaults(t *testing.T) {
-	clk, cr := faultRig(t, 3, http.StatusBadGateway)
+	cr := faultRig(t, 3, http.StatusBadGateway)
 	terms := queries.StudyCorpus().Category(queries.Controversial)[:2]
-	var verr error
-	driveClock(clk, func() {
-		_, verr = cr.RunValidation(terms, geo.Point{Lat: 41.5, Lon: -81.7}, 8)
-	})
-	if verr == nil {
+	if _, err := cr.RunValidation(terms, geo.Point{Lat: 41.5, Lon: -81.7}, 8); err == nil {
 		t.Fatal("validation succeeded despite injected 502s")
 	}
 }

@@ -37,7 +37,7 @@ func TestSinkReceivesEveryCampaignSweep(t *testing.T) {
 	rig.cr.Sink = sink
 	start := rig.clk.Now()
 	phase := smallPhase(2, geo.County, 2)
-	obs, err := rig.cr.RunCampaignVirtual(rig.clk, []Phase{phase})
+	obs, err := rig.cr.RunCampaign(context.Background(), []Phase{phase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,30 +86,6 @@ func TestSinkReceivesEveryCampaignSweep(t *testing.T) {
 	}
 }
 
-func TestStandalonePhaseAlsoFeedsSink(t *testing.T) {
-	rig := newRig(t, DefaultConfig(), nil)
-	sink := &collectSink{}
-	rig.cr.Sink = sink
-	// Drive RunPhase (not RunCampaign) under the manual clock: the
-	// standalone path must lay out its own single-phase progress plan.
-	var err error
-	stop := make(chan struct{})
-	go func() {
-		_, err = rig.cr.RunPhase(smallPhase(1, geo.County, 1))
-		close(stop)
-	}()
-	rig.clk.DriveUntil(stop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.infos) != 1 {
-		t.Fatalf("sweeps delivered = %d, want 1", len(sink.infos))
-	}
-	if prog := rig.cr.ProgressState(); prog.SweepsTotal != 1 || prog.SweepsDone != 1 {
-		t.Fatalf("standalone phase progress %+v", prog)
-	}
-}
-
 // TestSinkStreamMatchesBatchOnRealCampaign is the end-to-end parity
 // invariant at the crawler layer: feeding the sink's sweeps, in crawl
 // order, into a stream yields the exact scorecard that NewDataset's replay
@@ -118,7 +94,7 @@ func TestSinkStreamMatchesBatchOnRealCampaign(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	sink := &collectSink{}
 	rig.cr.Sink = sink
-	obs, err := rig.cr.RunCampaignVirtual(rig.clk, []Phase{smallPhase(3, geo.County, 2)})
+	obs, err := rig.cr.RunCampaign(context.Background(), []Phase{smallPhase(3, geo.County, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,34 +121,34 @@ func TestResumeReplaysRecoveredSweepsToSink(t *testing.T) {
 	obsPath := filepath.Join(dir, "campaign.partial.jsonl")
 
 	// Reference: the uninterrupted campaign, sink attached.
-	clkRef, crRef := resumeRig(t)
+	crRef := resumeRig(t)
 	ref := &collectSink{}
 	crRef.Sink = ref
 	crRef.EnableCheckpoint(filepath.Join(dir, "ref.ckpt"), filepath.Join(dir, "ref.partial.jsonl"))
-	if _, err := crRef.RunCampaignVirtual(clkRef, []Phase{phase}); err != nil {
+	if _, err := crRef.RunCampaign(context.Background(), []Phase{phase}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Interrupted run: cancelled after the first completed day (2 sweeps).
-	clk1, cr1 := resumeRig(t)
+	cr1 := resumeRig(t)
 	cr1.EnableCheckpoint(ckptPath, obsPath)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cr1.Progress = func(string) { cancel() }
-	if _, err := cr1.RunCampaignVirtualContext(ctx, clk1, []Phase{phase}); err == nil {
+	if _, err := cr1.RunCampaign(ctx, []Phase{phase}); err == nil {
 		t.Fatal("cancelled campaign reported success")
 	}
 
 	// Resumed run: recovered sweeps must flow through the sink exactly
 	// like executed ones, flagged Recovered, so a streaming aggregator
 	// attached on resume still sees the whole campaign.
-	clk2, cr2 := resumeRig(t)
+	cr2 := resumeRig(t)
 	sink := &collectSink{}
 	cr2.Sink = sink
 	if err := cr2.Resume(ckptPath, obsPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr2.RunCampaignVirtual(clk2, []Phase{phase}); err != nil {
+	if _, err := cr2.RunCampaign(context.Background(), []Phase{phase}); err != nil {
 		t.Fatal(err)
 	}
 

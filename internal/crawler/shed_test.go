@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,7 +16,7 @@ import (
 
 // sheddingRig points a crawler at a server that sheds every request — an
 // admission gate that never finds a free slot.
-func sheddingRig(t *testing.T, cfg Config) (*simclock.Manual, *Crawler, *atomic.Int64) {
+func sheddingRig(t *testing.T, cfg Config) (*Crawler, *atomic.Int64) {
 	t.Helper()
 	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 	var count atomic.Int64
@@ -29,16 +30,16 @@ func sheddingRig(t *testing.T, cfg Config) (*simclock.Manual, *Crawler, *atomic.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return clk, cr, &count
+	return cr, &count
 }
 
 func TestShedBudgetRecordsShedObservations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ShedBudget = 1.0 // tolerate a fully shedding server
 	cfg.RetryBackoff = time.Second
-	clk, cr, count := sheddingRig(t, cfg)
+	cr, count := sheddingRig(t, cfg)
 
-	obs, err := cr.RunCampaignVirtual(clk, []Phase{smallPhase(2, geo.County, 1)})
+	obs, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(2, geo.County, 1)})
 	if err != nil {
 		t.Fatalf("campaign aborted despite shed budget: %v", err)
 	}
@@ -71,8 +72,8 @@ func TestShedBudgetRecordsShedObservations(t *testing.T) {
 func TestShedBudgetZeroAbortsOnFirstShed(t *testing.T) {
 	cfg := DefaultConfig() // ShedBudget 0: strict
 	cfg.RetryBackoff = time.Second
-	clk, cr, _ := sheddingRig(t, cfg)
-	_, err := cr.RunCampaignVirtual(clk, []Phase{smallPhase(2, geo.County, 1)})
+	cr, _ := sheddingRig(t, cfg)
+	_, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(2, geo.County, 1)})
 	if err == nil {
 		t.Fatal("zero-shed-budget campaign tolerated a shedding server")
 	}

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"sort"
 	"strconv"
@@ -20,7 +21,7 @@ import (
 // spanRig builds a full traced stack — crawler, chaos transport, real
 // HTTP server, engine — sharing one virtual clock and one span recorder,
 // the in-test equivalent of `crawl -trace-out` against a flaky network.
-func spanRig(t *testing.T, cfg Config, chaosCfg browser.ChaosConfig) (*simclock.Manual, *Crawler, *telemetry.SpanRecorder) {
+func spanRig(t *testing.T, cfg Config, chaosCfg browser.ChaosConfig) (*Crawler, *telemetry.SpanRecorder) {
 	t.Helper()
 	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 	rec := telemetry.NewSpanRecorder(1<<16, clk)
@@ -34,7 +35,7 @@ func spanRig(t *testing.T, cfg Config, chaosCfg browser.ChaosConfig) (*simclock.
 	chaosCfg.Clock = clk
 	cr.Transport = browser.NewChaosTransport(chaosCfg, srv.Client().Transport)
 	cr.Spans = rec
-	return clk, cr, rec
+	return cr, rec
 }
 
 // chaosSpanConfig is shared by the attempt-span and determinism tests so
@@ -53,8 +54,8 @@ func chaosSpanConfig() (Config, browser.ChaosConfig) {
 // non-final attempt recording outcome=retry.
 func TestChaosRetriesRecordOneSpanPerAttempt(t *testing.T) {
 	cfg, chaos := chaosSpanConfig()
-	clk, cr, rec := spanRig(t, cfg, chaos)
-	if _, err := cr.RunCampaignVirtual(clk, []Phase{smallPhase(2, geo.County, 1)}); err != nil {
+	cr, rec := spanRig(t, cfg, chaos)
+	if _, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(2, geo.County, 1)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -108,8 +109,8 @@ func TestChaosRetriesRecordOneSpanPerAttempt(t *testing.T) {
 func TestChaosCampaignTimelineIsByteDeterministic(t *testing.T) {
 	run := func() []byte {
 		cfg, chaos := chaosSpanConfig()
-		clk, cr, rec := spanRig(t, cfg, chaos)
-		if _, err := cr.RunCampaignVirtual(clk, []Phase{smallPhase(2, geo.County, 1)}); err != nil {
+		cr, rec := spanRig(t, cfg, chaos)
+		if _, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(2, geo.County, 1)}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -132,9 +133,9 @@ func TestChaosCampaignTimelineIsByteDeterministic(t *testing.T) {
 // (term, granularity, day) parented under its phase.
 func TestCampaignSpanHierarchy(t *testing.T) {
 	cfg := DefaultConfig()
-	clk, cr, rec := spanRig(t, cfg, browser.ChaosConfig{})
+	cr, rec := spanRig(t, cfg, browser.ChaosConfig{})
 	phase := smallPhase(2, geo.County, 2)
-	if _, err := cr.RunCampaignVirtual(clk, []Phase{phase}); err != nil {
+	if _, err := cr.RunCampaign(context.Background(), []Phase{phase}); err != nil {
 		t.Fatal(err)
 	}
 	var campaign, phases, sweeps []telemetry.SpanRecord

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestPhaseReportsProgressCounters(t *testing.T) {
 	var buf bytes.Buffer
 	rig.cr.Logger = telemetry.NewLogger(&buf, "text")
 	phase := smallPhase(2, geo.County, 1)
-	obs, err := rig.cr.RunCampaignVirtual(rig.clk, []Phase{phase})
+	obs, err := rig.cr.RunCampaign(context.Background(), []Phase{phase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestPhaseReportsProgressCounters(t *testing.T) {
 func TestTraceIDsEndToEnd(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	phase := smallPhase(1, geo.County, 1)
-	obs, err := rig.cr.RunCampaignVirtual(rig.clk, []Phase{phase})
+	obs, err := rig.cr.RunCampaign(context.Background(), []Phase{phase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,25 +84,10 @@ func TestTraceIDsEndToEnd(t *testing.T) {
 func TestValidationBrowsersShareRegistry(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	corpus := smallPhase(1, geo.County, 1).Terms
-	done := make(chan error, 1)
-	go func() {
-		_, err := rig.cr.RunValidation(corpus, geo.Point{Lat: 41.4993, Lon: -81.6944}, 3)
-		done <- err
-	}()
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := rig.cr.Telemetry.Counter("browser_fetches_total", "").Value(); got != 3 {
-				t.Fatalf("browser_fetches_total = %d, want 3", got)
-			}
-			return
-		default:
-			if next, ok := rig.clk.NextDeadline(); ok {
-				rig.clk.AdvanceTo(next)
-			}
-		}
+	if _, err := rig.cr.RunValidation(corpus, geo.Point{Lat: 41.4993, Lon: -81.6944}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := rig.cr.Telemetry.Counter("browser_fetches_total", "").Value(); got != 3 {
+		t.Fatalf("browser_fetches_total = %d, want 3", got)
 	}
 }

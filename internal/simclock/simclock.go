@@ -35,9 +35,9 @@ type wallClock struct{}
 func (wallClock) Now() time.Time        { return time.Now() }
 func (wallClock) Sleep(d time.Duration) { time.Sleep(d) }
 
-// Manual is a virtual clock that only moves when Advance (or Run) is called.
-// Goroutines blocked in Sleep are released, in deadline order, as the clock
-// passes their wake-up instants.
+// Manual is a virtual clock that only moves when Advance or AdvanceTo is
+// called, as DriveUntil does. Goroutines blocked in Sleep are released, in
+// deadline order, as the clock passes their wake-up instants.
 //
 // The zero value is not usable; construct with NewManual.
 type Manual struct {
@@ -123,8 +123,8 @@ func (m *Manual) insertLocked(s *sleeper) {
 //
 // The protocol: a worker (or its dispatcher, before launching it) calls
 // Hold, does its real work — HTTP fetches, parsing — and calls Release
-// when done. Drivers (DriveUntil, RunUntilIdle) advance the clock only
-// while no holds are out, so a virtual timestamp taken mid-work is the
+// when done. DriveUntil, the one loop that drives the clock, advances it
+// only while no holds are out, so a virtual timestamp taken mid-work is the
 // instant the work logically started at, not whatever the clock hopped
 // to while the I/O was in flight. Without holds, span timelines and any
 // other mid-flight clock reads become racy: the driver may hop to a
@@ -346,10 +346,10 @@ func (m *Manual) SleeperArrived() <-chan struct{} { return m.arrived }
 // DriveUntil advances virtual time until done is closed (or receives).
 // Whenever a sleeper is pending, the clock hops to its deadline; when none
 // is, the driver blocks until either a new sleeper parks or done fires —
-// no polling, no burned core. This is the campaign-driver loop: start the
-// campaign in a goroutine, close done when it returns, and DriveUntil
-// elides every idle wait while the workers' real fetch work proceeds at
-// hardware speed.
+// no polling, no burned core. The crawler runs each campaign in a
+// goroutine and closes done when it returns; meanwhile DriveUntil elides
+// every idle wait while the workers' real fetch work proceeds at hardware
+// speed.
 func (m *Manual) DriveUntil(done <-chan struct{}) {
 	for {
 		select {
@@ -379,31 +379,6 @@ func (m *Manual) DriveUntil(done <-chan struct{}) {
 		case <-done:
 			return
 		case <-m.arrived:
-		}
-	}
-}
-
-// RunUntilIdle repeatedly advances the clock to the next pending deadline
-// until no sleepers remain. It is used by drivers that have launched a known
-// set of workers and want virtual time to free-run to completion. The
-// settle function is called between hops to let the driver wait for workers
-// to re-park (pass nil to skip).
-func (m *Manual) RunUntilIdle(settle func()) {
-	for {
-		next, ok := m.NextDeadline()
-		if !ok {
-			return
-		}
-		m.quiesce()
-		// Hop to the earliest deadline of any sleeper — an earlier passive
-		// deadline (or one parked while we quiesced) is visited on its own
-		// hop, keeping background sweeps serialized against workers.
-		if n2, ok2 := m.nextAnyDeadline(); ok2 && n2.Before(next) {
-			next = n2
-		}
-		m.AdvanceTo(next)
-		if settle != nil {
-			settle()
 		}
 	}
 }

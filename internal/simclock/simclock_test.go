@@ -183,30 +183,6 @@ func TestNextDeadline(t *testing.T) {
 	m.Advance(7 * time.Minute)
 }
 
-func TestRunUntilIdle(t *testing.T) {
-	m := NewManual(epoch)
-	const workers = 8
-	var wg sync.WaitGroup
-	var total atomic.Int64
-	for i := 1; i <= workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m.Sleep(time.Duration(i) * time.Minute)
-			total.Add(1)
-		}(i)
-	}
-	m.WaitForSleepers(workers)
-	m.RunUntilIdle(nil)
-	wg.Wait()
-	if total.Load() != workers {
-		t.Fatalf("total woken = %d, want %d", total.Load(), workers)
-	}
-	if want := epoch.Add(workers * time.Minute); !m.Now().Equal(want) {
-		t.Fatalf("Now = %v, want %v", m.Now(), want)
-	}
-}
-
 func TestManualConcurrentSleepAdvanceStress(t *testing.T) {
 	m := NewManual(epoch)
 	const n = 64
@@ -229,28 +205,6 @@ func TestManualConcurrentSleepAdvanceStress(t *testing.T) {
 		default:
 			m.Advance(time.Second)
 		}
-	}
-}
-
-func TestRunUntilIdleWithSettle(t *testing.T) {
-	m := NewManual(epoch)
-	var settles atomic.Int32
-	var wg sync.WaitGroup
-	for i := 1; i <= 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m.Sleep(time.Duration(i) * time.Minute)
-		}(i)
-	}
-	m.WaitForSleepers(3)
-	m.RunUntilIdle(func() { settles.Add(1) })
-	wg.Wait()
-	if settles.Load() == 0 {
-		t.Fatal("settle callback never invoked")
-	}
-	if m.Sleepers() != 0 {
-		t.Fatalf("sleepers remain: %d", m.Sleepers())
 	}
 }
 

@@ -30,8 +30,9 @@ type Checkpoint struct {
 	// Observations is how many observation records the partial JSONL file
 	// held when this cursor was saved.
 	Observations int `json:"observations"`
-	// Phase, Granularity, Day, and Term describe the last completed sweep
-	// (informational — the cursor is Sweeps).
+	// Phase, Granularity, Day, and Term name the last completed sweep.
+	// Resume checks them: the crawler refuses a plan whose Sweeps-th sweep
+	// is another (phase, granularity, day, term).
 	Phase       string `json:"phase,omitempty"`
 	Granularity string `json:"granularity,omitempty"`
 	Day         int    `json:"day,omitempty"`
