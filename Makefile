@@ -72,15 +72,17 @@ chaos:
 #   (internal/serpserver): for any raw query (q=, ll=, format=) and any
 #   User-Agent, SID cookie, X-Datacenter, X-Deadline-Ms, X-Trace-Id and
 #   X-Trace-Attempt values it must not panic and must answer 200, 400, 429
-#   or 503; a format=json 200 must decode, any other 200 must parse with its
-#   surface's parser and carry its length as Content-Length, and the
-#   request's engine.* spans and search.wide stages must be one prefix of
-#   the engine's stage table, all six on a 200.
+#   or 503; a format=json 200 must decode, any other 200 must parse, be the
+#   rendering of what it parses to on the surface its User-Agent selects and
+#   carry its length as Content-Length, and the request's engine.* spans and
+#   search.wide stages must be one prefix of the engine's stage table, all
+#   six on a 200.
 # - FuzzComparePages, the page-comparison kernel (internal/metrics): fresh
 #   and reused comparers must match Jaccard and EditDistance on the pages'
 #   extracted URL lists.
-# - FuzzParseHTML, the crawler's HTML parser (internal/serp): no document may
-#   panic it, and every page it accepts must re-render and re-parse unchanged.
+# - FuzzParseHTML, the one HTML parser, which reads both SERP surfaces
+#   (internal/serp): no document may panic it, and every page it accepts
+#   must re-render on the surface it was read as and re-parse unchanged.
 # - FuzzPlacesNear, the Places lookup (internal/webcorpus): no coordinate may
 #   panic it, an invalid point gets nil, and a valid one the full-rectangle
 #   scan over the fmt-built reference generator, cold and warm.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -191,6 +192,10 @@ func runCrawl(opts options) (int, error) {
 	defer stz.stop()
 	campaignStart := clk.Now()
 	obs, err := cr.RunCampaign(context.Background(), phases)
+	if errors.Is(err, crawler.ErrResumeRefused) {
+		// Resuming again would be refused again: no restart hint.
+		return 0, fmt.Errorf("crawl: campaign: %w", err)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("crawl: campaign (restartable with -resume): %w", err)
 	}

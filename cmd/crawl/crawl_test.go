@@ -2,12 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"geoserp/internal/crawler"
+	"geoserp/internal/queries"
 	"geoserp/internal/statz"
 	"geoserp/internal/storage"
 )
@@ -99,6 +102,61 @@ func TestRunCrawlCheckpointLifecycle(t *testing.T) {
 	}
 	if string(got) != string(ref) {
 		t.Fatal("-resume without a checkpoint diverged from a fresh run")
+	}
+}
+
+// TestRunCrawlRefusedResumeHasNoRestartHint: resuming with another plan
+// fails without telling the user to resume again. The checkpoint is the
+// one a -terms 3 campaign killed after its first four sweeps leaves, taken
+// from an uninterrupted run's output; -terms 2 skips two of those sweeps
+// and is refused at the third.
+func TestRunCrawlRefusedResumeHasNoRestartHint(t *testing.T) {
+	dir := t.TempDir()
+	opts := options{
+		Out:              filepath.Join(dir, "full.jsonl"),
+		TermsPerCategory: 3,
+		Days:             1,
+		Machines:         44,
+		Seed:             7,
+		PinnedDatacenter: "dc-0",
+		Wait:             11 * time.Minute,
+	}
+	if _, err := runCrawl(opts); err != nil {
+		t.Fatal(err)
+	}
+	obs, err := storage.LoadJSONL(opts.Out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := crawler.ScaledPhases(queries.StudyCorpus(), 3, 1)[0]
+	var partial []storage.Observation
+	for _, q := range p.Terms[:4] {
+		for _, o := range obs {
+			if o.Phase == p.Name && o.Granularity == p.Granularities[0].Short() && o.Day == 0 && o.Term == q.Term {
+				partial = append(partial, o)
+			}
+		}
+	}
+	last := partial[len(partial)-1]
+	resumed := opts
+	resumed.Out = filepath.Join(dir, "resumed.jsonl")
+	resumed.TermsPerCategory = 2
+	resumed.Resume = true
+	if err := storage.SaveJSONL(resumed.Out+".partial", partial); err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.SaveCheckpoint(resumed.Out+".ckpt", storage.Checkpoint{
+		Sweeps: 4, Observations: len(partial),
+		Phase: last.Phase, Granularity: last.Granularity, Day: last.Day, Term: last.Term,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = runCrawl(resumed)
+	if !errors.Is(err, crawler.ErrResumeRefused) {
+		t.Fatalf("resume with another plan: err = %v, want ErrResumeRefused", err)
+	}
+	if strings.Contains(err.Error(), "-resume") {
+		t.Fatalf("refused resume tells the user to resume again: %v", err)
 	}
 }
 

@@ -701,7 +701,7 @@ func (b *Browser) fetchOnce(ctx context.Context, term string, attempt int, deadl
 	if int64(len(body)) > b.maxBody {
 		return nil, fmt.Errorf("%w: page exceeds the %d-byte cap", ErrBodyTooLarge, b.maxBody)
 	}
-	page, err := serp.ParseAnyHTML(string(body))
+	page, err := serp.ParseHTML(string(body))
 	if err != nil {
 		// An unparsable page usually means a truncated or garbled response,
 		// not a structurally different engine — retry it.

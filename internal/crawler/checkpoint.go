@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"errors"
 	"fmt"
 
 	"geoserp/internal/simclock"
@@ -22,10 +23,15 @@ type checkpointState struct {
 	ck  storage.Checkpoint
 	// seen counts sweep slots passed this run (skipped or executed).
 	seen int
-	// recovered holds the observations read back from the partial file,
-	// by sweep slot; each skipped slot takes its own out (recover).
-	recovered map[sweepSlot][]storage.Observation
+	// recovered queues the sweeps read back from the partial file, which
+	// holds them in slot order; each skipped slot takes the next (recover).
+	recovered [][]storage.Observation
 }
+
+// ErrResumeRefused is wrapped by every error RunCampaign returns for a
+// checkpoint written for another plan: running that plan again cannot get
+// past it, unlike a campaign cut short by a fault.
+var ErrResumeRefused = errors.New("crawler: resume refused")
 
 // sweepSlot identifies one term sweep in the campaign's deterministic
 // iteration order.
@@ -36,25 +42,23 @@ type sweepSlot struct {
 	term        string
 }
 
-// recover serves one skipped sweep slot: it takes the slot's recovered
-// observations out of the index. Once the last slot the checkpoint covers
-// is passed, and so before this run fetches anything, it refuses a
-// checkpoint written for another plan: one whose last sweep is not this
-// slot, or whose recovered sweeps some slot of this plan did not claim.
+// slotOf returns the sweep slot an observation was fetched in.
+func slotOf(o storage.Observation) sweepSlot {
+	return sweepSlot{o.Phase, o.Granularity, o.Day, o.Term}
+}
+
+// recover serves one skipped sweep slot, which must be the next recovered
+// sweep: a plan whose first ck.Sweeps slots are not the checkpoint's, in
+// its order, is refused at the first slot that differs, before this run
+// fetches anything.
 func (cs *checkpointState) recover(slot sweepSlot) ([]storage.Observation, error) {
-	obs := cs.recovered[slot]
-	delete(cs.recovered, slot)
+	obs := cs.recovered[0]
 	cs.seen++
-	if cs.seen < cs.ck.Sweeps {
-		return obs, nil
+	if next := slotOf(obs[0]); slot != next {
+		return nil, fmt.Errorf("%w: checkpoint's sweep %d is %s, this plan's is %s",
+			ErrResumeRefused, cs.seen, next, slot)
 	}
-	if last := (sweepSlot{cs.ck.Phase, cs.ck.Granularity, cs.ck.Day, cs.ck.Term}); slot != last {
-		return nil, fmt.Errorf("crawler: resume: checkpoint's sweep %d is %s, this plan's is %s",
-			cs.ck.Sweeps, last, slot)
-	}
-	if n := len(cs.recovered); n > 0 {
-		return nil, fmt.Errorf("crawler: resume: %d recovered sweeps are not in this plan's first %d", n, cs.ck.Sweeps)
-	}
+	cs.recovered = cs.recovered[1:]
 	return obs, nil
 }
 
@@ -95,12 +99,7 @@ func (cs *checkpointState) record(phase, gran string, day int, term string, obs 
 // the cursor at path is atomically updated. A killed campaign can then be
 // restarted with Resume and loses at most the sweep that was in flight.
 func (c *Crawler) EnableCheckpoint(path, obsPath string) {
-	c.ckpt = &checkpointState{
-		path:      path,
-		obsPath:   obsPath,
-		clk:       c.clock,
-		recovered: make(map[sweepSlot][]storage.Observation),
-	}
+	c.ckpt = &checkpointState{path: path, obsPath: obsPath, clk: c.clock}
 }
 
 // Resume enables checkpointing and, when a checkpoint exists at path, loads
@@ -109,8 +108,9 @@ func (c *Crawler) EnableCheckpoint(path, obsPath string) {
 // a fresh start. The observation file is truncated to exactly the records
 // the cursor acknowledges, dropping any sweep that was torn by the crash.
 // The campaign run next must be the plan the checkpoint was written for:
-// RunCampaign refuses a plan whose first ck.Sweeps slots end elsewhere or
-// leave recovered sweeps unclaimed, and one with fewer slots.
+// RunCampaign refuses, with ErrResumeRefused, a plan whose first ck.Sweeps
+// slots are not the recovered sweeps in their order, and one with fewer
+// slots.
 func (c *Crawler) Resume(path, obsPath string) error {
 	ck, ok, err := storage.LoadCheckpoint(path)
 	if err != nil {
@@ -130,9 +130,17 @@ func (c *Crawler) Resume(path, obsPath string) error {
 		return fmt.Errorf("crawler: resume: truncate observations: %w", err)
 	}
 	c.ckpt.ck = ck
-	for _, o := range obs {
-		slot := sweepSlot{o.Phase, o.Granularity, o.Day, o.Term}
-		c.ckpt.recovered[slot] = append(c.ckpt.recovered[slot], o)
+	// Every sweep records at least one observation per vantage, and
+	// consecutive sweeps differ in slot, so a change of slot starts the
+	// next sweep.
+	for i, start := 0, 0; i < len(obs); i++ {
+		if i+1 == len(obs) || slotOf(obs[i+1]) != slotOf(obs[i]) {
+			c.ckpt.recovered = append(c.ckpt.recovered, obs[start:i+1])
+			start = i + 1
+		}
+	}
+	if n := len(c.ckpt.recovered); n != ck.Sweeps {
+		return fmt.Errorf("crawler: resume: checkpoint counts %d sweeps, %s holds %d", ck.Sweeps, obsPath, n)
 	}
 	return nil
 }

@@ -436,7 +436,7 @@ func (c *Crawler) RunCampaign(ctx context.Context, phases []Phase) ([]storage.Ob
 		return nil
 	})
 	if err == nil && c.ckpt != nil && c.ckpt.skipping() {
-		err = fmt.Errorf("crawler: resume: checkpoint covers %d sweeps, the plan has %d", c.ckpt.ck.Sweeps, c.ckpt.seen)
+		err = fmt.Errorf("%w: checkpoint covers %d sweeps, the plan has %d", ErrResumeRefused, c.ckpt.ck.Sweeps, c.ckpt.seen)
 	}
 	if err != nil {
 		return nil, err

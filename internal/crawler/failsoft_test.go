@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -239,25 +240,30 @@ func TestResumeReproducesUninterruptedCampaign(t *testing.T) {
 
 // TestResumeRefusesAnotherPlan: a checkpoint resumes only the plan it was
 // written for. Resumed with other terms, the same terms in another order,
-// or a plan shorter than the checkpoint, the campaign fails without
-// fetching anything, instead of splicing the first plan's recovered sweeps
-// in beside the second plan's.
+// or a plan shorter than the checkpoint, the campaign fails with
+// ErrResumeRefused without fetching anything, instead of splicing the
+// first plan's recovered sweeps in beside the second plan's.
 func TestResumeRefusesAnotherPlan(t *testing.T) {
 	phase := smallPhase(2, geo.County, 2)
 	local := queries.StudyCorpus().Category(queries.Local)
 	for _, tc := range []struct {
-		name string
-		plan Phase
+		name        string
+		interrupted Phase // cut after its first day
+		plan        Phase
 	}{
-		{"other terms", Phase{Name: phase.Name, Terms: local[2:4], Granularities: phase.Granularities, Days: phase.Days}},
-		{"reordered terms", Phase{Name: phase.Name, Terms: []queries.Query{local[1], local[0]}, Granularities: phase.Granularities, Days: phase.Days}},
-		{"fewer sweeps", smallPhase(1, geo.County, 1)},
+		{"other terms", phase, Phase{Name: phase.Name, Terms: local[2:4], Granularities: phase.Granularities, Days: phase.Days}},
+		{"reordered terms", phase, Phase{Name: phase.Name, Terms: []queries.Query{local[1], local[0]}, Granularities: phase.Granularities, Days: phase.Days}},
+		// The last covered slot and the set of covered slots match; only
+		// the order of the first two differs.
+		{"first two terms swapped", smallPhase(4, geo.County, 2),
+			Phase{Name: phase.Name, Terms: []queries.Query{local[1], local[0], local[2], local[3]}, Granularities: phase.Granularities, Days: phase.Days}},
+		{"fewer sweeps", phase, smallPhase(1, geo.County, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			ckptPath := filepath.Join(dir, "campaign.ckpt")
 			obsPath := filepath.Join(dir, "campaign.partial.jsonl")
-			interruptedRun(t, phase, ckptPath, obsPath) // 2 day-0 sweeps
+			interruptedRun(t, tc.interrupted, ckptPath, obsPath)
 			cr := resumeRig(t)
 			if err := cr.Resume(ckptPath, obsPath); err != nil {
 				t.Fatal(err)
@@ -266,6 +272,9 @@ func TestResumeRefusesAnotherPlan(t *testing.T) {
 			if err == nil {
 				t.Fatalf("resumed another plan: %d observations", len(obs))
 			}
+			if !errors.Is(err, ErrResumeRefused) {
+				t.Fatalf("refused resume's error %v does not wrap ErrResumeRefused", err)
+			}
 			if obs != nil {
 				t.Fatalf("refused resume returned %d observations", len(obs))
 			}
@@ -273,6 +282,27 @@ func TestResumeRefusesAnotherPlan(t *testing.T) {
 				t.Fatalf("refused resume fetched %d queries first", n)
 			}
 		})
+	}
+}
+
+// TestResumeRefusesInconsistentCheckpoint: a cursor that counts more
+// sweeps than its partial file holds is refused on load, before a plan
+// can skip a slot the file has no sweep for.
+func TestResumeRefusesInconsistentCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ckptPath := filepath.Join(dir, "campaign.ckpt")
+	obsPath := filepath.Join(dir, "campaign.partial.jsonl")
+	interruptedRun(t, smallPhase(2, geo.County, 2), ckptPath, obsPath) // 2 day-0 sweeps
+	ck, _, err := storage.LoadCheckpoint(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Sweeps++
+	if err := storage.SaveCheckpoint(ckptPath, ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumeRig(t).Resume(ckptPath, obsPath); err == nil {
+		t.Fatal("resumed a cursor counting 3 sweeps over a file holding 2")
 	}
 }
 

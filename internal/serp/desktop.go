@@ -1,11 +1,6 @@
 package serp
 
-import (
-	"fmt"
-	"html"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // The study deliberately targeted the MOBILE search page: only mobile used
 // the JavaScript Geolocation API, so only mobile could be fed arbitrary GPS
@@ -14,11 +9,25 @@ import (
 // surface — a classic ten-blue-links layout with optional Maps/News
 // oneboxes — so both methodologies can be exercised against one engine.
 //
-// RenderDesktopHTML and ParseDesktopHTML are the desktop counterparts of
-// RenderHTML/ParseHTML; ParseAnyHTML dispatches on the surface marker.
+// RenderDesktopHTML is the desktop counterpart of RenderHTML; ParseHTML
+// reads either surface back, by desktopSurface's markers when the document
+// carries desktopMarker.
 
 // desktopMarker distinguishes the two surfaces in parsed documents.
 const desktopMarker = `<body class="desktop-serp">`
+
+// desktopSurface holds the markers ParseHTML reads a desktop results
+// document by. Organic results and the two oneboxes open and close
+// differently, and a block's data-type is read from its whole opening tag.
+var desktopSurface = surface{
+	footer: `<div id="foot"`,
+	blocks: []cardBlock{
+		{open: `<div class="g"`, head: "<div", close: "</div><!--/g-->"},
+		{open: `<div class="onebox`, head: "<div", close: "</div><!--/onebox-->"},
+	},
+	anchor:    `<a class="res-link"`,
+	container: `<div id="res">`,
+}
 
 // RenderDesktopHTML renders the page as a desktop results document.
 func RenderDesktopHTML(p *Page) string {
@@ -73,102 +82,4 @@ func AppendDesktopHTML(b []byte, p *Page) []byte {
 	b = append(b, ">Location used: "...)
 	b = appendEscaped(b, p.Location)
 	return append(b, "</div>\n</body></html>\n"...)
-}
-
-// IsDesktopHTML reports whether the document is a desktop results page.
-func IsDesktopHTML(doc string) bool {
-	return strings.Contains(doc, desktopMarker)
-}
-
-// ParseDesktopHTML parses a desktop results document back into a Page.
-func ParseDesktopHTML(doc string) (*Page, error) {
-	if !IsDesktopHTML(doc) {
-		return nil, fmt.Errorf("serp: not a desktop results page")
-	}
-	p := &Page{}
-	title, err := between(doc, "<title>", "</title>")
-	if err != nil {
-		return nil, fmt.Errorf("serp: parse desktop: %w", err)
-	}
-	p.Query = html.UnescapeString(strings.TrimSuffix(title, " - Search"))
-
-	foot, err := between(doc, "<div id=\"foot\"", ">")
-	if err != nil {
-		return nil, fmt.Errorf("serp: parse desktop: missing footer")
-	}
-	if err := parseFooter(p, foot); err != nil {
-		return nil, fmt.Errorf("serp: parse desktop: %w", err)
-	}
-
-	rest := doc
-	for {
-		// The next block is whichever container starts first.
-		gIdx := strings.Index(rest, `<div class="g"`)
-		oIdx := strings.Index(rest, `<div class="onebox`)
-		var start int
-		var closeMark string
-		switch {
-		case gIdx < 0 && oIdx < 0:
-			goto done
-		case oIdx < 0 || (gIdx >= 0 && gIdx < oIdx):
-			start, closeMark = gIdx, "</div><!--/g-->"
-		default:
-			start, closeMark = oIdx, "</div><!--/onebox-->"
-		}
-		end := strings.Index(rest[start:], closeMark)
-		if end < 0 {
-			return nil, fmt.Errorf("serp: parse desktop: unterminated block")
-		}
-		block := rest[start : start+end]
-		rest = rest[start+end+len(closeMark):]
-
-		head, _ := between(block, "<div", ">")
-		typeLabel, _ := attr(head, "data-type")
-		ct, err := ParseCardType(typeLabel)
-		if err != nil {
-			return nil, fmt.Errorf("serp: parse desktop: %w", err)
-		}
-		card := Card{Type: ct}
-		linkRest := block
-		for {
-			a := strings.Index(linkRest, `<a class="res-link"`)
-			if a < 0 {
-				break
-			}
-			tag := linkRest[a:]
-			closeTag := strings.Index(tag, "</a>")
-			if closeTag < 0 {
-				return nil, fmt.Errorf("serp: parse desktop: unterminated anchor")
-			}
-			anchor := tag[:closeTag]
-			href, _ := attr(anchor, "href")
-			gt := strings.Index(anchor, ">")
-			if gt < 0 || href == "" {
-				return nil, fmt.Errorf("serp: parse desktop: malformed anchor %q", anchor)
-			}
-			card.Results = append(card.Results, Result{
-				URL:   html.UnescapeString(href),
-				Title: strings.TrimSpace(html.UnescapeString(anchor[gt+1:])),
-			})
-			linkRest = tag[closeTag:]
-		}
-		if len(card.Results) == 0 {
-			return nil, fmt.Errorf("serp: parse desktop: block with no links")
-		}
-		p.Cards = append(p.Cards, card)
-	}
-done:
-	// As on mobile, an empty results container is a page with no cards.
-	if len(p.Cards) == 0 && !strings.Contains(doc, `<div id="res">`) {
-		return nil, fmt.Errorf("serp: parse desktop: no results found")
-	}
-	return p, nil
-}
-
-// ParseAnyHTML parses either surface, dispatching on the desktop marker.
-func ParseAnyHTML(doc string) (*Page, error) {
-	if IsDesktopHTML(doc) {
-		return ParseDesktopHTML(doc)
-	}
-	return ParseHTML(doc)
 }

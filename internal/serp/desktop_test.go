@@ -11,10 +11,10 @@ func TestDesktopRoundTrip(t *testing.T) {
 	empty := &Page{Query: "zzzzqqqxx", Location: "41.499300,-81.694400", Datacenter: "dc-1", Day: 2}
 	for _, p := range []*Page{samplePage(), empty} {
 		doc := RenderDesktopHTML(p)
-		if !IsDesktopHTML(doc) {
+		if !strings.Contains(doc, desktopMarker) {
 			t.Fatal("desktop marker missing")
 		}
-		got, err := ParseDesktopHTML(doc)
+		got, err := ParseHTML(doc)
 		if err != nil {
 			t.Fatalf("parse: %v\n%s", err, doc)
 		}
@@ -26,18 +26,18 @@ func TestDesktopVsMobileMarkupDiffers(t *testing.T) {
 	p := samplePage()
 	mobile := RenderHTML(p)
 	desktop := RenderDesktopHTML(p)
-	if IsDesktopHTML(mobile) {
+	if strings.Contains(mobile, desktopMarker) {
 		t.Fatal("mobile page carries desktop marker")
 	}
 	if !strings.Contains(desktop, "onebox") || strings.Contains(mobile, "onebox") {
 		t.Fatal("surfaces not distinct")
 	}
 	// Both surfaces carry the same links in the same order.
-	mp, err := ParseAnyHTML(mobile)
+	mp, err := ParseHTML(mobile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := ParseAnyHTML(desktop)
+	dp, err := ParseHTML(desktop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,21 +52,17 @@ func TestDesktopVsMobileMarkupDiffers(t *testing.T) {
 	}
 }
 
-func TestParseAnyHTMLDispatch(t *testing.T) {
-	p := samplePage()
-	for _, doc := range []string{RenderHTML(p), RenderDesktopHTML(p)} {
-		got, err := ParseAnyHTML(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Query != p.Query {
-			t.Fatalf("query = %q", got.Query)
-		}
+// The desktop marker alone picks the surface: a mobile page that carries
+// it is read by the desktop markers, which find no footer in it.
+func TestParseHTMLPicksSurfaceByMarker(t *testing.T) {
+	doc := strings.Replace(RenderHTML(samplePage()), "<body>", desktopMarker, 1)
+	if _, err := ParseHTML(doc); err == nil || err.Error() != "serp: parse: missing geo footer" {
+		t.Fatalf("mobile markup under the desktop marker: err = %v, want the desktop footer missing", err)
 	}
 }
 
-// desktopRejects are documents ParseDesktopHTML must refuse; FuzzParseHTML
-// also seeds its corpus with them.
+// desktopRejects are desktop-shaped documents ParseHTML must refuse;
+// FuzzParseHTML also seeds its corpus with them.
 func desktopRejects() map[string]string {
 	cases := map[string]string{
 		"not desktop": "<html><body>x</body></html>",
@@ -90,7 +86,7 @@ func desktopRejects() map[string]string {
 
 func TestParseDesktopErrors(t *testing.T) {
 	for name, doc := range desktopRejects() {
-		if _, err := ParseDesktopHTML(doc); err == nil {
+		if _, err := ParseHTML(doc); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
@@ -108,7 +104,7 @@ func TestDesktopEscaping(t *testing.T) {
 	if strings.Contains(doc, "<script>") {
 		t.Fatal("unescaped markup")
 	}
-	got, err := ParseDesktopHTML(doc)
+	got, err := ParseHTML(doc)
 	if err != nil {
 		t.Fatal(err)
 	}

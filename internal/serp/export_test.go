@@ -9,3 +9,6 @@ var (
 	ReferenceRenderHTML        = referenceRenderHTML
 	ReferenceRenderDesktopHTML = referenceRenderDesktopHTML
 )
+
+// DesktopMarker tells FuzzParseHTML which surface a document was read as.
+const DesktopMarker = desktopMarker

@@ -4,16 +4,18 @@ import (
 	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"geoserp/internal/serp"
 )
 
 // FuzzParseHTML fuzzes the crawler's parser, which reads every page a
-// server sends: no document may panic ParseAnyHTML, and every page it
-// accepts must survive RenderHTML and ParseHTML unchanged. A page that
-// parses into something its own rendering does not say would be a
-// misparse, indistinguishable downstream from personalization.
+// server sends: no document may panic ParseHTML, and every page it
+// accepts must survive re-rendering on the surface it was read as, and
+// ParseHTML, unchanged. A page that parses into something its own
+// rendering does not say would be a misparse, indistinguishable downstream
+// from personalization.
 func FuzzParseHTML(f *testing.F) {
 	for _, p := range studyPages(f) {
 		f.Add(serp.RenderHTML(p))
@@ -25,11 +27,15 @@ func FuzzParseHTML(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
-		p, err := serp.ParseAnyHTML(doc)
+		p, err := serp.ParseHTML(doc)
 		if err != nil {
 			return
 		}
-		again, err := serp.ParseHTML(serp.RenderHTML(p))
+		render := serp.RenderHTML
+		if strings.Contains(doc, serp.DesktopMarker) {
+			render = serp.RenderDesktopHTML
+		}
+		again, err := serp.ParseHTML(render(p))
 		if err != nil {
 			t.Fatalf("accepted page does not re-parse: %v\npage: %+v", err, p)
 		}

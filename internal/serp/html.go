@@ -8,8 +8,9 @@ import (
 )
 
 // This file implements the mobile HTML wire format. RenderHTML is what the
-// SERP server sends; ParseHTML is what the crawler's browser applies to the
-// response body — the counterpart of the study's PhantomJS script scraping
+// SERP server sends; ParseHTML, which reads the desktop surface
+// (desktop.go) too, is what the crawler's browser applies to the response
+// body — the counterpart of the study's PhantomJS script scraping
 // Google's mobile markup. The markup is deliberately "real-world shaped"
 // (nested divs, classes, a location footer) so the parser has to do actual
 // extraction work rather than reading a convenient JSON blob.
@@ -120,12 +121,55 @@ func appendEscaped(b []byte, s string) []byte {
 	return append(b, s[last:]...)
 }
 
-// ParseHTML parses a rendered results document back into a Page. It is a
+// surface holds the markers that set one surface's markup apart: the
+// footer opener, the card blocks, the result anchor's class and the
+// results container. Everything else ParseHTML reads is common markup.
+type surface struct {
+	footer    string
+	blocks    []cardBlock
+	anchor    string
+	container string
+}
+
+// cardBlock is one kind of card block: the markup that opens it, the
+// prefix of that markup after which its data-type attribute is read, and
+// the markup that closes it.
+type cardBlock struct{ open, head, close string }
+
+// mobileSurface holds the markers ParseHTML reads a mobile results
+// document by: one kind of card block, whose data-type is read after the
+// class that opens it.
+var mobileSurface = surface{
+	footer:    `<footer id="geo-footer"`,
+	blocks:    []cardBlock{{open: `<div class="card"`, head: `<div class="card"`, close: "</div><!--/card-->"}},
+	anchor:    `<a class="serp-link`,
+	container: `<main id="results">`,
+}
+
+// next returns the kind of the first card block that opens in rest and
+// where it opens, or at -1 when none does.
+func (s *surface) next(rest string) (kind *cardBlock, at int) {
+	at = -1
+	for i := range s.blocks {
+		if j := strings.Index(rest, s.blocks[i].open); j >= 0 && (at < 0 || j < at) {
+			kind, at = &s.blocks[i], j
+		}
+	}
+	return kind, at
+}
+
+// ParseHTML parses a rendered results document of either surface back
+// into a Page; a document carrying the desktop marker is read by the
+// desktop surface's markers, any other by the mobile one's. It is a
 // scanning parser purpose-built for this markup (the same engineering
 // stance as the study's parser, which was built for Google's markup of the
 // day) and fails loudly on documents that do not look like result pages.
 // A page with an empty results container parses to a Page with no cards.
 func ParseHTML(doc string) (*Page, error) {
+	s := &mobileSurface
+	if strings.Contains(doc, desktopMarker) {
+		s = &desktopSurface
+	}
 	p := &Page{}
 	// Query from <title>.
 	title, err := between(doc, "<title>", "</title>")
@@ -135,7 +179,7 @@ func ParseHTML(doc string) (*Page, error) {
 	p.Query = html.UnescapeString(strings.TrimSuffix(title, " - Search"))
 
 	// Footer metadata.
-	footer, err := between(doc, "<footer id=\"geo-footer\"", ">")
+	footer, err := between(doc, s.footer, ">")
 	if err != nil {
 		return nil, fmt.Errorf("serp: parse: missing geo footer")
 	}
@@ -146,18 +190,18 @@ func ParseHTML(doc string) (*Page, error) {
 	// Cards.
 	rest := doc
 	for {
-		start := strings.Index(rest, "<div class=\"card\"")
+		kind, start := s.next(rest)
 		if start < 0 {
 			break
 		}
-		end := strings.Index(rest[start:], "</div><!--/card-->")
+		end := strings.Index(rest[start:], kind.close)
 		if end < 0 {
 			return nil, fmt.Errorf("serp: parse: unterminated card")
 		}
 		block := rest[start : start+end]
-		rest = rest[start+end+len("</div><!--/card-->"):]
+		rest = rest[start+end+len(kind.close):]
 
-		head, _ := between(block, "<div class=\"card\"", ">")
+		head, _ := between(block, kind.head, ">")
 		typeLabel, _ := attr(head, "data-type")
 		ct, err := ParseCardType(typeLabel)
 		if err != nil {
@@ -166,7 +210,7 @@ func ParseHTML(doc string) (*Page, error) {
 		card := Card{Type: ct}
 		linkRest := block
 		for {
-			a := strings.Index(linkRest, "<a class=\"serp-link")
+			a := strings.Index(linkRest, s.anchor)
 			if a < 0 {
 				break
 			}
@@ -192,7 +236,7 @@ func ParseHTML(doc string) (*Page, error) {
 		}
 		p.Cards = append(p.Cards, card)
 	}
-	if len(p.Cards) == 0 && !strings.Contains(doc, `<main id="results">`) {
+	if len(p.Cards) == 0 && !strings.Contains(doc, s.container) {
 		return nil, fmt.Errorf("serp: parse: no cards found")
 	}
 	return p, nil

@@ -194,15 +194,3 @@ func (p *Page) Validate() error {
 	}
 	return nil
 }
-
-// MarshalPage encodes a page as JSON (the storage format).
-func MarshalPage(p *Page) ([]byte, error) { return json.Marshal(p) }
-
-// UnmarshalPage decodes a JSON page.
-func UnmarshalPage(b []byte) (*Page, error) {
-	var p Page
-	if err := json.Unmarshal(b, &p); err != nil {
-		return nil, fmt.Errorf("serp: decode page: %w", err)
-	}
-	return &p, nil
-}

@@ -1,6 +1,7 @@
 package serp
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -91,25 +92,26 @@ func TestValidate(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	p := samplePage()
-	b, err := MarshalPage(p)
+	b, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalPage(b)
-	if err != nil {
+	var got Page
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
-	assertPagesEqual(t, p, got)
+	assertPagesEqual(t, p, &got)
 	if !strings.Contains(string(b), `"type":"maps"`) {
 		t.Fatalf("JSON does not use wire labels: %s", b)
 	}
 }
 
 func TestUnmarshalPageErrors(t *testing.T) {
-	if _, err := UnmarshalPage([]byte("{")); err == nil {
+	var p Page
+	if err := json.Unmarshal([]byte("{"), &p); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
-	if _, err := UnmarshalPage([]byte(`{"cards":[{"type":"hologram"}]}`)); err == nil {
+	if err := json.Unmarshal([]byte(`{"cards":[{"type":"hologram"}]}`), &p); err == nil {
 		t.Fatal("unknown card type accepted")
 	}
 }

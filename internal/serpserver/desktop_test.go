@@ -11,6 +11,25 @@ import (
 const desktopUA = "Mozilla/5.0 (X11; Linux x86_64; rv:38.0) Gecko/20100101 Firefox/38.0"
 const mobileUA = "Mozilla/5.0 (iPhone; CPU iPhone OS 8_0 like Mac OS X) Safari/600.1.4"
 
+// parseSurface parses a served results page and reports whether it is
+// the desktop surface: the page must be one surface's rendering of what
+// it parses to.
+func parseSurface(t *testing.T, doc string) (page *serp.Page, desktop bool) {
+	t.Helper()
+	page, err := serp.ParseHTML(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch doc {
+	case serp.RenderDesktopHTML(page):
+		return page, true
+	case serp.RenderHTML(page):
+		return page, false
+	}
+	t.Fatalf("page is neither surface's rendering of what it parses to:\n%s", doc)
+	return nil, false
+}
+
 func TestDesktopSurfaceServed(t *testing.T) {
 	h := testHandler(t, nil)
 	w := get(t, h, "/search?q=Coffee&ll=41.4993,-81.6944",
@@ -18,13 +37,9 @@ func TestDesktopSurfaceServed(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d", w.Code)
 	}
-	doc := w.Body.String()
-	if !serp.IsDesktopHTML(doc) {
+	page, desktop := parseSurface(t, w.Body.String())
+	if !desktop {
 		t.Fatal("desktop UA did not receive the desktop surface")
-	}
-	page, err := serp.ParseAnyHTML(doc)
-	if err != nil {
-		t.Fatal(err)
 	}
 	// The desktop surface has no Geolocation API: the ll parameter must
 	// be IGNORED and the location derived from the IP instead.
@@ -37,11 +52,8 @@ func TestMobileSurfaceHonoursGPS(t *testing.T) {
 	h := testHandler(t, nil)
 	w := get(t, h, "/search?q=Coffee&ll=41.4993,-81.6944",
 		map[string]string{"User-Agent": mobileUA})
-	page, err := serp.ParseAnyHTML(w.Body.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serp.IsDesktopHTML(w.Body.String()) {
+	page, desktop := parseSurface(t, w.Body.String())
+	if desktop {
 		t.Fatal("mobile UA received the desktop surface")
 	}
 	if !strings.HasPrefix(page.Location, "41.4993") {
@@ -53,7 +65,7 @@ func TestUnknownUADefaultsToMobile(t *testing.T) {
 	h := testHandler(t, nil)
 	w := get(t, h, "/search?q=Coffee&ll=41.4993,-81.6944",
 		map[string]string{"User-Agent": "Go-http-client/1.1"})
-	if serp.IsDesktopHTML(w.Body.String()) {
+	if _, desktop := parseSurface(t, w.Body.String()); desktop {
 		t.Fatal("ambiguous UA received the desktop surface")
 	}
 }

@@ -28,8 +28,9 @@ var stageTable = []string{"parse", "noise", "history", "retrieve", "rerank", "as
 // events, over an engine on a Manual clock, with an arbitrary raw query,
 // User-Agent, SID cookie and X-Datacenter, X-Deadline-Ms, X-Trace-Id and
 // X-Trace-Attempt values. No input may panic it, and it answers 200, 400,
-// 429 or 503. A format=json 200 decodes with serp.UnmarshalPage; any other
-// 200 parses with its surface's parser and carries its length as
+// 429 or 503. A format=json 200 decodes as a serp.Page; any other 200
+// parses with serp.ParseHTML, is the rendering of what it parses to on the
+// surface its User-Agent selects, and carries its length as
 // Content-Length. The request's engine.* spans all end before the request
 // span, and they and its search.wide record list the same prefix of the
 // stage table: all six stages on a 200. The request is built by hand,
@@ -126,17 +127,14 @@ func FuzzSearch(f *testing.F) {
 		}
 		body := w.Body.Bytes()
 		if r.URL.Query().Get("format") == "json" {
-			if _, err := serp.UnmarshalPage(body); err != nil {
+			var page serp.Page
+			if err := json.Unmarshal(body, &page); err != nil {
 				t.Fatalf("query %q: JSON page does not decode: %v", rawQuery, err)
 			}
 			return
 		}
-		parse := serp.ParseHTML
-		if isDesktopUA(ua) {
-			parse = serp.ParseDesktopHTML
-		}
-		if _, err := parse(string(body)); err != nil {
-			t.Fatalf("query %q, User-Agent %q: page does not parse: %v", rawQuery, ua, err)
+		if _, desktop := parseSurface(t, string(body)); desktop != isDesktopUA(ua) {
+			t.Fatalf("query %q, User-Agent %q: served the desktop surface %v", rawQuery, ua, desktop)
 		}
 		if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
 			t.Fatalf("query %q: Content-Length %q for a %d-byte page", rawQuery, cl, len(body))

@@ -236,12 +236,9 @@ func TestRealServerOverTCP(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status = %d", ua, resp.StatusCode)
 		}
-		if serp.IsDesktopHTML(string(body)) != (ua == desktopUA) {
+		page, desktop := parseSurface(t, string(body))
+		if desktop != (ua == desktopUA) {
 			t.Fatalf("%s: served the wrong surface", ua)
-		}
-		page, err := serp.ParseAnyHTML(string(body))
-		if err != nil {
-			t.Fatal(err)
 		}
 		if page.Query != "Hospital" {
 			t.Fatalf("%s: query = %q", ua, page.Query)

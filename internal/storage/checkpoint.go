@@ -30,9 +30,9 @@ type Checkpoint struct {
 	// Observations is how many observation records the partial JSONL file
 	// held when this cursor was saved.
 	Observations int `json:"observations"`
-	// Phase, Granularity, Day, and Term name the last completed sweep.
-	// Resume checks them: the crawler refuses a plan whose Sweeps-th sweep
-	// is another (phase, granularity, day, term).
+	// Phase, Granularity, Day, and Term name the last completed sweep for
+	// a reader of the file. Resume checks the plan against the slots the
+	// recovered observations carry, sweep by sweep.
 	Phase       string `json:"phase,omitempty"`
 	Granularity string `json:"granularity,omitempty"`
 	Day         int    `json:"day,omitempty"`
@@ -95,55 +95,26 @@ func LoadCheckpoint(path string) (ck Checkpoint, ok bool, err error) {
 // LoadCheckpointObservations reads the partial observation file referenced
 // by a checkpoint, keeping only the first ck.Observations records. Records
 // past the cursor (appended after the cursor was last saved) and a torn
-// trailing line (a crash mid-append) are dropped — the sweeps they came
-// from will simply be re-executed. A missing file yields ck.Observations=0
-// semantics only when the cursor agrees.
+// last line (a crash mid-append) are dropped — the sweeps they came from
+// will simply be re-executed. Any other line must hold one record, as
+// ReadJSONL requires. A missing file yields ck.Observations=0 semantics
+// only when the cursor agrees.
 func LoadCheckpointObservations(path string, ck Checkpoint) ([]Observation, error) {
-	obs, err := LoadJSONL(path)
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) && ck.Observations == 0 {
+		return nil, nil
+	}
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			if ck.Observations == 0 {
-				return nil, nil
-			}
-			return nil, err
-		}
-		// A torn trailing line makes LoadJSONL fail outright; fall back to
-		// the tolerant scan that keeps every whole record.
-		obs, err = loadJSONLPrefix(path)
-		if err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+	}
+	defer f.Close()
+	obs, err := readJSONL(f, true)
+	if err != nil {
+		return nil, err
 	}
 	if len(obs) < ck.Observations {
 		return nil, fmt.Errorf("storage: checkpoint expects %d observations but %s holds %d",
 			ck.Observations, path, len(obs))
 	}
 	return obs[:ck.Observations], nil
-}
-
-// loadJSONLPrefix reads observations until the first unparsable line and
-// returns everything before it.
-func loadJSONLPrefix(path string) ([]Observation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
-	}
-	defer f.Close()
-	all, err := ReadJSONL(f)
-	if err == nil {
-		return all, nil
-	}
-	// Re-scan keeping whole records only.
-	if _, serr := f.Seek(0, 0); serr != nil {
-		return nil, fmt.Errorf("storage: rewind %s: %w", path, serr)
-	}
-	var out []Observation
-	dec := json.NewDecoder(f)
-	for {
-		var o Observation
-		if derr := dec.Decode(&o); derr != nil {
-			return out, nil
-		}
-		out = append(out, o)
-	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,6 +133,41 @@ func TestLoadCheckpointObservationsToleratesTornTail(t *testing.T) {
 	// truncation of the campaign.
 	if _, err := LoadCheckpointObservations(obsPath, Checkpoint{Sweeps: 2, Observations: 4}); err == nil {
 		t.Fatal("cursor past file contents accepted")
+	}
+}
+
+// TestCheckpointObservationsOneRecordPerLine: the partial file is read by
+// ReadJSONL's grammar, one record per line. The only line it forgives is a
+// torn last one; a damaged line anywhere else, two records on one line
+// included, fails the load with LoadJSONL's error, whatever the cursor.
+func TestCheckpointObservationsOneRecordPerLine(t *testing.T) {
+	var whole strings.Builder
+	if err := WriteJSONL(&whole, []Observation{ckObs("A", Treatment), ckObs("A", Control), ckObs("B", Treatment)}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(whole.String(), "\n")
+	const torn = `{"phase":"p","term":"B","cat`
+	for _, tc := range []struct {
+		name, doc string
+	}{
+		{"two records on the first line", strings.TrimSuffix(lines[0], "\n") + lines[1] + lines[2] + torn},
+		{"torn line before the last", lines[0] + torn + "\n" + lines[1] + lines[2]},
+		{"torn line followed by a blank one", lines[0] + lines[1] + torn + "\n\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "obs.jsonl")
+			if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, want := LoadJSONL(path)
+			if want == nil {
+				t.Fatal("LoadJSONL accepted a damaged file")
+			}
+			got, err := LoadCheckpointObservations(path, Checkpoint{Sweeps: 1, Observations: 1})
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("LoadCheckpointObservations = %d observations, err %v; want LoadJSONL's error %q", len(got), err, want)
+			}
+		})
 	}
 }
 

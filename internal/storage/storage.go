@@ -116,8 +116,14 @@ func WriteJSONL(w io.Writer, obs []Observation) error {
 	return bw.Flush()
 }
 
-// ReadJSONL parses a JSONL stream of observations.
-func ReadJSONL(r io.Reader) ([]Observation, error) {
+// ReadJSONL parses a JSONL stream of observations: one record per line,
+// blank lines skipped.
+func ReadJSONL(r io.Reader) ([]Observation, error) { return readJSONL(r, false) }
+
+// readJSONL is ReadJSONL; with tornTail it also forgives an undecodable
+// last line, the one damage a crash mid-append leaves, and returns the
+// records before it.
+func readJSONL(r io.Reader, tornTail bool) ([]Observation, error) {
 	var out []Observation
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
@@ -129,6 +135,9 @@ func ReadJSONL(r io.Reader) ([]Observation, error) {
 		}
 		var o Observation
 		if err := json.Unmarshal(sc.Bytes(), &o); err != nil {
+			if tornTail && !sc.Scan() && sc.Err() == nil {
+				return out, nil
+			}
 			return nil, fmt.Errorf("storage: line %d: %w", line, err)
 		}
 		out = append(out, o)
