@@ -47,13 +47,14 @@ soak:
 		-clustertracez-out soak-clustertracez.json -cluster-trace-out soak-cluster-trace.json
 
 # chaos runs the fault-injection suite under the race detector: chaos
-# transport/middleware, retry classification, failure budgets, checkpoint
-# resume, and the circuit breaker both ends of the wire share
-# (internal/breaker, whose TestBreakerProbeElection is the test that needs
-# -race: 32 goroutines race for one half-open probe slot) with the
-# browser's pinned breaker timeline (see docs/RELIABILITY.md).
+# transport/middleware, retry classification, the fetch policy's
+# validation (TestPolicyValidate, TestNewRejectsInvalidFetchPolicy),
+# failure budgets, checkpoint resume, and the circuit breaker both ends of
+# the wire share (internal/breaker, whose TestBreakerProbeElection is the
+# test that needs -race: 32 goroutines race for one half-open probe slot)
+# with the browser's pinned breaker timeline (see docs/RELIABILITY.md).
 chaos:
-	go test -race -run 'Chaos|Retry|FailSoft|FailureBudget|Resume|Transient|SearchContext|Breaker' \
+	go test -race -run 'Chaos|Retry|Policy|FailSoft|FailureBudget|Resume|Transient|SearchContext|Breaker' \
 		./internal/breaker/ ./internal/browser/ ./internal/crawler/ ./internal/serpserver/
 
 # fuzz runs each fuzz target for 20 s, one after another (go test -fuzz

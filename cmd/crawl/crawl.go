@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"geoserp/internal/analysis"
+	"geoserp/internal/browser"
 	"geoserp/internal/crawler"
 	"geoserp/internal/engine"
 	"geoserp/internal/geo"
@@ -42,28 +43,16 @@ type options struct {
 	// CorpusPath loads a custom query corpus (JSON) instead of the
 	// study's 240 terms (in-process mode).
 	CorpusPath string
-	// Retries is the total fetch attempts per query (1 = no retries).
-	Retries int
-	// RetryBackoff is the linear backoff base between attempts.
-	RetryBackoff time.Duration
-	// FetchTimeout bounds each fetch attempt (0 = browser default).
-	FetchTimeout time.Duration
+	// Fetch is every browser's fetch policy: attempts, backoff, attempt
+	// timeout, deadline, body cap and circuit breaker (zero fields mean
+	// the browser defaults).
+	Fetch browser.Policy
 	// FailureBudget is the per-round fraction of fetches allowed to fail
 	// after retries before the campaign aborts (0 = strict).
 	FailureBudget float64
 	// ShedBudget is the per-round fraction of fetches allowed to end shed
 	// by server admission control (0 = strict).
 	ShedBudget float64
-	// BreakerThreshold arms the per-browser circuit breaker (0 = off).
-	BreakerThreshold int
-	// BreakerCooldown is the breaker's open-state dwell.
-	BreakerCooldown time.Duration
-	// Deadline, when positive, is each fetch's end-to-end budget,
-	// propagated to the server as an absolute X-Deadline-Ms instant.
-	Deadline time.Duration
-	// MaxBody caps how many response-body bytes a browser reads
-	// (0 = browser default); oversized pages fail permanently.
-	MaxBody int64
 	// Checkpoint is the campaign cursor path ("" derives Out + ".ckpt").
 	Checkpoint string
 	// Resume restarts from an existing checkpoint instead of from zero.
@@ -125,15 +114,9 @@ func runCrawl(opts options) (int, error) {
 	if opts.Wait > 0 {
 		ccfg.WaitBetweenTerms = opts.Wait
 	}
-	ccfg.RetryAttempts = opts.Retries
-	ccfg.RetryBackoff = opts.RetryBackoff
-	ccfg.FetchTimeout = opts.FetchTimeout
+	ccfg.Fetch = opts.Fetch
 	ccfg.FailureBudget = opts.FailureBudget
 	ccfg.ShedBudget = opts.ShedBudget
-	ccfg.BreakerThreshold = opts.BreakerThreshold
-	ccfg.BreakerCooldown = opts.BreakerCooldown
-	ccfg.DeadlineBudget = opts.Deadline
-	ccfg.MaxBodyBytes = opts.MaxBody
 
 	phases := crawler.ScaledPhases(corpus, opts.TermsPerCategory, opts.Days)
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"geoserp/internal/browser"
 	"geoserp/internal/crawler"
 	"geoserp/internal/queries"
 	"geoserp/internal/statz"
@@ -166,6 +167,17 @@ func TestRunCrawlValidation(t *testing.T) {
 	}
 	if _, err := runCrawl(options{Out: "/nonexistent-dir/x.jsonl", TermsPerCategory: 1, Days: 1}); err == nil {
 		t.Fatal("unwritable output path accepted")
+	}
+	// -retries -1: the policy is refused before the campaign writes its
+	// output, checkpoint or partial file.
+	dir := t.TempDir()
+	_, err := runCrawl(options{Out: filepath.Join(dir, "x.jsonl"), TermsPerCategory: 1, Days: 1,
+		Fetch: browser.Policy{Attempts: -1}})
+	if err == nil || !strings.Contains(err.Error(), "negative retry attempts -1") {
+		t.Fatalf("err = %v, want the policy refused", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("refused policy left %d files behind", len(entries))
 	}
 }
 

@@ -64,15 +64,15 @@ func main() {
 	flag.StringVar(&opts.PinnedDatacenter, "datacenter", "dc-0", "pinned datacenter ('' = unpinned)")
 	flag.DurationVar(&opts.Wait, "wait", 11*time.Minute, "spacing between successive terms")
 	flag.StringVar(&opts.CorpusPath, "corpus", "", "custom query corpus JSON (default: the study's 240 terms)")
-	flag.IntVar(&opts.Retries, "retries", 3, "fetch attempts per query (1 = no retries)")
-	flag.DurationVar(&opts.RetryBackoff, "retry-backoff", 30*time.Second, "linear backoff base between fetch attempts")
-	flag.DurationVar(&opts.FetchTimeout, "fetch-timeout", 30*time.Second, "per-attempt fetch timeout")
+	flag.IntVar(&opts.Fetch.Attempts, "retries", 3, "fetch attempts per query (1 = no retries)")
+	flag.DurationVar(&opts.Fetch.Backoff, "retry-backoff", 30*time.Second, "linear backoff base between fetch attempts")
+	flag.DurationVar(&opts.Fetch.Timeout, "fetch-timeout", 30*time.Second, "per-attempt fetch timeout")
 	flag.Float64Var(&opts.FailureBudget, "failure-budget", 0.05, "fraction of a term sweep allowed to fail after retries before aborting (0 = strict)")
 	flag.Float64Var(&opts.ShedBudget, "shed-budget", 0.05, "fraction of a term sweep allowed to end shed by server admission control (0 = strict)")
-	flag.IntVar(&opts.BreakerThreshold, "breaker-threshold", 0, "consecutive failures that open the per-browser circuit breaker (0 = off)")
-	flag.DurationVar(&opts.BreakerCooldown, "breaker-cooldown", time.Minute, "open-state dwell before the breaker probes the server again")
-	flag.DurationVar(&opts.Deadline, "deadline", 0, "end-to-end fetch deadline propagated to the server as X-Deadline-Ms (0 = none)")
-	flag.Int64Var(&opts.MaxBody, "max-body", 0, "response body byte cap; oversized pages fail permanently (0 = browser default)")
+	flag.IntVar(&opts.Fetch.BreakerThreshold, "breaker-threshold", 0, "consecutive failures that open the per-browser circuit breaker (0 = off)")
+	flag.DurationVar(&opts.Fetch.BreakerCooldown, "breaker-cooldown", time.Minute, "open-state dwell before the breaker probes the server again")
+	flag.DurationVar(&opts.Fetch.Deadline, "deadline", 0, "end-to-end fetch deadline propagated to the server as X-Deadline-Ms (0 = none)")
+	flag.Int64Var(&opts.Fetch.MaxBody, "max-body", 0, "response body byte cap; oversized pages fail permanently (0 = browser default)")
 	flag.StringVar(&opts.Checkpoint, "checkpoint", "", "campaign cursor path (default: <out>.ckpt)")
 	flag.BoolVar(&opts.Resume, "resume", false, "restart from the last completed term sweep in -checkpoint")
 	flag.StringVar(&opts.TraceOut, "trace-out", "", "write the campaign timeline as Chrome trace-event JSON (Perfetto / chrome://tracing)")

@@ -322,11 +322,8 @@ func runSoak(opts soakOptions) (*soakSummary, error) {
 	transport := newPhasedTransport(opts.Seed, clk)
 	ccfg := crawler.DefaultConfig()
 	ccfg.WaitBetweenTerms = slotWidth
-	ccfg.RetryAttempts = retries
-	ccfg.RetryBackoff = retryBackoff
-	ccfg.BreakerThreshold = breakerThreshold
-	ccfg.BreakerCooldown = breakerCooldown
-	ccfg.DeadlineBudget = fetchDeadline
+	ccfg.Fetch = browser.Policy{Attempts: retries, Backoff: retryBackoff, Deadline: fetchDeadline,
+		BreakerThreshold: breakerThreshold, BreakerCooldown: breakerCooldown}
 	// Fail-soft budgets so a pathological round is recorded rather than
 	// aborting the soak; the invariants below still demand zero terminal
 	// failures.

@@ -38,16 +38,17 @@ var ErrRateLimited = errors.New("browser: rate limited by server")
 // (a 503, typically with a Retry-After from serpserver's admission gate).
 // Sheds are transient — the server explicitly asked the client to come
 // back — but they are budgeted separately from genuine failures: they do
-// not consume WithRetry attempts (a bounded number of Retry-After waves is
-// allowed instead, see WithShedRetries) and they do not trip the circuit
-// breaker, because an overloaded-but-honest server is not a broken one.
+// not consume Policy.Attempts (a search rides out at most 8 Retry-After
+// waves instead) and they do not trip the circuit breaker, because an
+// overloaded-but-honest server is not a broken one.
 var ErrShed = errors.New("browser: request shed by server")
 
-// ErrCircuitOpen is returned when the circuit breaker (WithBreaker) is open
-// and the retry policy cannot wait out the cooldown.
+// ErrCircuitOpen is returned when the circuit breaker
+// (Policy.BreakerThreshold) is open and the retry policy cannot wait out
+// the cooldown.
 var ErrCircuitOpen = errors.New("browser: circuit breaker open")
 
-// ErrBodyTooLarge marks a response body that exceeded the WithMaxBodySize
+// ErrBodyTooLarge marks a response body that exceeded the Policy.MaxBody
 // cap. Oversize bodies are permanent failures: the page would overflow the
 // cap on every retry, so retrying only hammers the server.
 var ErrBodyTooLarge = errors.New("browser: response body exceeds size cap")
@@ -59,8 +60,8 @@ func IsShed(err error) bool { return errors.Is(err, ErrShed) }
 
 // ErrTransient marks fetch failures that are plausibly temporary — transport
 // errors, 5xx responses, truncated or unparsable bodies — and therefore worth
-// retrying under the WithRetry policy. Client-side mistakes (4xx other than
-// 429) are permanent: retrying a malformed query would never succeed.
+// retrying under Policy.Attempts. Client-side mistakes (4xx other than 429)
+// are permanent: retrying a malformed query would never succeed.
 var ErrTransient = errors.New("browser: transient fetch failure")
 
 // IsTransient reports whether err is worth retrying: either an explicit
@@ -195,30 +196,84 @@ type Browser struct {
 	// timeline (nil without WithSpans — the zero-cost default).
 	spans *telemetry.SpanRecorder
 
-	// Retry policy for transient failures (429s, 5xx, transport errors).
-	maxAttempts int
-	backoff     time.Duration
-	timeout     time.Duration
-	clock       simclock.Clock
-
-	// maxBody caps how many response-body bytes a fetch will read; an
-	// oversize body is a permanent ErrBodyTooLarge failure.
-	maxBody int64
-	// shedRetryLimit bounds how many 503-shed Retry-After waves one Search
-	// rides out before giving up (sheds do not consume maxAttempts).
-	shedRetryLimit int
-	// deadlineBudget, when positive, gives every Search an absolute
-	// deadline on the campaign clock, sent to the server as X-Deadline-Ms
-	// and honoured by the retry loop.
-	deadlineBudget time.Duration
-	// brk guards the search endpoint when WithBreaker arms it; nil admits
-	// every fetch.
+	// pol is the fetch policy, its zero fields set to their defaults by
+	// New; clock times its backoff, deadline and breaker.
+	pol   Policy
+	clock simclock.Clock
+	// brk guards the search endpoint when pol.BreakerThreshold arms it;
+	// nil admits every fetch.
 	brk *breaker.Breaker
-
-	// optErr records the first invalid Option; New reports it instead of
-	// silently running with a half-applied policy.
-	optErr error
 }
+
+// Policy is how a search fetches: how often it retries, how long an attempt
+// and the whole search may take, how much of a body it reads, and when it
+// stops calling a failing endpoint. A zero field means its default, so the
+// zero Policy is one attempt, a 30 s attempt timeout, a 4 MiB body cap, no
+// deadline and no breaker.
+type Policy struct {
+	// Attempts is the total tries per search at transient failures (rate
+	// limits, 5xx responses, transport, read and parse errors); 0 or 1
+	// means one. A server-named wait (Retry-After on a 429 or 503)
+	// overrides the backoff, and 503 sheds consume no attempts (a search
+	// rides out at most 8 of them): an overloaded server asking for
+	// patience cannot exhaust the failure budget of a healthy request.
+	Attempts int
+	// Backoff is the linear backoff base: the search sleeps n × Backoff on
+	// its clock after its n-th failure.
+	Backoff time.Duration
+	// Timeout bounds each attempt in wall time (0 means 30 s): it protects
+	// against a hung socket, which virtual clocks cannot model.
+	Timeout time.Duration
+	// Deadline, when positive, gives every search an absolute deadline
+	// that far ahead on its clock, advertised as X-Deadline-Ms so the
+	// server can shed or abandon doomed work; the retry loop schedules no
+	// attempt that could not start before it. 0 means none.
+	Deadline time.Duration
+	// MaxBody caps how many bytes of a response body a fetch reads (0
+	// means 4 MiB). A larger body is a permanent ErrBodyTooLarge failure:
+	// it would overflow on every retry.
+	MaxBody int64
+	// BreakerThreshold, when positive, arms a circuit breaker on the search
+	// endpoint: that many consecutive transport errors, 5xx or unparsable
+	// pages (not 429s or 503 sheds, which are explicit pushback) open it,
+	// fetches then fail fast for BreakerCooldown, and a single half-open
+	// probe then closes or re-opens it. 0 means no breaker.
+	BreakerThreshold int
+	// BreakerCooldown is the open breaker's dwell on the browser's clock;
+	// a positive threshold needs a positive cooldown.
+	BreakerCooldown time.Duration
+}
+
+// Validate reports why p cannot run: a negative field, or a breaker
+// threshold without a cooldown.
+func (p Policy) Validate() error {
+	switch {
+	case p.Attempts < 0:
+		return fmt.Errorf("browser: negative retry attempts %d", p.Attempts)
+	case p.Backoff < 0:
+		return fmt.Errorf("browser: negative retry backoff %s", p.Backoff)
+	case p.Timeout < 0:
+		return fmt.Errorf("browser: negative fetch timeout %s", p.Timeout)
+	case p.Deadline < 0:
+		return fmt.Errorf("browser: negative deadline %s", p.Deadline)
+	case p.MaxBody < 0:
+		return fmt.Errorf("browser: negative body cap %d", p.MaxBody)
+	case p.BreakerThreshold < 0:
+		return fmt.Errorf("browser: negative breaker threshold %d", p.BreakerThreshold)
+	case p.BreakerCooldown < 0:
+		return fmt.Errorf("browser: negative breaker cooldown %s", p.BreakerCooldown)
+	case p.BreakerThreshold > 0 && p.BreakerCooldown == 0:
+		return fmt.Errorf("browser: breaker threshold %d needs a positive cooldown", p.BreakerThreshold)
+	}
+	return nil
+}
+
+// shedRetries bounds how many 503-shed Retry-After waves one search rides
+// out before returning the shed error. Sheds are exempt from
+// Policy.Attempts — the server named a wait, and honouring it is flow
+// control, not failure — so this separate cap is what guarantees
+// termination under sustained overload.
+const shedRetries = 8
 
 // Option configures a Browser.
 type Option func(*Browser)
@@ -247,123 +302,18 @@ func WithTransport(rt http.RoundTripper) Option {
 	return func(b *Browser) { b.transport = rt }
 }
 
-// WithRetry makes Search retry transient failures (rate limits, 5xx
-// responses, transport and read errors) up to attempts total tries with
-// linear backoff between them. The study sidestepped rate limits with its
-// 44-machine pool; campaigns against a flaky service want this instead.
-// attempts must be positive and backoff non-negative; New rejects the
-// browser otherwise.
-//
-// Two refinements override the linear policy: a server that names a wait
-// (Retry-After on a 429 or 503) is honoured exactly, and 503 sheds do not
-// consume attempts at all — they are bounded by WithShedRetries instead,
-// so an overloaded server asking for patience cannot exhaust the failure
-// budget of a healthy request.
-func WithRetry(attempts int, backoff time.Duration) Option {
-	return func(b *Browser) {
-		if attempts <= 0 {
-			b.optErr = fmt.Errorf("browser: WithRetry attempts must be positive, got %d", attempts)
-			return
-		}
-		if backoff < 0 {
-			b.optErr = fmt.Errorf("browser: WithRetry backoff must be non-negative, got %s", backoff)
-			return
-		}
-		b.maxAttempts = attempts
-		b.backoff = backoff
-	}
+// WithPolicy sets how every search fetches; New rejects a policy that
+// Validate rejects, and a later WithPolicy replaces an earlier one. The
+// study sidestepped rate limits with its 44-machine pool; campaigns
+// against a flaky service want retries instead.
+func WithPolicy(p Policy) Option {
+	return func(b *Browser) { b.pol = p }
 }
 
-// WithTimeout bounds each fetch attempt (default 30s). The bound is wall
-// time — it protects against a hung socket, which virtual clocks cannot
-// model.
-func WithTimeout(d time.Duration) Option {
-	return func(b *Browser) {
-		if d <= 0 {
-			b.optErr = fmt.Errorf("browser: WithTimeout duration must be positive, got %s", d)
-			return
-		}
-		b.timeout = d
-	}
-}
-
-// WithClock substitutes the clock used for retry backoff (virtual-time
-// campaigns pass the campaign clock).
+// WithClock substitutes the clock the policy's backoff, deadline and
+// breaker run on (virtual-time campaigns pass the campaign clock).
 func WithClock(clk simclock.Clock) Option {
 	return func(b *Browser) { b.clock = clk }
-}
-
-// WithMaxBodySize caps how many bytes of a response body a fetch will read
-// (default 4 MiB). A body exceeding the cap is a permanent
-// ErrBodyTooLarge failure — it would overflow on every retry — so the
-// retry policy gives up immediately instead of re-downloading it.
-func WithMaxBodySize(n int64) Option {
-	return func(b *Browser) {
-		if n <= 0 {
-			b.optErr = fmt.Errorf("browser: WithMaxBodySize cap must be positive, got %d", n)
-			return
-		}
-		b.maxBody = n
-	}
-}
-
-// WithShedRetries bounds how many 503-shed Retry-After waves one Search
-// rides out before returning the shed error (default 8). Sheds are exempt
-// from the WithRetry attempt budget — the server named a wait, and
-// honouring it is flow control, not failure — so this separate cap is what
-// guarantees termination under sustained overload. 0 makes sheds
-// terminal on the first 503.
-func WithShedRetries(n int) Option {
-	return func(b *Browser) {
-		if n < 0 {
-			b.optErr = fmt.Errorf("browser: WithShedRetries count must be non-negative, got %d", n)
-			return
-		}
-		b.shedRetryLimit = n
-	}
-}
-
-// WithDeadline gives every Search a deadline budget on the campaign
-// clock. The absolute deadline is advertised to the server as
-// X-Deadline-Ms — letting its admission gate shed the request up front and
-// its engine abandon doomed work mid-stage — and the retry loop stops
-// scheduling attempts that could not start before it.
-func WithDeadline(d time.Duration) Option {
-	return func(b *Browser) {
-		if d <= 0 {
-			b.optErr = fmt.Errorf("browser: WithDeadline budget must be positive, got %s", d)
-			return
-		}
-		b.deadlineBudget = d
-	}
-}
-
-// WithBreaker arms a circuit breaker on the search endpoint: threshold
-// consecutive breaker-eligible failures (transport errors, 5xx, unparsable
-// pages — not 429s or 503 sheds, which are explicit pushback) open the
-// breaker, fetches then fail fast for cooldown, after which a single
-// half-open probe decides between closing it and re-opening. All timing is
-// on the campaign clock.
-func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(b *Browser) {
-		if threshold <= 0 {
-			b.optErr = fmt.Errorf("browser: WithBreaker threshold must be positive, got %d", threshold)
-			return
-		}
-		if cooldown <= 0 {
-			b.optErr = fmt.Errorf("browser: WithBreaker cooldown must be positive, got %s", cooldown)
-			return
-		}
-		// A trip takes effect at its own instant: the browser's one
-		// caller retries on the campaign clock, and at zero backoff its
-		// retries would otherwise land on that instant and be spent
-		// against the endpoint the breaker just declared dead.
-		b.brk = breaker.New(threshold, cooldown, false, func(label string) {
-			if b.breakerCtr != nil {
-				b.breakerCtr.With(label).Inc()
-			}
-		})
-	}
 }
 
 // WithTelemetry reports the browser's fetches, observed 429s, and retries
@@ -396,15 +346,30 @@ func New(baseURL string, opts ...Option) (*Browser, error) {
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("browser: base URL %q must be absolute", baseURL)
 	}
-	b := &Browser{
-		base: u, fp: IOSSafari8(), maxAttempts: 1, timeout: 30 * time.Second,
-		clock: simclock.Wall(), maxBody: 4 << 20, shedRetryLimit: 8,
-	}
+	b := &Browser{base: u, fp: IOSSafari8(), clock: simclock.Wall()}
 	for _, o := range opts {
 		o(b)
 	}
-	if b.optErr != nil {
-		return nil, b.optErr
+	if err := b.pol.Validate(); err != nil {
+		return nil, err
+	}
+	b.pol.Attempts = max(b.pol.Attempts, 1)
+	if b.pol.Timeout == 0 {
+		b.pol.Timeout = 30 * time.Second
+	}
+	if b.pol.MaxBody == 0 {
+		b.pol.MaxBody = 4 << 20
+	}
+	if b.pol.BreakerThreshold > 0 {
+		// A trip takes effect at its own instant: the browser's one
+		// caller retries on the campaign clock, and at zero backoff its
+		// retries would otherwise land on that instant and be spent
+		// against the endpoint the breaker just declared dead.
+		b.brk = breaker.New(b.pol.BreakerThreshold, b.pol.BreakerCooldown, false, func(label string) {
+			if b.breakerCtr != nil {
+				b.breakerCtr.With(label).Inc()
+			}
+		})
 	}
 	jar, err := cookiejar.New(nil)
 	if err != nil {
@@ -412,7 +377,7 @@ func New(baseURL string, opts ...Option) (*Browser, error) {
 	}
 	b.client = &http.Client{
 		Jar:     jar,
-		Timeout: b.timeout,
+		Timeout: b.pol.Timeout,
 	}
 	if b.transport != nil {
 		b.client.Transport = b.transport
@@ -460,7 +425,7 @@ func (b *Browser) LastDatacenter() string { return b.lastDC }
 func (b *Browser) SetTraceID(id string) { b.traceID = id }
 
 // Search executes a query and parses the first page of results, retrying
-// transient failures per the WithRetry policy.
+// transient failures per the browser's Policy.
 func (b *Browser) Search(term string) (*serp.Page, error) {
 	return b.SearchContext(context.Background(), term)
 }
@@ -488,15 +453,15 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 		}
 	}
 	// Absolute per-query deadline, advertised on every attempt and
-	// honoured by the retry loop (zero when WithDeadline is off).
+	// honoured by the retry loop (zero without a policy deadline).
 	var deadline time.Time
-	if b.deadlineBudget > 0 {
-		deadline = b.clock.Now().Add(b.deadlineBudget)
+	if b.pol.Deadline > 0 {
+		deadline = b.clock.Now().Add(b.pol.Deadline)
 	}
 	var lastErr error
 	// failures counts attempt-consuming outcomes (429s, 5xx, transport and
-	// parse errors) against maxAttempts; sheds counts 503 Retry-After
-	// waves against shedRetryLimit. attempt numbers every loop turn and is
+	// parse errors) against pol.Attempts; sheds counts 503 Retry-After
+	// waves against shedRetries. attempt numbers every loop turn and is
 	// what the wire header and spans carry.
 	failures, sheds := 0, 0
 	for attempt := 1; ; attempt++ {
@@ -505,7 +470,7 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 		}
 		if wait, ok := b.brk.Allow(b.clock.Now()); !ok {
 			oerr := withRetryAfter(markTransient(fmt.Errorf("%w (retry in %s)", ErrCircuitOpen, wait)), wait)
-			if b.maxAttempts <= 1 {
+			if b.pol.Attempts == 1 {
 				// No retry policy: fail fast rather than block a
 				// single-shot caller for the whole cooldown.
 				return nil, oerr
@@ -550,8 +515,8 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 		} else {
 			b.brk.Pushback()
 		}
-		terminal := ctx.Err() != nil || !IsTransient(err) || b.maxAttempts <= 1 ||
-			(!shed && failures >= b.maxAttempts) || (shed && sheds > b.shedRetryLimit)
+		terminal := ctx.Err() != nil || !IsTransient(err) || b.pol.Attempts == 1 ||
+			(!shed && failures >= b.pol.Attempts) || (shed && sheds > shedRetries)
 		if terminal {
 			if span != nil {
 				span.SetAttr("outcome", "error")
@@ -566,9 +531,9 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 		}
 		// Linear backoff by default; a server-named Retry-After overrides
 		// it exactly.
-		sleep := time.Duration(failures) * b.backoff
+		sleep := time.Duration(failures) * b.pol.Backoff
 		if shed {
-			sleep = time.Duration(sheds) * b.backoff
+			sleep = time.Duration(sheds) * b.pol.Backoff
 		}
 		if ra, ok := RetryAfter(err); ok {
 			sleep = ra
@@ -610,8 +575,7 @@ func (b *Browser) sleepOn(held simclock.Holder, d time.Duration) {
 }
 
 // BreakerState reports the search endpoint's circuit-breaker state
-// ("closed", "open", "half-open"), or "" when WithBreaker is not
-// configured.
+// ("closed", "open", "half-open"), or "" when the policy arms no breaker.
 func (b *Browser) BreakerState() string {
 	if b.brk == nil {
 		return ""
@@ -668,7 +632,7 @@ func (b *Browser) fetchOnce(ctx context.Context, term string, attempt int, deadl
 	defer resp.Body.Close()
 	// Read at most one byte past the cap: enough to tell an oversize body
 	// from one that exactly fits, without ever buffering more than the cap.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, b.maxBody+1))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, b.pol.MaxBody+1))
 	if err != nil {
 		// A connection dropped mid-body; the next attempt may complete.
 		return nil, markTransient(fmt.Errorf("browser: read body: %w", err))
@@ -698,8 +662,8 @@ func (b *Browser) fetchOnce(ctx context.Context, term string, attempt int, deadl
 		// Remaining 4xx: the request itself is wrong; retrying cannot help.
 		return nil, fmt.Errorf("browser: server returned %d: %s", resp.StatusCode, truncate(string(body), 120))
 	}
-	if int64(len(body)) > b.maxBody {
-		return nil, fmt.Errorf("%w: page exceeds the %d-byte cap", ErrBodyTooLarge, b.maxBody)
+	if int64(len(body)) > b.pol.MaxBody {
+		return nil, fmt.Errorf("%w: page exceeds the %d-byte cap", ErrBodyTooLarge, b.pol.MaxBody)
 	}
 	page, err := serp.ParseHTML(string(body))
 	if err != nil {

@@ -219,8 +219,8 @@ func TestNoResultPageIsAPage(t *testing.T) {
 		go clk.DriveUntil(done)
 		defer close(done)
 		reg := telemetry.NewRegistry()
-		b, err := New(srv.URL, WithFingerprint(fp), WithRetry(3, time.Second),
-			WithBreaker(2, time.Minute), WithClock(clk), WithTelemetry(reg))
+		b, err := New(srv.URL, WithFingerprint(fp), WithPolicy(Policy{Attempts: 3, Backoff: time.Second,
+			BreakerThreshold: 2, BreakerCooldown: time.Minute}), WithClock(clk), WithTelemetry(reg))
 		if err != nil {
 			t.Fatal(err)
 		}

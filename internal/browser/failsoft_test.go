@@ -46,7 +46,7 @@ func TestSearchContextCancellationAbortsFetch(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 
-	b, err := New(srv.URL, WithRetry(5, 0))
+	b, err := New(srv.URL, WithPolicy(Policy{Attempts: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestChaosRetriedAttemptDrawsFreshFault(t *testing.T) {
 	// across 30 traces at least one must succeed via retry unless retries
 	// replay the identical draw.
 	ct := NewChaosTransport(ChaosConfig{Seed: 7, ErrorRate: 0.5}, nil)
-	b, err := New(srv.URL, WithTransport(ct), WithRetry(8, 0))
+	b, err := New(srv.URL, WithTransport(ct), WithPolicy(Policy{Attempts: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestRetryAfterOverridesLinearBackoff(t *testing.T) {
 	srv, count := shedServer(t, 1, "7")
 	epoch := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
 	clk := simclock.NewManual(epoch)
-	b, err := New(srv.URL, WithRetry(3, time.Minute), WithClock(clk))
+	b, err := New(srv.URL, WithPolicy(Policy{Attempts: 3, Backoff: time.Minute}), WithClock(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRetryAfterHonouredOn429(t *testing.T) {
 	srv, count := flakyServer(t, 2)
 	epoch := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
 	clk := simclock.NewManual(epoch)
-	b, err := New(srv.URL, WithRetry(4, time.Minute), WithClock(clk))
+	b, err := New(srv.URL, WithPolicy(Policy{Attempts: 4, Backoff: time.Minute}), WithClock(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestShedsAreExemptFromRetryAttempts(t *testing.T) {
 	// budget: sheds must not consume it.
 	srv, count := shedServer(t, 5, "")
 	reg := telemetry.NewRegistry()
-	b, err := New(srv.URL, WithRetry(2, 0), WithTelemetry(reg))
+	b, err := New(srv.URL, WithPolicy(Policy{Attempts: 2}), WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestShedRetriesBoundSustainedOverload(t *testing.T) {
 	// A server that never stops shedding: the separate shed cap is what
 	// terminates the search, and the error keeps its shed classification.
 	srv, count := shedServer(t, -1, "")
-	b, err := New(srv.URL, WithRetry(2, 0), WithShedRetries(3))
+	b, err := New(srv.URL, WithPolicy(Policy{Attempts: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,21 +142,8 @@ func TestShedRetriesBoundSustainedOverload(t *testing.T) {
 	if !IsShed(serr) || !IsTransient(serr) {
 		t.Fatalf("terminal shed error lost its classification: %v", serr)
 	}
-	if got := count.Load(); got != 4 {
-		t.Fatalf("requests = %d, want 4 (1 + 3 shed retries)", got)
-	}
-
-	// WithShedRetries(0): the first 503 is terminal even with attempts left.
-	srv0, count0 := shedServer(t, -1, "")
-	b0, err := New(srv0.URL, WithRetry(5, 0), WithShedRetries(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, serr := b0.Search("x"); !IsShed(serr) {
-		t.Fatalf("err = %v, want a shed", serr)
-	}
-	if got := count0.Load(); got != 1 {
-		t.Fatalf("requests = %d, want 1", got)
+	if got, want := count.Load(), int64(1+shedRetries); got != want {
+		t.Fatalf("requests = %d, want %d (1 + %d shed retries)", got, want, shedRetries)
 	}
 }
 
@@ -167,7 +154,7 @@ func TestOversizeBodyFailsPermanently(t *testing.T) {
 		w.Write(bytes.Repeat([]byte("x"), 4096))
 	}))
 	defer srv.Close()
-	b, err := New(srv.URL, WithRetry(5, 0), WithMaxBodySize(1024))
+	b, err := New(srv.URL, WithPolicy(Policy{Attempts: 5, MaxBody: 1024}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +185,7 @@ func TestBodyExactlyAtCapIsAccepted(t *testing.T) {
 		fmt.Fprint(w, html)
 	}))
 	defer srv.Close()
-	b, err := New(srv.URL, WithMaxBodySize(int64(len(html))))
+	b, err := New(srv.URL, WithPolicy(Policy{MaxBody: int64(len(html))}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +209,7 @@ func TestBreakerOpensFailsFastAndRecloses(t *testing.T) {
 	defer srv.Close()
 	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 	reg := telemetry.NewRegistry()
-	b, err := New(srv.URL, WithBreaker(2, time.Minute), WithClock(clk), WithTelemetry(reg))
+	b, err := New(srv.URL, WithPolicy(Policy{BreakerThreshold: 2, BreakerCooldown: time.Minute}), WithClock(clk), WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +266,7 @@ func TestPushbackDoesNotTripBreaker(t *testing.T) {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			http.Error(w, "pushback", status)
 		}))
-		b, err := New(srv.URL, WithBreaker(1, time.Minute), WithShedRetries(0))
+		b, err := New(srv.URL, WithPolicy(Policy{BreakerThreshold: 1, BreakerCooldown: time.Minute}))
 		if err != nil {
 			srv.Close()
 			t.Fatal(err)
@@ -355,7 +342,8 @@ func breakerTimeline(t *testing.T, base string, want []string) []string {
 	for _, pol := range policies {
 		clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 		reg := telemetry.NewRegistry()
-		b, err := New(base, WithRetry(pol.attempts, pol.backoff), WithBreaker(2, 30*time.Second),
+		b, err := New(base, WithPolicy(Policy{Attempts: pol.attempts, Backoff: pol.backoff,
+			BreakerThreshold: 2, BreakerCooldown: 30 * time.Second}),
 			WithClock(clk), WithTelemetry(reg))
 		if err != nil {
 			t.Fatal(err)
@@ -433,7 +421,7 @@ func cancelProbe(t *testing.T) {
 	}))
 	defer srv.Close()
 	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
-	b, err := New(srv.URL, WithBreaker(2, 30*time.Second), WithClock(clk))
+	b, err := New(srv.URL, WithPolicy(Policy{BreakerThreshold: 2, BreakerCooldown: 30 * time.Second}), WithClock(clk))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package crawler
 import (
 	"errors"
 	"fmt"
+	"os"
 
 	"geoserp/internal/simclock"
 	"geoserp/internal/storage"
@@ -120,13 +121,15 @@ func (c *Crawler) Resume(path, obsPath string) error {
 	if !ok {
 		return nil
 	}
-	obs, err := storage.LoadCheckpointObservations(obsPath, ck)
+	obs, size, err := storage.LoadCheckpointObservations(obsPath, ck)
 	if err != nil {
 		return fmt.Errorf("crawler: resume: %w", err)
 	}
-	// Rewrite the file to the acknowledged prefix so subsequent appends
-	// continue from a state the cursor agrees with.
-	if err := storage.SaveJSONL(obsPath, obs); err != nil {
+	// Cut the file after the acknowledged records so subsequent appends
+	// continue from a state the cursor agrees with. No acknowledged byte is
+	// rewritten, so a crash here loses nothing the cursor counts. A missing
+	// file is what a cursor of no observations may have.
+	if err := os.Truncate(obsPath, size); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("crawler: resume: truncate observations: %w", err)
 	}
 	c.ckpt.ck = ck

@@ -13,8 +13,8 @@ func TestRunCampaignContextCancellation(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	ctx, cancel := context.WithCancel(context.Background())
 
-	// Cancel after the first progress callback (first day of sweeps).
-	rig.cr.Progress = func(string) { cancel() }
+	// Cancel at the first day's last sweep.
+	rig.cr.Sink = cancelAtSweep{last: 3, cancel: cancel}
 
 	obs, err := rig.cr.RunCampaign(ctx, []Phase{smallPhase(4, geo.County, 5)})
 	if err == nil {

@@ -37,20 +37,12 @@ type Config struct {
 	// PinnedDatacenter fixes which replica serves every query (the
 	// study's static DNS mapping). Empty means unpinned.
 	PinnedDatacenter string
-	// ClearCookies controls whether browsers reset cookies after every
-	// query (the study's protocol; disable only for methodology
-	// experiments).
-	ClearCookies bool
-	// RetryAttempts is the total tries per fetch (browser.WithRetry
-	// semantics). 0 or 1 means a single attempt; negative is rejected.
-	RetryAttempts int
-	// RetryBackoff is the linear backoff base between retry attempts,
-	// slept on the campaign clock — virtual-time campaigns absorb it
-	// instantly.
-	RetryBackoff time.Duration
-	// FetchTimeout bounds each fetch attempt in wall time (0 keeps the
-	// browser's 30s default).
-	FetchTimeout time.Duration
+	// Fetch is how every browser the crawler builds fetches — retries,
+	// attempt timeout, deadline, body cap and circuit breaker — given to
+	// each unchanged, so that only location tells treatments apart. Its
+	// backoff, deadline and breaker run on the campaign clock: virtual-time
+	// campaigns absorb a 30-second backoff instantly.
+	Fetch browser.Policy
 	// FailureBudget is the fraction of fetches in one lock-step round
 	// allowed to fail — after retries are exhausted — before the phase
 	// aborts. Failures inside the budget are recorded as Failed
@@ -65,23 +57,6 @@ type Config struct {
 	// on any terminal shed — the right default when the server is
 	// expected to keep up with the campaign.
 	ShedBudget float64
-	// BreakerThreshold, when positive, arms a per-browser circuit
-	// breaker: that many consecutive failed attempts against the search
-	// endpoint fail fast for BreakerCooldown before a probe is let
-	// through. 0 leaves the breaker off.
-	BreakerThreshold int
-	// BreakerCooldown is the open-state dwell; required positive when
-	// BreakerThreshold is set.
-	BreakerCooldown time.Duration
-	// DeadlineBudget, when positive, gives every fetch an absolute
-	// deadline that far ahead on the campaign clock, propagated to the
-	// server (X-Deadline-Ms) so it can shed or abandon doomed work. 0
-	// propagates no deadline.
-	DeadlineBudget time.Duration
-	// MaxBodyBytes, when positive, caps how much of a response body a
-	// browser will read; oversized pages fail permanently (no retry). 0
-	// keeps the browser's default cap.
-	MaxBodyBytes int64
 }
 
 // DefaultConfig mirrors the study's infrastructure.
@@ -91,9 +66,7 @@ func DefaultConfig() Config {
 		Subnet:           "10.44.7",
 		WaitBetweenTerms: 11 * time.Minute,
 		PinnedDatacenter: "dc-0",
-		ClearCookies:     true,
-		RetryAttempts:    3,
-		RetryBackoff:     30 * time.Second,
+		Fetch:            browser.Policy{Attempts: 3, Backoff: 30 * time.Second},
 	}
 }
 
@@ -140,9 +113,6 @@ type Crawler struct {
 	baseURL string
 	ds      *geo.Dataset
 	corpus  *queries.Corpus
-	// Progress is called (if set) after each term sweep with a short
-	// status line.
-	Progress func(string)
 	// Logger, when set, receives structured progress records (Info) and
 	// one per-fetch record with the minted trace ID (Debug).
 	Logger *slog.Logger
@@ -229,29 +199,14 @@ func New(cfg Config, clk simclock.Clock, baseURL string, ds *geo.Dataset, corpus
 	if baseURL == "" {
 		return nil, fmt.Errorf("crawler: base URL must be set")
 	}
-	if cfg.RetryAttempts < 0 {
-		return nil, fmt.Errorf("crawler: negative retry attempts %d", cfg.RetryAttempts)
-	}
-	if cfg.RetryBackoff < 0 {
-		return nil, fmt.Errorf("crawler: negative retry backoff %s", cfg.RetryBackoff)
+	if err := cfg.Fetch.Validate(); err != nil {
+		return nil, fmt.Errorf("crawler: fetch policy: %w", err)
 	}
 	if cfg.FailureBudget < 0 || cfg.FailureBudget > 1 {
 		return nil, fmt.Errorf("crawler: failure budget %v outside [0, 1]", cfg.FailureBudget)
 	}
 	if cfg.ShedBudget < 0 || cfg.ShedBudget > 1 {
 		return nil, fmt.Errorf("crawler: shed budget %v outside [0, 1]", cfg.ShedBudget)
-	}
-	if cfg.BreakerThreshold < 0 {
-		return nil, fmt.Errorf("crawler: negative breaker threshold %d", cfg.BreakerThreshold)
-	}
-	if cfg.BreakerThreshold > 0 && cfg.BreakerCooldown <= 0 {
-		return nil, fmt.Errorf("crawler: breaker threshold %d needs a positive cooldown", cfg.BreakerThreshold)
-	}
-	if cfg.DeadlineBudget < 0 {
-		return nil, fmt.Errorf("crawler: negative deadline budget %s", cfg.DeadlineBudget)
-	}
-	if cfg.MaxBodyBytes < 0 {
-		return nil, fmt.Errorf("crawler: negative body cap %d", cfg.MaxBodyBytes)
 	}
 	return &Crawler{cfg: cfg, clock: clk, baseURL: baseURL, ds: ds, corpus: corpus, wall: simclock.Wall()}, nil
 }
@@ -283,15 +238,7 @@ func (c *Crawler) newVantages(locs []geo.Location, rt http.RoundTripper) ([]vant
 	out := make([]vantage, 0, len(locs))
 	for i, loc := range locs {
 		mkBrowser := func(slot int) (*browser.Browser, error) {
-			opts := []browser.Option{
-				browser.WithSourceIP(machines[slot%len(machines)]),
-				browser.WithTelemetry(c.Telemetry),
-			}
-			if c.cfg.PinnedDatacenter != "" {
-				opts = append(opts, browser.WithPinnedDatacenter(c.cfg.PinnedDatacenter))
-			}
-			opts = append(opts, c.reliabilityOptions(rt)...)
-			b, err := browser.New(c.baseURL, opts...)
+			b, err := c.newBrowser(machines[slot%len(machines)], c.cfg.PinnedDatacenter, rt)
 			if err != nil {
 				return nil, err
 			}
@@ -311,34 +258,19 @@ func (c *Crawler) newVantages(locs []geo.Location, rt http.RoundTripper) ([]vant
 	return out, nil
 }
 
-// reliabilityOptions translates the crawl config's retry policy into
-// browser options shared by every browser the crawler builds, installing
-// the run's transport rt. Retries back off on the campaign clock, so
-// virtual-time campaigns replay a 30-second backoff instantly while
-// wall-clock deployments genuinely wait.
-func (c *Crawler) reliabilityOptions(rt http.RoundTripper) []browser.Option {
-	var opts []browser.Option
-	if c.cfg.RetryAttempts > 0 {
-		opts = append(opts, browser.WithRetry(c.cfg.RetryAttempts, c.cfg.RetryBackoff))
-	}
-	if c.cfg.FetchTimeout > 0 {
-		opts = append(opts, browser.WithTimeout(c.cfg.FetchTimeout))
-	}
-	if c.cfg.BreakerThreshold > 0 {
-		opts = append(opts, browser.WithBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown))
-	}
-	if c.cfg.DeadlineBudget > 0 {
-		opts = append(opts, browser.WithDeadline(c.cfg.DeadlineBudget))
-	}
-	if c.cfg.MaxBodyBytes > 0 {
-		opts = append(opts, browser.WithMaxBodySize(c.cfg.MaxBodyBytes))
-	}
-	opts = append(opts, browser.WithTransport(rt))
-	if c.Spans != nil {
-		opts = append(opts, browser.WithSpans(c.Spans))
-	}
-	opts = append(opts, browser.WithClock(c.clock))
-	return opts
+// newBrowser builds one browser of a run: traffic from machine address ip,
+// pinned to datacenter dc ("" leaves it unpinned), fetching by the
+// config's policy on the campaign clock through the run's transport rt,
+// and reporting to the crawler's registry and span recorder.
+func (c *Crawler) newBrowser(ip, dc string, rt http.RoundTripper) (*browser.Browser, error) {
+	return browser.New(c.baseURL,
+		browser.WithSourceIP(ip),
+		browser.WithPinnedDatacenter(dc),
+		browser.WithPolicy(c.cfg.Fetch),
+		browser.WithClock(c.clock),
+		browser.WithTransport(rt),
+		browser.WithTelemetry(c.Telemetry),
+		browser.WithSpans(c.Spans))
 }
 
 // runTransport returns the transport one phase or validation run installs
@@ -539,10 +471,6 @@ func (c *Crawler) runPhase(ctx context.Context, p Phase) ([]storage.Observation,
 			if rem := 24*time.Hour - c.clock.Now().Sub(dayStart); rem > 0 && (manualClock || executedThisDay) {
 				c.clock.Sleep(rem)
 			}
-			if c.Progress != nil {
-				c.Progress(fmt.Sprintf("phase %s: %s day %d/%d done (%d observations)",
-					p.Name, g.Short(), day+1, p.Days, len(all)))
-			}
 			if c.Logger != nil {
 				inst := c.instruments()
 				c.Logger.Info("phase day complete",
@@ -599,14 +527,12 @@ func (c *Crawler) lockstep(ctx context.Context, n int, fetch func(ctx context.Co
 }
 
 // search is one fetch of a lock-step round: term from b under the given
-// trace ID, with b's cookies cleared afterwards when the config asks for
-// it.
-func (c *Crawler) search(ctx context.Context, b *browser.Browser, trace, term string) (*serp.Page, error) {
+// trace ID, with b's cookies cleared afterwards, as the study's script did
+// after every query.
+func search(ctx context.Context, b *browser.Browser, trace, term string) (*serp.Page, error) {
 	b.SetTraceID(trace)
 	page, err := b.SearchContext(ctx, term)
-	if c.cfg.ClearCookies {
-		b.ClearCookies()
-	}
+	b.ClearCookies()
 	return page, err
 }
 
@@ -646,7 +572,7 @@ func (c *Crawler) sweepTerm(ctx context.Context, phase string, q queries.Query, 
 				"location", v.loc.ID, "role", string(role), "day", day)
 		}
 		retriesBefore := b.Retries()
-		page, err := c.search(ctx, b, trace, q.Term)
+		page, err := search(ctx, b, trace, q.Term)
 		r := &results[i]
 		r.retries = b.Retries() - retriesBefore
 		r.obs = storage.Observation{
@@ -754,11 +680,7 @@ func (c *Crawler) RunValidation(terms []queries.Query, gps geo.Point, nVantage i
 		// Spread vantages across distinct /8s, like PlanetLab sites at
 		// different universities.
 		ip := fmt.Sprintf("%d.%d.10.7", 11+(i*5)%200, (i*13)%250)
-		opts := append([]browser.Option{
-			browser.WithSourceIP(ip),
-			browser.WithTelemetry(c.Telemetry),
-		}, c.reliabilityOptions(rt)...)
-		b, err := browser.New(c.baseURL, opts...)
+		b, err := c.newBrowser(ip, "", rt)
 		if err != nil {
 			return nil, err
 		}
@@ -775,7 +697,7 @@ func (c *Crawler) RunValidation(terms []queries.Query, gps geo.Point, nVantage i
 				// pages — printed first by cmd/repro — are reproducible
 				// regardless of goroutine arrival order.
 				trace := telemetry.MintTraceID(0, "validation", q.Term, fmt.Sprint(i))
-				pages[i], errs[i] = c.search(ctx, browsers[i], trace, q.Term)
+				pages[i], errs[i] = search(ctx, browsers[i], trace, q.Term)
 			})
 			for i, err := range errs {
 				if err != nil {

@@ -206,7 +206,7 @@ func TestMachineSpreadAvoidsRateLimits(t *testing.T) {
 	// would refill and mask the overload this test exists to observe.
 	cfg := DefaultConfig()
 	cfg.Machines = 1
-	cfg.RetryAttempts = 1
+	cfg.Fetch.Attempts = 1
 	clk2 := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 	eng2 := engine.New(engine.DefaultConfig(), clk2)
 	srv2 := httptest.NewServer(serpserver.NewHandler(eng2))

@@ -91,7 +91,7 @@ func TestFailSoftPhaseRecordsFailedObservations(t *testing.T) {
 	if got := inst.fetchFailures.With("test").Value(); got != 6 {
 		t.Fatalf("crawler_fetch_failures_total{test} = %d, want 6", got)
 	}
-	wantRetries := uint64(6 * (cfg.RetryAttempts - 1))
+	wantRetries := uint64(6 * (cfg.Fetch.Attempts - 1))
 	if got := inst.fetchRetries.With("test").Value(); got != wantRetries {
 		t.Fatalf("crawler_fetch_retries_total{test} = %d, want %d", got, wantRetries)
 	}
@@ -114,10 +114,34 @@ func TestFailureBudgetValidation(t *testing.T) {
 	if _, err := New(bad, clk, "http://x", ds, corpus); err == nil {
 		t.Fatal("failure budget > 1 accepted")
 	}
-	bad = DefaultConfig()
-	bad.RetryAttempts = -1
-	if _, err := New(bad, clk, "http://x", ds, corpus); err == nil {
-		t.Fatal("negative retry attempts accepted")
+}
+
+// TestNewRejectsInvalidFetchPolicy: New refuses, before anything is
+// fetched, every policy browser.Policy.Validate refuses, with Validate's
+// error wrapped.
+func TestNewRejectsInvalidFetchPolicy(t *testing.T) {
+	clk := simclock.NewManual(time.Now())
+	ds, corpus := geo.StudyDataset(), queries.StudyCorpus()
+	for _, p := range []browser.Policy{
+		{Attempts: -1},
+		{Backoff: -time.Second},
+		{Timeout: -time.Second},
+		{Deadline: -time.Second},
+		{MaxBody: -1},
+		{BreakerThreshold: -1},
+		{BreakerCooldown: -time.Second},
+		{BreakerThreshold: 2},
+	} {
+		want := p.Validate()
+		if want == nil {
+			t.Fatalf("Validate accepted %+v", p)
+		}
+		cfg := DefaultConfig()
+		cfg.Fetch = p
+		_, err := New(cfg, clk, "http://x", ds, corpus)
+		if err == nil || errors.Unwrap(err).Error() != want.Error() {
+			t.Fatalf("New with %+v: err = %v, want %q wrapped", p, err, want)
+		}
 	}
 }
 
@@ -147,14 +171,14 @@ func marshalObs(t *testing.T, obs []storage.Observation) string {
 }
 
 // interruptedRun executes the phase with checkpointing on and cancels at
-// the first progress report, returning the checkpoint file's bytes.
+// the first day's last sweep, returning the checkpoint file's bytes.
 func interruptedRun(t *testing.T, phase Phase, ckptPath, obsPath string) []byte {
 	t.Helper()
 	cr := resumeRig(t)
 	cr.EnableCheckpoint(ckptPath, obsPath)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cr.Progress = func(string) { cancel() } // first day-complete report kills the run
+	cr.Sink = cancelAtSweep{last: len(phase.Terms) - 1, cancel: cancel}
 	if _, err := cr.RunCampaign(ctx, []Phase{phase}); err == nil {
 		t.Fatal("cancelled campaign reported success")
 	}
@@ -236,6 +260,76 @@ func TestResumeReproducesUninterruptedCampaign(t *testing.T) {
 	if !bytes.Equal(finalRef, finalResumed) {
 		t.Fatalf("resumed run's final checkpoint differs from the uninterrupted run's:\n%s\nvs\n%s", finalResumed, finalRef)
 	}
+}
+
+// TestResumeCutsPartialFileInPlace: Resume cuts the partial file after the
+// records its cursor acknowledges and rewrites none of them. Here the
+// acknowledged lines are valid JSON that json.Encoder does not write (a
+// space after every colon), followed by an unacknowledged sweep and a torn
+// line: after Resume the file must be exactly the acknowledged bytes, and
+// the resumed campaign must still return the uninterrupted run's
+// observations.
+func TestResumeCutsPartialFileInPlace(t *testing.T) {
+	phase := smallPhase(2, geo.County, 2)
+	want, err := resumeRig(t).RunCampaign(context.Background(), []Phase{phase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ckptPath := filepath.Join(dir, "campaign.ckpt")
+	obsPath := filepath.Join(dir, "campaign.partial.jsonl")
+	interruptedRun(t, phase, ckptPath, obsPath) // 2 day-0 sweeps, 60 records
+	data, err := os.ReadFile(obsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := spaceAfterColons(data)
+	var tail bytes.Buffer
+	if err := storage.WriteJSONL(&tail, want[60:90]); err != nil {
+		t.Fatal(err)
+	}
+	tail.WriteString(`{"phase":"test","term":`)
+	if err := os.WriteFile(obsPath, append(append([]byte(nil), acked...), tail.Bytes()...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cr := resumeRig(t)
+	if err := cr.Resume(ckptPath, obsPath); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(obsPath); err != nil || !bytes.Equal(got, acked) {
+		t.Fatalf("after Resume the partial file holds %d bytes (err %v), want its %d acknowledged bytes unchanged",
+			len(got), err, len(acked))
+	}
+	got, err := cr.RunCampaign(context.Background(), []Phase{phase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if marshalObs(t, got) != marshalObs(t, want) {
+		t.Fatal("resumed campaign's observations differ from the uninterrupted run")
+	}
+}
+
+// spaceAfterColons returns JSON Lines data with a space after every colon
+// outside strings: the same records, in a byte form json.Encoder never
+// writes.
+func spaceAfterColons(data []byte) []byte {
+	var out []byte
+	inString, escaped := false, false
+	for _, c := range data {
+		out = append(out, c)
+		switch {
+		case escaped:
+			escaped = false
+		case inString && c == '\\':
+			escaped = true
+		case c == '"':
+			inString = !inString
+		case !inString && c == ':':
+			out = append(out, ' ')
+		}
+	}
+	return out
 }
 
 // TestResumeRefusesAnotherPlan: a checkpoint resumes only the plan it was

@@ -45,7 +45,7 @@ func faultRig(t *testing.T, every int64, status int) *Crawler {
 	// Single-attempt, zero-budget config: these tests pin the strict
 	// failure surface, before retries or the failure budget soften it.
 	cfg := DefaultConfig()
-	cfg.RetryAttempts = 1
+	cfg.Fetch.Attempts = 1
 	cr, err := New(cfg, clk, srv.URL, geo.StudyDataset(), queries.StudyCorpus())
 	if err != nil {
 		t.Fatal(err)

@@ -31,6 +31,20 @@ func (c *collectSink) flat() []storage.Observation {
 	return out
 }
 
+// cancelAtSweep cancels a campaign's context once sweep last has
+// completed: the run stops at the next term boundary, its checkpoint
+// holding sweeps 0 through last.
+type cancelAtSweep struct {
+	last   int
+	cancel context.CancelFunc
+}
+
+func (s cancelAtSweep) ObserveSweep(info SweepInfo, _ []storage.Observation) {
+	if info.Sweep == s.last {
+		s.cancel()
+	}
+}
+
 func TestSinkReceivesEveryCampaignSweep(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), nil)
 	sink := &collectSink{}
@@ -134,7 +148,7 @@ func TestResumeReplaysRecoveredSweepsToSink(t *testing.T) {
 	cr1.EnableCheckpoint(ckptPath, obsPath)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cr1.Progress = func(string) { cancel() }
+	cr1.Sink = cancelAtSweep{last: 1, cancel: cancel}
 	if _, err := cr1.RunCampaign(ctx, []Phase{phase}); err == nil {
 		t.Fatal("cancelled campaign reported success")
 	}

@@ -36,7 +36,7 @@ func sheddingRig(t *testing.T, cfg Config) (*Crawler, *atomic.Int64) {
 func TestShedBudgetRecordsShedObservations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ShedBudget = 1.0 // tolerate a fully shedding server
-	cfg.RetryBackoff = time.Second
+	cfg.Fetch.Backoff = time.Second
 	cr, count := sheddingRig(t, cfg)
 
 	obs, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(2, geo.County, 1)})
@@ -71,7 +71,7 @@ func TestShedBudgetRecordsShedObservations(t *testing.T) {
 
 func TestShedBudgetZeroAbortsOnFirstShed(t *testing.T) {
 	cfg := DefaultConfig() // ShedBudget 0: strict
-	cfg.RetryBackoff = time.Second
+	cfg.Fetch.Backoff = time.Second
 	cr, _ := sheddingRig(t, cfg)
 	_, err := cr.RunCampaign(context.Background(), []Phase{smallPhase(2, geo.County, 1)})
 	if err == nil {
@@ -89,16 +89,5 @@ func TestShedBudgetValidation(t *testing.T) {
 	bad.ShedBudget = 1.5
 	if _, err := New(bad, clk, "http://x", ds, corpus); err == nil {
 		t.Fatal("shed budget > 1 accepted")
-	}
-	bad = DefaultConfig()
-	bad.BreakerThreshold = 2 // cooldown left zero
-	bad.BreakerCooldown = 0
-	if _, err := New(bad, clk, "http://x", ds, corpus); err == nil {
-		t.Fatal("breaker threshold without a cooldown accepted")
-	}
-	bad = DefaultConfig()
-	bad.MaxBodyBytes = -1
-	if _, err := New(bad, clk, "http://x", ds, corpus); err == nil {
-		t.Fatal("negative body cap accepted")
 	}
 }

@@ -42,8 +42,7 @@ func spanRig(t *testing.T, cfg Config, chaosCfg browser.ChaosConfig) (*Crawler, 
 // both exercise the identical fault schedule.
 func chaosSpanConfig() (Config, browser.ChaosConfig) {
 	cfg := DefaultConfig()
-	cfg.RetryAttempts = 3
-	cfg.RetryBackoff = time.Second
+	cfg.Fetch = browser.Policy{Attempts: 3, Backoff: time.Second}
 	cfg.FailureBudget = 0.5
 	return cfg, browser.ChaosConfig{Seed: 7, ErrorRate: 0.2}
 }
@@ -89,8 +88,8 @@ func TestChaosRetriesRecordOneSpanPerAttempt(t *testing.T) {
 				t.Fatalf("trace %s attempt %d: missing term attr", trace, i)
 			}
 		}
-		if len(spans) > cfg.RetryAttempts {
-			t.Fatalf("trace %s: %d attempts exceed the retry cap %d", trace, len(spans), cfg.RetryAttempts)
+		if len(spans) > cfg.Fetch.Attempts {
+			t.Fatalf("trace %s: %d attempts exceed the retry cap %d", trace, len(spans), cfg.Fetch.Attempts)
 		}
 		if len(spans) > 1 {
 			retried++

@@ -140,24 +140,6 @@ func (d *Dataset) All() []Location {
 // Len returns the total number of locations.
 func (d *Dataset) Len() int { return len(d.byID) }
 
-// Nearest returns the location in locs closest to pt by great-circle
-// distance. ok is false for an empty slice. The engine uses this for
-// coarse reverse geocoding (e.g. which state's regional news outlets are
-// relevant to a query coordinate).
-func Nearest(locs []Location, pt Point) (Location, bool) {
-	if len(locs) == 0 {
-		return Location{}, false
-	}
-	best := locs[0]
-	bestD := DistanceKm(best.Point, pt)
-	for _, l := range locs[1:] {
-		if d := DistanceKm(l.Point, pt); d < bestD {
-			best, bestD = l, d
-		}
-	}
-	return best, true
-}
-
 // MeanPairwiseDistanceKm returns the average great-circle distance over all
 // unordered pairs of locations at granularity g. The paper reports ~1 mile
 // for the voting districts and ~100 miles for the Ohio counties; this is the

@@ -205,15 +205,10 @@ func (c *Client) probeLoop(stop <-chan struct{}) {
 		defer h.Release()
 	}
 	sleep := func(d time.Duration) {
-		switch {
-		case h == nil:
+		if h == nil {
 			clk.Sleep(d)
-		default:
-			if p, ok := h.(simclock.PassiveHolder); ok {
-				p.SleepHeldPassive(d)
-			} else {
-				h.SleepHeld(d)
-			}
+		} else {
+			h.SleepHeldPassive(d)
 		}
 	}
 	// Ticks stay on the start + k*interval + probePhase grid even when a

@@ -140,6 +140,11 @@ type Holder interface {
 	// wake-up instant, atomically — the driver cannot hop past the wake
 	// time before the worker resumes.
 	SleepHeld(d time.Duration)
+	// SleepHeldPassive is SleepHeld for background maintenance loops that
+	// must never drag virtual time forward on their own: the parked
+	// sleeper is invisible to drivers choosing the next instant to
+	// advance to.
+	SleepHeldPassive(d time.Duration)
 }
 
 // HolderOf returns clk's Holder when it has one (Manual does), nil
@@ -147,17 +152,6 @@ type Holder interface {
 func HolderOf(clk Clock) Holder {
 	h, _ := clk.(Holder)
 	return h
-}
-
-// PassiveHolder extends Holder with passive sleeping for background
-// maintenance loops that must never drag virtual time forward on their
-// own. Manual implements it; discover it with a type assertion on a
-// Holder and fall back to SleepHeld when absent.
-type PassiveHolder interface {
-	Holder
-	// SleepHeldPassive is SleepHeld, except the parked sleeper is
-	// invisible to drivers choosing the next instant to advance to.
-	SleepHeldPassive(d time.Duration)
 }
 
 type heldKey struct{}

@@ -93,28 +93,30 @@ func LoadCheckpoint(path string) (ck Checkpoint, ok bool, err error) {
 }
 
 // LoadCheckpointObservations reads the partial observation file referenced
-// by a checkpoint, keeping only the first ck.Observations records. Records
+// by a checkpoint, keeping only the first ck.Observations records, and
+// returns the byte length of the lines that hold them: cutting the file to
+// size drops what the cursor does not acknowledge and nothing else. Records
 // past the cursor (appended after the cursor was last saved) and a torn
 // last line (a crash mid-append) are dropped — the sweeps they came from
 // will simply be re-executed. Any other line must hold one record, as
 // ReadJSONL requires. A missing file yields ck.Observations=0 semantics
 // only when the cursor agrees.
-func LoadCheckpointObservations(path string, ck Checkpoint) ([]Observation, error) {
+func LoadCheckpointObservations(path string, ck Checkpoint) (obs []Observation, size int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) && ck.Observations == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+		return nil, 0, fmt.Errorf("storage: open %s: %w", path, err)
 	}
 	defer f.Close()
-	obs, err := readJSONL(f, true)
+	obs, size, err = readJSONL(f, true, ck.Observations)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(obs) < ck.Observations {
-		return nil, fmt.Errorf("storage: checkpoint expects %d observations but %s holds %d",
+		return nil, 0, fmt.Errorf("storage: checkpoint expects %d observations but %s holds %d",
 			ck.Observations, path, len(obs))
 	}
-	return obs[:ck.Observations], nil
+	return obs[:ck.Observations], size, nil
 }

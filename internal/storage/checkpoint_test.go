@@ -97,13 +97,21 @@ func TestLoadCheckpointObservationsDropsPastCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cursor only acknowledges the first sweep: the second sweep's records
-	// (appended before the crash) must be dropped.
-	got, err := LoadCheckpointObservations(obsPath, Checkpoint{Sweeps: 1, Observations: 2})
+	// (appended before the crash) must be dropped, and size must end at the
+	// first sweep's last byte.
+	got, size, err := LoadCheckpointObservations(obsPath, Checkpoint{Sweeps: 1, Observations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0].Term != "A" || got[1].Term != "A" {
 		t.Fatalf("got %d observations, want the 2 sweep-A records", len(got))
+	}
+	var first strings.Builder
+	if err := WriteJSONL(&first, obs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if size != int64(first.Len()) {
+		t.Fatalf("size = %d, want the first sweep's %d bytes", size, first.Len())
 	}
 }
 
@@ -122,7 +130,7 @@ func TestLoadCheckpointObservationsToleratesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	got, err := LoadCheckpointObservations(obsPath, Checkpoint{Sweeps: 1, Observations: 2})
+	got, _, err := LoadCheckpointObservations(obsPath, Checkpoint{Sweeps: 1, Observations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +139,7 @@ func TestLoadCheckpointObservationsToleratesTornTail(t *testing.T) {
 	}
 	// A cursor pointing past what the file holds is an error, not silent
 	// truncation of the campaign.
-	if _, err := LoadCheckpointObservations(obsPath, Checkpoint{Sweeps: 2, Observations: 4}); err == nil {
+	if _, _, err := LoadCheckpointObservations(obsPath, Checkpoint{Sweeps: 2, Observations: 4}); err == nil {
 		t.Fatal("cursor past file contents accepted")
 	}
 }
@@ -163,7 +171,7 @@ func TestCheckpointObservationsOneRecordPerLine(t *testing.T) {
 			if want == nil {
 				t.Fatal("LoadJSONL accepted a damaged file")
 			}
-			got, err := LoadCheckpointObservations(path, Checkpoint{Sweeps: 1, Observations: 1})
+			got, _, err := LoadCheckpointObservations(path, Checkpoint{Sweeps: 1, Observations: 1})
 			if err == nil || err.Error() != want.Error() {
 				t.Fatalf("LoadCheckpointObservations = %d observations, err %v; want LoadJSONL's error %q", len(got), err, want)
 			}

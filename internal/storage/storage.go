@@ -118,15 +118,25 @@ func WriteJSONL(w io.Writer, obs []Observation) error {
 
 // ReadJSONL parses a JSONL stream of observations: one record per line,
 // blank lines skipped.
-func ReadJSONL(r io.Reader) ([]Observation, error) { return readJSONL(r, false) }
+func ReadJSONL(r io.Reader) ([]Observation, error) {
+	obs, _, err := readJSONL(r, false, 0)
+	return obs, err
+}
 
 // readJSONL is ReadJSONL; with tornTail it also forgives an undecodable
 // last line, the one damage a crash mid-append leaves, and returns the
-// records before it.
-func readJSONL(r io.Reader, tornTail bool) ([]Observation, error) {
-	var out []Observation
+// records before it. kept is the byte length of the lines through the one
+// holding record number keep, newline included (0 when keep is 0 or the
+// stream holds fewer records).
+func readJSONL(r io.Reader, tornTail bool, keep int) (out []Observation, kept int64, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	var read int64 // bytes of the lines scanned so far
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		read += int64(adv)
+		return adv, tok, err
+	})
 	line := 0
 	for sc.Scan() {
 		line++
@@ -136,16 +146,19 @@ func readJSONL(r io.Reader, tornTail bool) ([]Observation, error) {
 		var o Observation
 		if err := json.Unmarshal(sc.Bytes(), &o); err != nil {
 			if tornTail && !sc.Scan() && sc.Err() == nil {
-				return out, nil
+				return out, kept, nil
 			}
-			return nil, fmt.Errorf("storage: line %d: %w", line, err)
+			return nil, 0, fmt.Errorf("storage: line %d: %w", line, err)
 		}
 		out = append(out, o)
+		if len(out) == keep {
+			kept = read
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("storage: scan: %w", err)
+		return nil, 0, fmt.Errorf("storage: scan: %w", err)
 	}
-	return out, nil
+	return out, kept, nil
 }
 
 // SaveJSONL writes observations to a file path. Paths ending in ".gz" are
