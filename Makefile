@@ -73,23 +73,23 @@ chaos:
 #   (internal/serpserver): for any raw query (q=, ll=, format=) and any
 #   User-Agent, SID cookie, X-Datacenter, X-Deadline-Ms, X-Trace-Id and
 #   X-Trace-Attempt values it must not panic and must answer 200, 400, 429
-#   or 503; a format=json 200 must decode, any other 200 must parse, be the
-#   rendering of what it parses to on the surface its User-Agent selects and
-#   carry its length as Content-Length, and the request's engine.* spans and
+#   or 503; a format=json 200 must decode, any other 200, whatever its
+#   User-Agent, must parse, be RenderHTML of what it parses to and carry its
+#   length as Content-Length, and the request's engine.* spans and
 #   search.wide stages must be one prefix of the engine's stage table, all
 #   six on a 200.
 # - FuzzComparePages, the page-comparison kernel (internal/metrics): fresh
 #   and reused comparers must match Jaccard and EditDistance on the pages'
 #   extracted URL lists.
-# - FuzzParseHTML, the one HTML parser, which reads both SERP surfaces
-#   (internal/serp): no document may panic it, and every page it accepts
-#   must re-render on the surface it was read as and re-parse unchanged.
+# - FuzzParseHTML, the one HTML parser (internal/serp): no document may
+#   panic it, and every page it accepts must survive RenderHTML and
+#   ParseHTML unchanged.
 # - FuzzPlacesNear, the Places lookup (internal/webcorpus): no coordinate may
 #   panic it, an invalid point gets nil, and a valid one the full-rectangle
 #   scan over the fmt-built reference generator, cold and warm.
 # - FuzzRenderHTML, the page renderers (internal/serp): for any query,
-#   location, datacenter, day and card stack, both surfaces, appended after
-#   a prefix, must be the fmt-built reference renderers' bytes.
+#   location, datacenter, day and card stack, the page, appended after a
+#   prefix, must be the fmt-built reference renderer's bytes.
 # - FuzzParsePoint, the ll= parameter (internal/geo): no input may panic
 #   ParsePoint, an accepted point is valid and survives String and
 #   ParsePoint, and String is "%.6f,%.6f" for any float64 pair.
@@ -112,6 +112,14 @@ chaos:
 #   queries (sweep=, format=) and Accept headers: no panic, 200, 400 or 404
 #   only, a JSON 200 decodes as a Snapshot, and sweep=N answers 200 exactly
 #   when N lies within the X-Statz-Ring bounds, with SweepJSON(N)'s bytes.
+# - FuzzSearchContext, the browser's response path (internal/browser): one
+#   SearchContext against a server answering fuzzed statuses, Retry-After,
+#   Content-Length and bodies, under a fuzzed policy, on a clock that
+#   records its sleeps: no panic, at most Attempts + 8 shed retries reach
+#   the server, no wait exceeds the larger of the 5-minute Retry-After cap
+#   and the policy's own backoff and breaker cooldown, and the clock never
+#   passes a policy deadline. Its inputs go through net/http, so it gets
+#   the same 1 s minimization.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime 20s ./internal/router
 	go test -run '^$$' -fuzz '^FuzzShardSearch$$' -fuzztime 20s ./internal/router
@@ -125,6 +133,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzSpanz$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/telemetry
 	go test -run '^$$' -fuzz '^FuzzClusterTracez$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/router
 	go test -run '^$$' -fuzz '^FuzzStatz$$' -fuzztime 20s ./internal/statz
+	go test -run '^$$' -fuzz '^FuzzSearchContext$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/browser
 
 build:
 	go build ./...

@@ -155,6 +155,16 @@ func runCrawl(opts options) (int, error) {
 			return 0, err
 		}
 		srv.Start()
+		// The server lives exactly as long as this call, on every return
+		// path. The crawler has closed its connections by the time the
+		// campaign returns, so the wait is for the listener alone; its
+		// error is dropped, since the campaign's outcome does not depend
+		// on it.
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_ = srv.Shutdown(ctx)
+		}()
 		baseURL = srv.URL()
 		logger.Info("in-process engine ready", "url", baseURL)
 	} else {

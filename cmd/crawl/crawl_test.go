@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +179,35 @@ func TestRunCrawlValidation(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("refused policy left %d files behind", len(entries))
+	}
+}
+
+// runCrawl's in-process server goes with it: a campaign that lands and one
+// refused after the server started each leave the goroutine count where
+// they found it. net/http's goroutines exit asynchronously, so the count
+// is polled for a while.
+func TestRunCrawlStopsInProcessServer(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fetch browser.Policy
+		ok    bool
+	}{
+		{"campaign", browser.Policy{}, true},
+		{"refused policy", browser.Policy{Attempts: -1}, false},
+	} {
+		base := runtime.NumGoroutine()
+		_, err := runCrawl(options{Out: filepath.Join(t.TempDir(), "x.jsonl"), TermsPerCategory: 1, Days: 1,
+			Seed: 1, Fetch: tc.fetch})
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+		for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(end); {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines after runCrawl, %d before:\n%s", tc.name, n, base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -118,49 +118,37 @@ func RetryAfter(err error) (time.Duration, bool) {
 	return 0, false
 }
 
+// maxRetryAfter caps a server-named wait. A Retry-After is the server's
+// word, not the browser's policy, so a broken or hostile server must not
+// park a search for a day (or, past 2^63 ns, for a negative or wrapped
+// duration) on each of its shed retries. Five minutes is above every wait
+// the servers here name — the engine's 60 s rate-limit hint and the
+// admission gate's few seconds — and below the 11-minute term slot.
+const maxRetryAfter = 5 * time.Minute
+
 // parseRetryAfter reads an integer-seconds Retry-After value — the only
-// form the servers here emit. HTTP-date forms and garbage yield 0 (no
-// named wait).
+// form the servers here emit — capped at maxRetryAfter. HTTP-date forms
+// and garbage yield 0 (no named wait).
 func parseRetryAfter(v string) time.Duration {
 	n, err := strconv.Atoi(strings.TrimSpace(v))
 	if err != nil || n < 0 {
 		return 0
 	}
+	if n > int(maxRetryAfter/time.Second) {
+		return maxRetryAfter
+	}
 	return time.Duration(n) * time.Second
 }
 
-// Fingerprint is the browser identity presented on every request. The
-// study configured all treatments identically so fingerprints could not
-// explain result differences.
-type Fingerprint struct {
-	UserAgent      string
-	AcceptLanguage string
-	ViewportW      int
-	ViewportH      int
-}
-
-// Firefox38Desktop returns a desktop fingerprint of the study's era. The
-// desktop surface ignores the Geolocation override — its only location
-// signal is the IP — matching the constraint prior work operated under.
-func Firefox38Desktop() Fingerprint {
-	return Fingerprint{
-		UserAgent:      "Mozilla/5.0 (X11; Linux x86_64; rv:38.0) Gecko/20100101 Firefox/38.0",
-		AcceptLanguage: "en-US",
-		ViewportW:      1366,
-		ViewportH:      768,
-	}
-}
-
-// IOSSafari8 returns the fingerprint the study used: Safari 8 on iOS.
-func IOSSafari8() Fingerprint {
-	return Fingerprint{
-		UserAgent: "Mozilla/5.0 (iPhone; CPU iPhone OS 8_0 like Mac OS X) " +
-			"AppleWebKit/600.1.4 (KHTML, like Gecko) Version/8.0 Mobile/12A365 Safari/600.1.4",
-		AcceptLanguage: "en-US",
-		ViewportW:      375,
-		ViewportH:      667,
-	}
-}
+// The browser identity presented on every request: the study's Safari 8
+// on iOS. The study configured all treatments identically so the
+// fingerprint could not explain result differences.
+const (
+	userAgent = "Mozilla/5.0 (iPhone; CPU iPhone OS 8_0 like Mac OS X) " +
+		"AppleWebKit/600.1.4 (KHTML, like Gecko) Version/8.0 Mobile/12A365 Safari/600.1.4"
+	acceptLanguage = "en-US"
+	viewportWidth  = "375"
+)
 
 // Browser is one scripted browser instance. It is not safe for concurrent
 // use; the crawler gives each worker its own Browser, as the study gave
@@ -168,13 +156,11 @@ func IOSSafari8() Fingerprint {
 type Browser struct {
 	base      *url.URL
 	client    *http.Client
-	fp        Fingerprint
 	geo       *geo.Point
 	sourceIP  string
 	pinnedDC  string
 	fetches   int
 	retries   int
-	lastDC    string
 	transport http.RoundTripper
 
 	// traceID, when set, is sent as the X-Trace-Id header on every
@@ -278,11 +264,6 @@ const shedRetries = 8
 // Option configures a Browser.
 type Option func(*Browser)
 
-// WithFingerprint overrides the default iOS Safari 8 fingerprint.
-func WithFingerprint(fp Fingerprint) Option {
-	return func(b *Browser) { b.fp = fp }
-}
-
 // WithSourceIP attributes the browser's traffic to a machine address (sent
 // as X-Forwarded-For), modelling which of the crawl machines the script
 // runs on.
@@ -346,7 +327,7 @@ func New(baseURL string, opts ...Option) (*Browser, error) {
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("browser: base URL %q must be absolute", baseURL)
 	}
-	b := &Browser{base: u, fp: IOSSafari8(), clock: simclock.Wall()}
+	b := &Browser{base: u, clock: simclock.Wall()}
 	for _, o := range opts {
 		o(b)
 	}
@@ -389,10 +370,6 @@ func New(baseURL string, opts ...Option) (*Browser, error) {
 // subsequent searches present it to the engine.
 func (b *Browser) OverrideGeolocation(pt geo.Point) { p := pt; b.geo = &p }
 
-// ClearGeolocation removes the override; searches then carry no ll=
-// parameter and the engine falls back to IP geolocation.
-func (b *Browser) ClearGeolocation() { b.geo = nil }
-
 // ClearCookies empties the cookie jar, as the study's script did after
 // every query to prevent the engine "remembering" prior location or
 // searches.
@@ -414,10 +391,6 @@ func (b *Browser) SourceIP() string { return b.sourceIP }
 
 // Retries returns how many failed fetches were retried.
 func (b *Browser) Retries() int { return b.retries }
-
-// LastDatacenter reports the replica that served the previous page (from
-// the X-Served-By header).
-func (b *Browser) LastDatacenter() string { return b.lastDC }
 
 // SetTraceID installs the trace ID sent as X-Trace-Id on subsequent
 // fetches ("" stops sending the header). The crawler mints one per query
@@ -529,8 +502,8 @@ func (b *Browser) SearchContext(ctx context.Context, term string) (*serp.Page, e
 		if b.retryCtr != nil {
 			b.retryCtr.Inc()
 		}
-		// Linear backoff by default; a server-named Retry-After overrides
-		// it exactly.
+		// Linear backoff by default; a server-named Retry-After, capped at
+		// maxRetryAfter, overrides it.
 		sleep := time.Duration(failures) * b.pol.Backoff
 		if shed {
 			sleep = time.Duration(sheds) * b.pol.Backoff
@@ -601,12 +574,10 @@ func (b *Browser) fetchOnce(ctx context.Context, term string, attempt int, deadl
 	if err != nil {
 		return nil, fmt.Errorf("browser: build request: %w", err)
 	}
-	req.Header.Set("User-Agent", b.fp.UserAgent)
-	req.Header.Set("Accept-Language", b.fp.AcceptLanguage)
+	req.Header.Set("User-Agent", userAgent)
+	req.Header.Set("Accept-Language", acceptLanguage)
 	req.Header.Set("Accept", "text/html")
-	if b.fp.ViewportW > 0 {
-		req.Header.Set("Viewport-Width", fmt.Sprint(b.fp.ViewportW))
-	}
+	req.Header.Set("Viewport-Width", viewportWidth)
 	if b.sourceIP != "" {
 		req.Header.Set(httpheader.ForwardedFor, b.sourceIP)
 	}
@@ -675,7 +646,6 @@ func (b *Browser) fetchOnce(ctx context.Context, term string, attempt int, deadl
 	if b.fetchCtr != nil {
 		b.fetchCtr.Inc()
 	}
-	b.lastDC = resp.Header.Get(httpheader.ServedBy)
 	// The HTML surface does not carry the trace; the header echo does.
 	// Attach it to the parsed record so storage keeps the join key.
 	b.lastTraceID = resp.Header.Get(httpheader.TraceID)
@@ -684,15 +654,6 @@ func (b *Browser) fetchOnce(ctx context.Context, term string, attempt int, deadl
 	}
 	page.TraceID = b.lastTraceID
 	return page, nil
-}
-
-// SearchAndReset performs the full treatment protocol of the study's
-// script: run the query, save the page, then clear cookies so the next
-// query starts from a clean browser.
-func (b *Browser) SearchAndReset(term string) (*serp.Page, error) {
-	page, err := b.Search(term)
-	b.ClearCookies()
-	return page, err
 }
 
 // errAttr renders err for a span attribute. URL errors are unwrapped to

@@ -32,6 +32,19 @@ func testServer(t *testing.T, mutate func(*engine.Config)) *httptest.Server {
 	return srv
 }
 
+// quiet turns the engine's noise off, so only location and history can
+// change a page.
+func quiet(cfg *engine.Config) {
+	cfg.WebJitterSigma = 0
+	cfg.PlaceJitterSigma = 0
+	cfg.NewsJitterSigma = 0
+	cfg.Buckets = 1
+	cfg.BucketWeightSpread = 0
+	cfg.Datacenters = 1
+	cfg.ReplicaSkew = 0
+	cfg.MapsCardProb = 1
+}
+
 func TestBrowserSearch(t *testing.T) {
 	srv := testServer(t, nil)
 	b, err := New(srv.URL)
@@ -52,7 +65,7 @@ func TestBrowserSearch(t *testing.T) {
 	if b.Fetches() != 1 {
 		t.Fatalf("fetches = %d", b.Fetches())
 	}
-	if b.LastDatacenter() == "" {
+	if page.Datacenter == "" {
 		t.Fatal("datacenter not recorded")
 	}
 }
@@ -71,24 +84,39 @@ func TestBrowserValidation(t *testing.T) {
 	}
 }
 
+// An override applies to every search until another replaces it, and the
+// engine personalizes on it; a browser that installs none is located by
+// its IP.
 func TestBrowserGeolocationOverrideLifecycle(t *testing.T) {
-	srv := testServer(t, nil)
+	srv := testServer(t, quiet)
 	b, _ := New(srv.URL, WithSourceIP("10.5.0.1"))
 	b.OverrideGeolocation(cleveland)
-	p1, err := b.Search("Gay Marriage")
+	p1, err := b.Search("Coffee")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(p1.Location, "41.4993") {
 		t.Fatalf("override not applied: %q", p1.Location)
 	}
-	b.ClearGeolocation()
-	p2, err := b.Search("Gay Marriage")
+	b.ClearCookies()
+	b.OverrideGeolocation(geo.Point{Lat: 34.0522, Lon: -118.2437})
+	p2, err := b.Search("Coffee")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.HasPrefix(p2.Location, "41.4993") {
-		t.Fatalf("override survived ClearGeolocation: %q", p2.Location)
+	if !strings.HasPrefix(p2.Location, "34.0522") {
+		t.Fatalf("second override not applied: %q", p2.Location)
+	}
+	if equal(p1.Links(), p2.Links()) {
+		t.Fatal("the engine did not personalize on the spoofed coordinate")
+	}
+	plain, _ := New(srv.URL, WithSourceIP("10.5.0.1"))
+	p3, err := plain.Search("Coffee")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.HasPrefix(p3.Location, "41.4993") || strings.HasPrefix(p3.Location, "34.0522") {
+		t.Fatalf("a browser without an override was located at %q", p3.Location)
 	}
 }
 
@@ -96,19 +124,10 @@ func TestBrowserCookiePersistenceAndClear(t *testing.T) {
 	// With a persistent jar, the session carries search history: two
 	// identical quiet-engine queries in a session differ from a fresh
 	// one. Clearing cookies resets to the fresh baseline.
-	srv := testServer(t, func(cfg *engine.Config) {
-		cfg.WebJitterSigma = 0
-		cfg.PlaceJitterSigma = 0
-		cfg.NewsJitterSigma = 0
-		cfg.Buckets = 1
-		cfg.BucketWeightSpread = 0
-		cfg.Datacenters = 1
-		cfg.ReplicaSkew = 0
-		cfg.MapsCardProb = 1
-	})
+	srv := testServer(t, quiet)
 	fresh, _ := New(srv.URL, WithSourceIP("10.5.0.9"))
 	fresh.OverrideGeolocation(cleveland)
-	baselinePage, err := fresh.SearchAndReset("Coffee")
+	baselinePage, err := fresh.Search("Coffee")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,20 +175,21 @@ func TestBrowserPinnedDatacenter(t *testing.T) {
 	srv := testServer(t, nil)
 	b, _ := New(srv.URL, WithPinnedDatacenter("dc-2"))
 	b.OverrideGeolocation(cleveland)
-	if _, err := b.Search("Coffee"); err != nil {
+	page, err := b.Search("Coffee")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if b.LastDatacenter() != "dc-2" {
-		t.Fatalf("served by %q, want dc-2", b.LastDatacenter())
+	if page.Datacenter != "dc-2" {
+		t.Fatalf("served by %q, want dc-2", page.Datacenter)
 	}
 }
 
+// Every request presents the study's fixed fingerprint, Safari 8 on iOS,
+// and its crawl machine's address.
 func TestBrowserFingerprintSent(t *testing.T) {
-	var gotUA, gotLang, gotXFF string
+	var got http.Header
 	probe := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotUA = r.UserAgent()
-		gotLang = r.Header.Get("Accept-Language")
-		gotXFF = r.Header.Get(httpheader.ForwardedFor)
+		got = r.Header.Clone()
 		http.Error(w, "teapot", http.StatusTeapot)
 	}))
 	defer probe.Close()
@@ -178,20 +198,17 @@ func TestBrowserFingerprintSent(t *testing.T) {
 	if err == nil {
 		t.Fatal("teapot response accepted")
 	}
-	if !strings.Contains(gotUA, "iPhone") {
-		t.Fatalf("UA = %q, want iOS Safari", gotUA)
-	}
-	if gotLang != "en-US" {
-		t.Fatalf("lang = %q", gotLang)
-	}
-	if gotXFF != "10.8.0.3" {
-		t.Fatalf("xff = %q", gotXFF)
-	}
-	custom := Fingerprint{UserAgent: "TestBot/1.0", AcceptLanguage: "de-DE"}
-	b2, _ := New(probe.URL, WithFingerprint(custom))
-	b2.Search("x")
-	if gotUA != "TestBot/1.0" || gotLang != "de-DE" {
-		t.Fatalf("custom fingerprint not sent: %q %q", gotUA, gotLang)
+	for key, want := range map[string]string{
+		"User-Agent": "Mozilla/5.0 (iPhone; CPU iPhone OS 8_0 like Mac OS X) " +
+			"AppleWebKit/600.1.4 (KHTML, like Gecko) Version/8.0 Mobile/12A365 Safari/600.1.4",
+		"Accept-Language":       "en-US",
+		"Accept":                "text/html",
+		"Viewport-Width":        "375",
+		httpheader.ForwardedFor: "10.8.0.3",
+	} {
+		if v := got.Values(key); len(v) != 1 || v[0] != want {
+			t.Errorf("%s = %q, want %q", key, v, want)
+		}
 	}
 }
 
@@ -206,47 +223,45 @@ func TestBrowserParseFailureOnGarbage(t *testing.T) {
 	}
 }
 
-// TestNoResultPageIsAPage searches terms that match nothing, on both
-// surfaces of a real handler: the server answers 200 with an empty results
-// container, and that is a page with no cards — one fetch, no retry, no
-// breaker failure, no campaign time — so the next query is served at once.
+// TestNoResultPageIsAPage searches terms that match nothing on a real
+// handler: the server answers 200 with an empty results container, and
+// that is a page with no cards — one fetch, no retry, no breaker failure,
+// no campaign time — so the next query is served at once.
 func TestNoResultPageIsAPage(t *testing.T) {
 	srv := testServer(t, nil)
-	for _, fp := range []Fingerprint{IOSSafari8(), Firefox38Desktop()} {
-		start := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
-		clk := simclock.NewManual(start)
-		done := make(chan struct{})
-		go clk.DriveUntil(done)
-		defer close(done)
-		reg := telemetry.NewRegistry()
-		b, err := New(srv.URL, WithFingerprint(fp), WithPolicy(Policy{Attempts: 3, Backoff: time.Second,
-			BreakerThreshold: 2, BreakerCooldown: time.Minute}), WithClock(clk), WithTelemetry(reg))
+	start := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
+	clk := simclock.NewManual(start)
+	done := make(chan struct{})
+	go clk.DriveUntil(done)
+	defer close(done)
+	reg := telemetry.NewRegistry()
+	b, err := New(srv.URL, WithPolicy(Policy{Attempts: 3, Backoff: time.Second,
+		BreakerThreshold: 2, BreakerCooldown: time.Minute}), WithClock(clk), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.OverrideGeolocation(cleveland)
+	for _, term := range []string{"zzzzqqqxx", "zzzzqqqxy"} {
+		page, err := b.Search(term)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("no-result search failed: %v", err)
 		}
-		b.OverrideGeolocation(cleveland)
-		for _, term := range []string{"zzzzqqqxx", "zzzzqqqxy"} {
-			page, err := b.Search(term)
-			if err != nil {
-				t.Fatalf("%s: no-result search failed: %v", fp.UserAgent, err)
-			}
-			if page.Query != term || len(page.Cards) != 0 {
-				t.Fatalf("%s: page = %q with %d cards, want %q with none", fp.UserAgent, page.Query, len(page.Cards), term)
-			}
+		if page.Query != term || len(page.Cards) != 0 {
+			t.Fatalf("page = %q with %d cards, want %q with none", page.Query, len(page.Cards), term)
 		}
-		if b.Fetches() != 2 || b.Retries() != 0 || b.BreakerState() != "closed" {
-			t.Fatalf("%s: fetches=%d retries=%d breaker=%s, want 2, 0, closed",
-				fp.UserAgent, b.Fetches(), b.Retries(), b.BreakerState())
-		}
-		if page, err := b.Search("Coffee"); err != nil || len(page.Cards) == 0 {
-			t.Fatalf("%s: search after two empty pages: %v", fp.UserAgent, err)
-		}
-		if took := clk.Now().Sub(start); took != 0 {
-			t.Fatalf("%s: three searches took %s of campaign time, want none", fp.UserAgent, took)
-		}
-		if tr := reg.CounterVec("browser_breaker_transitions_total", "", "transition").Values(); len(tr) != 0 {
-			t.Fatalf("%s: breaker transitions %v, want none", fp.UserAgent, tr)
-		}
+	}
+	if b.Fetches() != 2 || b.Retries() != 0 || b.BreakerState() != "closed" {
+		t.Fatalf("fetches=%d retries=%d breaker=%s, want 2, 0, closed",
+			b.Fetches(), b.Retries(), b.BreakerState())
+	}
+	if page, err := b.Search("Coffee"); err != nil || len(page.Cards) == 0 {
+		t.Fatalf("search after two empty pages: %v", err)
+	}
+	if took := clk.Now().Sub(start); took != 0 {
+		t.Fatalf("three searches took %s of campaign time, want none", took)
+	}
+	if tr := reg.CounterVec("browser_breaker_transitions_total", "", "transition").Values(); len(tr) != 0 {
+		t.Fatalf("breaker transitions %v, want none", tr)
 	}
 }
 
@@ -260,59 +275,4 @@ func equal(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-func TestDesktopFingerprintIgnoresGeolocation(t *testing.T) {
-	// The desktop surface (prior work's only option) has no Geolocation
-	// API: the override must have no effect end-to-end.
-	srv := testServer(t, func(cfg *engine.Config) {
-		cfg.WebJitterSigma = 0
-		cfg.PlaceJitterSigma = 0
-		cfg.NewsJitterSigma = 0
-		cfg.Buckets = 1
-		cfg.BucketWeightSpread = 0
-		cfg.Datacenters = 1
-		cfg.ReplicaSkew = 0
-		cfg.MapsCardProb = 1
-	})
-	b, err := New(srv.URL, WithFingerprint(Firefox38Desktop()), WithSourceIP("10.6.0.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.OverrideGeolocation(cleveland)
-	p1, err := b.SearchAndReset("Coffee")
-	if err != nil {
-		t.Fatal(err)
-	}
-	losAngeles := geo.Point{Lat: 34.0522, Lon: -118.2437}
-	b.OverrideGeolocation(losAngeles)
-	p2, err := b.SearchAndReset("Coffee")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(p1.Links(), p2.Links()) {
-		t.Fatal("desktop surface personalized on the spoofed GPS coordinate")
-	}
-	if strings.HasPrefix(p1.Location, "41.4993") {
-		t.Fatalf("desktop page reports the spoofed coordinate: %s", p1.Location)
-	}
-
-	// The same two coordinates through the mobile surface DO differ.
-	m, err := New(srv.URL, WithSourceIP("10.6.0.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.OverrideGeolocation(cleveland)
-	m1, err := m.SearchAndReset("Coffee")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.OverrideGeolocation(losAngeles)
-	m2, err := m.SearchAndReset("Coffee")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if equal(m1.Links(), m2.Links()) {
-		t.Fatal("mobile surface did not personalize on the spoofed coordinate")
-	}
 }

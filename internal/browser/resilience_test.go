@@ -107,6 +107,43 @@ func TestRetryAfterHonouredOn429(t *testing.T) {
 	}
 }
 
+// A server-named wait is capped at maxRetryAfter: a day, a value that
+// overflows time.Duration and one that wraps it all wait the cap, and a
+// search shed with a day's Retry-After sleeps exactly the cap.
+func TestRetryAfterCapped(t *testing.T) {
+	for v, want := range map[string]time.Duration{
+		"1":              time.Second,
+		"60":             time.Minute,
+		"300":            maxRetryAfter,
+		"86400":          maxRetryAfter,
+		"9223372037":     maxRetryAfter,
+		"99999999999999": maxRetryAfter,
+		"-1":             0,
+		"abc":            0,
+	} {
+		if got := parseRetryAfter(v); got != want {
+			t.Errorf("parseRetryAfter(%q) = %s, want %s", v, got, want)
+		}
+	}
+
+	srv, count := shedServer(t, 1, "86400")
+	epoch := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
+	clk := simclock.NewManual(epoch)
+	b, err := New(srv.URL, WithPolicy(Policy{Attempts: 2}), WithClock(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serr := driveSearch(t, b, clk); serr != nil {
+		t.Fatalf("search failed despite the shed clearing: %v", serr)
+	}
+	if got := count.Load(); got != 2 {
+		t.Fatalf("requests = %d, want 2", got)
+	}
+	if got := clk.Now().Sub(epoch); got != maxRetryAfter {
+		t.Fatalf("virtual time advanced %s, want the %s cap", got, maxRetryAfter)
+	}
+}
+
 func TestShedsAreExemptFromRetryAttempts(t *testing.T) {
 	// Five shed waves then success, with only two attempts in the failure
 	// budget: sheds must not consume it.

@@ -60,9 +60,6 @@ type Request struct {
 	// Datacenter pins the request to a named replica, emulating the
 	// study's static DNS mapping; "" routes by client IP hash.
 	Datacenter string
-	// UserAgent is recorded but — matching the paper's finding that
-	// browser/OS do not trigger personalization — never affects results.
-	UserAgent string
 	// TraceID is the client-supplied X-Trace-Id ("" = untraced). When set
 	// it keys the request's noise draws, making traced campaigns
 	// byte-for-byte reproducible regardless of arrival order; untraced

@@ -465,19 +465,6 @@ func TestConcurrentSearches(t *testing.T) {
 	}
 }
 
-func TestUserAgentDoesNotPersonalize(t *testing.T) {
-	// The paper's prior work found browser/OS choice does not trigger
-	// personalization; our engine honours that.
-	e, _ := newQuietEngine()
-	r1, _ := e.Search(Request{Query: "Coffee", GPS: &cleveland, ClientIP: "1.2.3.4",
-		UserAgent: "Mozilla/5.0 (iPhone; CPU iPhone OS 8_0 like Mac OS X) Safari/600.1.4"})
-	r2, _ := e.Search(Request{Query: "Coffee", GPS: &cleveland, ClientIP: "1.2.3.4",
-		UserAgent: "Mozilla/5.0 (X11; Linux x86_64) Firefox/38.0"})
-	if !equalStrings(r1.Page.Links(), r2.Page.Links()) {
-		t.Fatal("user agent changed results")
-	}
-}
-
 func TestNoisyEngineStillWithinLinkBudget(t *testing.T) {
 	clk := simclock.NewManual(time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC))
 	cfg := DefaultConfig()

@@ -66,18 +66,6 @@ func DistanceMiles(a, b Point) float64 {
 	return DistanceKm(a, b) / KmPerMile
 }
 
-// Bearing returns the initial great-circle bearing from a to b in degrees
-// clockwise from true north, normalized to [0, 360).
-func Bearing(a, b Point) float64 {
-	la1 := deg2rad(a.Lat)
-	la2 := deg2rad(b.Lat)
-	dlo := deg2rad(b.Lon - a.Lon)
-	y := math.Sin(dlo) * math.Cos(la2)
-	x := math.Cos(la1)*math.Sin(la2) - math.Sin(la1)*math.Cos(la2)*math.Cos(dlo)
-	brng := rad2deg(math.Atan2(y, x))
-	return math.Mod(brng+360, 360)
-}
-
 // Destination returns the point reached by travelling distKm kilometres from
 // p along the given initial bearing (degrees clockwise from north).
 func Destination(p Point, bearingDeg, distKm float64) Point {
@@ -101,20 +89,6 @@ func Destination(p Point, bearingDeg, distKm float64) Point {
 	return Point{Lat: rad2deg(la2), Lon: lon}
 }
 
-// Midpoint returns the great-circle midpoint of a and b.
-func Midpoint(a, b Point) Point {
-	la1 := deg2rad(a.Lat)
-	lo1 := deg2rad(a.Lon)
-	la2 := deg2rad(b.Lat)
-	dlo := deg2rad(b.Lon - a.Lon)
-	bx := math.Cos(la2) * math.Cos(dlo)
-	by := math.Cos(la2) * math.Sin(dlo)
-	lat := math.Atan2(math.Sin(la1)+math.Sin(la2),
-		math.Sqrt((math.Cos(la1)+bx)*(math.Cos(la1)+bx)+by*by))
-	lon := lo1 + math.Atan2(by, math.Cos(la1)+bx)
-	return Point{Lat: rad2deg(lat), Lon: math.Mod(rad2deg(lon)+540, 360) - 180}
-}
-
 // Centroid returns the spherical centroid of the given points (the
 // normalized mean of their unit vectors). It returns the zero Point for an
 // empty input.
@@ -136,36 +110,6 @@ func Centroid(pts []Point) Point {
 	hyp := math.Sqrt(x*x + y*y)
 	lat := math.Atan2(z, hyp)
 	return Point{Lat: rad2deg(lat), Lon: rad2deg(lon)}
-}
-
-// BoundingBox is an axis-aligned lat/lon rectangle.
-type BoundingBox struct {
-	MinLat, MaxLat float64
-	MinLon, MaxLon float64
-}
-
-// Bounds returns the bounding box of pts. ok is false for an empty input.
-func Bounds(pts []Point) (bb BoundingBox, ok bool) {
-	if len(pts) == 0 {
-		return BoundingBox{}, false
-	}
-	bb = BoundingBox{
-		MinLat: pts[0].Lat, MaxLat: pts[0].Lat,
-		MinLon: pts[0].Lon, MaxLon: pts[0].Lon,
-	}
-	for _, p := range pts[1:] {
-		bb.MinLat = math.Min(bb.MinLat, p.Lat)
-		bb.MaxLat = math.Max(bb.MaxLat, p.Lat)
-		bb.MinLon = math.Min(bb.MinLon, p.Lon)
-		bb.MaxLon = math.Max(bb.MaxLon, p.Lon)
-	}
-	return bb, true
-}
-
-// Contains reports whether p lies within the box (inclusive).
-func (bb BoundingBox) Contains(p Point) bool {
-	return p.Lat >= bb.MinLat && p.Lat <= bb.MaxLat &&
-		p.Lon >= bb.MinLon && p.Lon <= bb.MaxLon
 }
 
 // ParsePoint parses the "lat,lon" wire format produced by Point.String:

@@ -69,21 +69,6 @@ func TestDistanceMiles(t *testing.T) {
 	approx(t, DistanceMiles(nyc, la), km/KmPerMile, 1e-9, "miles conversion")
 }
 
-func TestBearing(t *testing.T) {
-	// Due north.
-	b := Bearing(Point{40, -80}, Point{41, -80})
-	approx(t, b, 0, 0.01, "north bearing")
-	// Due south.
-	b = Bearing(Point{41, -80}, Point{40, -80})
-	approx(t, b, 180, 0.01, "south bearing")
-	// Eastward (roughly 90 at the equator).
-	b = Bearing(Point{0, 0}, Point{0, 1})
-	approx(t, b, 90, 0.01, "east bearing")
-	if b < 0 || b >= 360 {
-		t.Fatalf("bearing %v outside [0,360)", b)
-	}
-}
-
 func TestDestinationRoundTrip(t *testing.T) {
 	f := func(latSeed, lonSeed, brngSeed, distSeed float64) bool {
 		if anyBad(latSeed, lonSeed, brngSeed, distSeed) {
@@ -123,16 +108,6 @@ func TestDestinationKnown(t *testing.T) {
 	approx(t, p.Lon, -80, 0.01, "north dest lon")
 }
 
-func TestMidpoint(t *testing.T) {
-	mid := Midpoint(Point{0, 0}, Point{0, 10})
-	approx(t, mid.Lat, 0, 1e-9, "mid lat")
-	approx(t, mid.Lon, 5, 1e-9, "mid lon")
-	// Midpoint is equidistant.
-	a, b := nyc, la
-	m := Midpoint(a, b)
-	approx(t, DistanceKm(a, m), DistanceKm(b, m), 0.5, "mid equidistant")
-}
-
 func TestCentroid(t *testing.T) {
 	if c := Centroid(nil); c != (Point{}) {
 		t.Fatalf("Centroid(nil) = %v, want zero", c)
@@ -144,22 +119,6 @@ func TestCentroid(t *testing.T) {
 	// Symmetric points around equator.
 	c = Centroid([]Point{{10, 0}, {-10, 0}})
 	approx(t, c.Lat, 0, 1e-9, "symmetric centroid lat")
-}
-
-func TestBounds(t *testing.T) {
-	if _, ok := Bounds(nil); ok {
-		t.Fatal("Bounds(nil) ok")
-	}
-	bb, ok := Bounds([]Point{{1, 2}, {-3, 7}, {5, -4}})
-	if !ok {
-		t.Fatal("Bounds not ok")
-	}
-	if bb.MinLat != -3 || bb.MaxLat != 5 || bb.MinLon != -4 || bb.MaxLon != 7 {
-		t.Fatalf("Bounds = %+v", bb)
-	}
-	if !bb.Contains(Point{0, 0}) || bb.Contains(Point{10, 0}) {
-		t.Fatal("Contains incorrect")
-	}
 }
 
 func TestPointStringParseRoundTrip(t *testing.T) {

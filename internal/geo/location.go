@@ -52,19 +52,6 @@ func (g Granularity) Short() string {
 	}
 }
 
-// ParseGranularity converts a Short label back to a Granularity.
-func ParseGranularity(s string) (Granularity, error) {
-	switch s {
-	case "county":
-		return County, nil
-	case "state":
-		return State, nil
-	case "national":
-		return National, nil
-	}
-	return 0, fmt.Errorf("geo: unknown granularity %q", s)
-}
-
 // Location is a vantage point in the study: a named place with a coordinate,
 // a granularity, and a synthetic demographic profile.
 type Location struct {
@@ -139,23 +126,3 @@ func (d *Dataset) All() []Location {
 
 // Len returns the total number of locations.
 func (d *Dataset) Len() int { return len(d.byID) }
-
-// MeanPairwiseDistanceKm returns the average great-circle distance over all
-// unordered pairs of locations at granularity g. The paper reports ~1 mile
-// for the voting districts and ~100 miles for the Ohio counties; this is the
-// check used in tests and in DESIGN.md's shape targets.
-func (d *Dataset) MeanPairwiseDistanceKm(g Granularity) float64 {
-	locs := d.byGranularity[g]
-	if len(locs) < 2 {
-		return 0
-	}
-	var sum float64
-	var n int
-	for i := range locs {
-		for j := i + 1; j < len(locs); j++ {
-			sum += DistanceKm(locs[i].Point, locs[j].Point)
-			n++
-		}
-	}
-	return sum / float64(n)
-}

@@ -319,11 +319,6 @@ func (ix *Index) docFreq(t string, plistLen int) int {
 	return plistLen
 }
 
-// Vocabulary returns the number of distinct tokens in the index.
-func (ix *Index) Vocabulary() int {
-	return len(ix.postings)
-}
-
 // Shard returns a document-partitioned view of the index: posting lists
 // keep only the documents the owns predicate claims, while the IDF
 // denominators and per-document norms remain those of the FULL index.

@@ -9,8 +9,7 @@
 // Levenshtein, over their ID lists in a scratch row it owns. ComparePages
 // and BreakdownPages wrap a fresh Comparer; the streaming scorecard keeps
 // one and resets it every sweep. Jaccard and EditDistance over URL lists
-// stay the list API (CompareByType applies them to one card type's links)
-// and the reference the kernel is tested against.
+// stay the list API and the reference the kernel is tested against.
 package metrics
 
 import (
@@ -229,18 +228,6 @@ func jaccardSets(a, b []int32) float64 {
 func ComparePages(a, b *serp.Page) Comparison {
 	var c Comparer
 	return c.Compare(c.Prepare(a), c.Prepare(b))
-}
-
-// CompareByType compares only the links contributed by cards of type t —
-// the paper's method for attributing differences to Maps or News results:
-// "we simply calculate Jaccard and edit distance between pages after
-// filtering out all search results that are not of type t".
-func CompareByType(a, b *serp.Page, t serp.CardType) Comparison {
-	la, lb := a.LinksOfType(t), b.LinksOfType(t)
-	return Comparison{
-		Jaccard:      Jaccard(la, lb),
-		EditDistance: EditDistance(la, lb),
-	}
 }
 
 // TypeBreakdown decomposes the edit distance between two pages into the

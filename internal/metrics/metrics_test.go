@@ -144,11 +144,17 @@ func TestComparePages(t *testing.T) {
 func TestCompareByTypeAndBreakdown(t *testing.T) {
 	a := page(organic("1"), meta(serp.Maps, "m1", "m2"), meta(serp.News, "n1"), organic("2"))
 	b := page(organic("1"), meta(serp.Maps, "m3", "m4"), meta(serp.News, "n1"), organic("3"))
-	if cmp := CompareByType(a, b, serp.Maps); cmp.EditDistance != 2 || cmp.Jaccard != 0 {
-		t.Fatalf("maps cmp = %+v", cmp)
-	}
-	if cmp := CompareByType(a, b, serp.News); cmp.EditDistance != 0 || cmp.Jaccard != 1 {
-		t.Fatalf("news cmp = %+v", cmp)
+	// The paper's per-type comparison: the list metrics over one card
+	// type's links.
+	for _, tc := range []struct {
+		t       serp.CardType
+		edit    int
+		jaccard float64
+	}{{serp.Maps, 2, 0}, {serp.News, 0, 1}} {
+		la, lb := a.LinksOfType(tc.t), b.LinksOfType(tc.t)
+		if e, j := EditDistance(la, lb), Jaccard(la, lb); e != tc.edit || j != tc.jaccard {
+			t.Fatalf("%v: edit %d, jaccard %v; want %d, %v", tc.t, e, j, tc.edit, tc.jaccard)
+		}
 	}
 	bd := BreakdownPages(a, b)
 	if bd.Maps != 2 || bd.News != 0 || bd.Other != 1 {

@@ -91,19 +91,6 @@ func ReadCorpus(r io.Reader) (*Corpus, error) {
 	return NewCorpus(qs)
 }
 
-// SaveCorpus writes the corpus to a file path.
-func SaveCorpus(path string, c *Corpus) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("queries: create %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := WriteCorpus(f, c); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
 // LoadCorpus reads a corpus from a file path.
 func LoadCorpus(path string) (*Corpus, error) {
 	f, err := os.Open(path)

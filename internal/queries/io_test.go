@@ -2,6 +2,7 @@ package queries
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -33,7 +34,11 @@ func TestCorpusJSONRoundTrip(t *testing.T) {
 
 func TestCorpusFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.json")
-	if err := SaveCorpus(path, StudyCorpus()); err != nil {
+	var buf bytes.Buffer
+	if err := WriteCorpus(&buf, StudyCorpus()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadCorpus(path)

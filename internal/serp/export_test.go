@@ -1,14 +1,10 @@
 package serp
 
-// The parse-error tables, for FuzzParseHTML's seed corpus in the external
-// test package, and the fmt renderers, FuzzRenderHTML's oracle.
+// The parse-error table and the empty-results page, for FuzzParseHTML's
+// seed corpus in the external test package, and the fmt renderer,
+// FuzzRenderHTML's oracle.
 var (
-	HTMLRejects    = htmlRejects
-	DesktopRejects = desktopRejects
-
-	ReferenceRenderHTML        = referenceRenderHTML
-	ReferenceRenderDesktopHTML = referenceRenderDesktopHTML
+	HTMLRejects         = htmlRejects
+	EmptyPage           = emptyPage
+	ReferenceRenderHTML = referenceRenderHTML
 )
-
-// DesktopMarker tells FuzzParseHTML which surface a document was read as.
-const DesktopMarker = desktopMarker

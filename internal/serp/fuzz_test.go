@@ -1,10 +1,10 @@
 package serp_test
 
 import (
+	"encoding/json"
 	"maps"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"geoserp/internal/serp"
@@ -12,30 +12,40 @@ import (
 
 // FuzzParseHTML fuzzes the crawler's parser, which reads every page a
 // server sends: no document may panic ParseHTML, and every page it
-// accepts must survive re-rendering on the surface it was read as, and
-// ParseHTML, unchanged. A page that parses into something its own
-// rendering does not say would be a misparse, indistinguishable downstream
-// from personalization.
+// accepts must survive RenderHTML and ParseHTML unchanged. A page that
+// parses into something its own rendering does not say would be a
+// misparse, indistinguishable downstream from personalization. Besides
+// the study pages and the reject table, the seeds are what else reaches
+// the parser off the wire: a page with no results, each study page cut
+// halfway, as a truncating fault leaves it, and each study page's JSON
+// encoding, which the server sends for format=json.
 func FuzzParseHTML(f *testing.F) {
-	for _, p := range studyPages(f) {
+	pages := studyPages(f)
+	for _, p := range pages {
 		f.Add(serp.RenderHTML(p))
-		f.Add(serp.RenderDesktopHTML(p))
 	}
-	for _, rejects := range []map[string]string{serp.HTMLRejects(), serp.DesktopRejects()} {
-		for _, name := range slices.Sorted(maps.Keys(rejects)) {
-			f.Add(rejects[name])
+	rejects := serp.HTMLRejects()
+	for _, name := range slices.Sorted(maps.Keys(rejects)) {
+		f.Add(rejects[name])
+	}
+	f.Add(serp.RenderHTML(serp.EmptyPage()))
+	for _, p := range pages {
+		doc := serp.RenderHTML(p)
+		f.Add(doc[:len(doc)/2])
+	}
+	for _, p := range pages {
+		b, err := json.Marshal(p)
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(string(b))
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
 		p, err := serp.ParseHTML(doc)
 		if err != nil {
 			return
 		}
-		render := serp.RenderHTML
-		if strings.Contains(doc, serp.DesktopMarker) {
-			render = serp.RenderDesktopHTML
-		}
-		again, err := serp.ParseHTML(render(p))
+		again, err := serp.ParseHTML(serp.RenderHTML(p))
 		if err != nil {
 			t.Fatalf("accepted page does not re-parse: %v\npage: %+v", err, p)
 		}

@@ -7,13 +7,14 @@ import (
 	"strings"
 )
 
-// This file implements the mobile HTML wire format. RenderHTML is what the
-// SERP server sends; ParseHTML, which reads the desktop surface
-// (desktop.go) too, is what the crawler's browser applies to the response
-// body — the counterpart of the study's PhantomJS script scraping
-// Google's mobile markup. The markup is deliberately "real-world shaped"
-// (nested divs, classes, a location footer) so the parser has to do actual
-// extraction work rather than reading a convenient JSON blob.
+// This file implements the mobile HTML wire format, the one results page
+// the SERP server sends to every client (the study crawled only the mobile
+// page, §2.2). RenderHTML is what the server sends; ParseHTML is what the
+// crawler's browser applies to the response body — the counterpart of the
+// study's PhantomJS script scraping Google's mobile markup. The markup is
+// deliberately "real-world shaped" (nested divs, classes, a location
+// footer) so the parser has to do actual extraction work rather than
+// reading a convenient JSON blob.
 
 // RenderHTML renders the page as a mobile results document.
 func RenderHTML(p *Page) string { return string(AppendHTML(make([]byte, 0, 4096), p)) }
@@ -62,9 +63,13 @@ func AppendHTML(b []byte, p *Page) []byte {
 		}
 		b = append(b, "</div><!--/card-->\n"...)
 	}
-	b = append(b, "</main>\n<footer id=\"geo-footer\""...)
-	b = appendFooterAttrs(b, p)
-	b = append(b, ">Results for <b>"...)
+	b = append(b, "</main>\n<footer id=\"geo-footer\" data-location=\""...)
+	b = appendEscaped(b, p.Location)
+	b = append(b, "\" data-datacenter=\""...)
+	b = appendEscaped(b, p.Datacenter)
+	b = append(b, "\" data-day=\""...)
+	b = strconv.AppendInt(b, int64(p.Day), 10)
+	b = append(b, "\">Results for <b>"...)
 	b = appendEscaped(b, p.Location)
 	return append(b, "</b></footer>\n</body></html>\n"...)
 }
@@ -78,19 +83,6 @@ func appendLink(b []byte, cls string, r Result) []byte {
 	b = append(b, "\">"...)
 	b = appendEscaped(b, r.Title)
 	return append(b, "</a>"...)
-}
-
-// appendFooterAttrs appends the footer's data-location, data-datacenter
-// and data-day attributes, each after a space: the attributes parseFooter
-// reads back on both surfaces.
-func appendFooterAttrs(b []byte, p *Page) []byte {
-	b = append(b, " data-location=\""...)
-	b = appendEscaped(b, p.Location)
-	b = append(b, "\" data-datacenter=\""...)
-	b = appendEscaped(b, p.Datacenter)
-	b = append(b, "\" data-day=\""...)
-	b = strconv.AppendInt(b, int64(p.Day), 10)
-	return append(b, '"')
 }
 
 // appendEscaped appends s to b with the five bytes html.EscapeString
@@ -121,55 +113,24 @@ func appendEscaped(b []byte, s string) []byte {
 	return append(b, s[last:]...)
 }
 
-// surface holds the markers that set one surface's markup apart: the
-// footer opener, the card blocks, the result anchor's class and the
-// results container. Everything else ParseHTML reads is common markup.
-type surface struct {
-	footer    string
-	blocks    []cardBlock
-	anchor    string
-	container string
-}
+// The markers ParseHTML reads a results document by: the footer opener,
+// the card block's opener (its data-type is read after it) and closer, the
+// result anchor's class and the results container. Everything else it
+// reads is common markup.
+const (
+	footerOpen    = `<footer id="geo-footer"`
+	cardOpen      = `<div class="card"`
+	cardClose     = "</div><!--/card-->"
+	anchorOpen    = `<a class="serp-link`
+	containerOpen = `<main id="results">`
+)
 
-// cardBlock is one kind of card block: the markup that opens it, the
-// prefix of that markup after which its data-type attribute is read, and
-// the markup that closes it.
-type cardBlock struct{ open, head, close string }
-
-// mobileSurface holds the markers ParseHTML reads a mobile results
-// document by: one kind of card block, whose data-type is read after the
-// class that opens it.
-var mobileSurface = surface{
-	footer:    `<footer id="geo-footer"`,
-	blocks:    []cardBlock{{open: `<div class="card"`, head: `<div class="card"`, close: "</div><!--/card-->"}},
-	anchor:    `<a class="serp-link`,
-	container: `<main id="results">`,
-}
-
-// next returns the kind of the first card block that opens in rest and
-// where it opens, or at -1 when none does.
-func (s *surface) next(rest string) (kind *cardBlock, at int) {
-	at = -1
-	for i := range s.blocks {
-		if j := strings.Index(rest, s.blocks[i].open); j >= 0 && (at < 0 || j < at) {
-			kind, at = &s.blocks[i], j
-		}
-	}
-	return kind, at
-}
-
-// ParseHTML parses a rendered results document of either surface back
-// into a Page; a document carrying the desktop marker is read by the
-// desktop surface's markers, any other by the mobile one's. It is a
+// ParseHTML parses a rendered results document back into a Page. It is a
 // scanning parser purpose-built for this markup (the same engineering
 // stance as the study's parser, which was built for Google's markup of the
 // day) and fails loudly on documents that do not look like result pages.
 // A page with an empty results container parses to a Page with no cards.
 func ParseHTML(doc string) (*Page, error) {
-	s := &mobileSurface
-	if strings.Contains(doc, desktopMarker) {
-		s = &desktopSurface
-	}
 	p := &Page{}
 	// Query from <title>.
 	title, err := between(doc, "<title>", "</title>")
@@ -179,7 +140,7 @@ func ParseHTML(doc string) (*Page, error) {
 	p.Query = html.UnescapeString(strings.TrimSuffix(title, " - Search"))
 
 	// Footer metadata.
-	footer, err := between(doc, s.footer, ">")
+	footer, err := between(doc, footerOpen, ">")
 	if err != nil {
 		return nil, fmt.Errorf("serp: parse: missing geo footer")
 	}
@@ -190,18 +151,18 @@ func ParseHTML(doc string) (*Page, error) {
 	// Cards.
 	rest := doc
 	for {
-		kind, start := s.next(rest)
+		start := strings.Index(rest, cardOpen)
 		if start < 0 {
 			break
 		}
-		end := strings.Index(rest[start:], kind.close)
+		end := strings.Index(rest[start:], cardClose)
 		if end < 0 {
 			return nil, fmt.Errorf("serp: parse: unterminated card")
 		}
 		block := rest[start : start+end]
-		rest = rest[start+end+len(kind.close):]
+		rest = rest[start+end+len(cardClose):]
 
-		head, _ := between(block, kind.head, ">")
+		head, _ := between(block, cardOpen, ">")
 		typeLabel, _ := attr(head, "data-type")
 		ct, err := ParseCardType(typeLabel)
 		if err != nil {
@@ -210,7 +171,7 @@ func ParseHTML(doc string) (*Page, error) {
 		card := Card{Type: ct}
 		linkRest := block
 		for {
-			a := strings.Index(linkRest, s.anchor)
+			a := strings.Index(linkRest, anchorOpen)
 			if a < 0 {
 				break
 			}
@@ -236,7 +197,7 @@ func ParseHTML(doc string) (*Page, error) {
 		}
 		p.Cards = append(p.Cards, card)
 	}
-	if len(p.Cards) == 0 && !strings.Contains(doc, s.container) {
+	if len(p.Cards) == 0 && !strings.Contains(doc, containerOpen) {
 		return nil, fmt.Errorf("serp: parse: no cards found")
 	}
 	return p, nil

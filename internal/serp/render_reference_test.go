@@ -6,9 +6,8 @@ import (
 	"strings"
 )
 
-// The fmt renderers that AppendHTML and AppendDesktopHTML replaced, kept
-// verbatim but renamed: the oracle FuzzRenderHTML compares both surfaces
-// against, byte for byte.
+// The fmt renderer that AppendHTML replaced, kept verbatim but renamed:
+// the oracle FuzzRenderHTML compares it against, byte for byte.
 
 // referenceRenderHTML renders the page as a mobile results document.
 func referenceRenderHTML(p *Page) string {
@@ -51,51 +50,6 @@ func referenceRenderHTML(p *Page) string {
 	}
 	b.WriteString("</main>\n")
 	fmt.Fprintf(&b, "<footer id=\"geo-footer\" data-location=\"%s\" data-datacenter=\"%s\" data-day=\"%d\">Results for <b>%s</b></footer>\n",
-		html.EscapeString(p.Location), html.EscapeString(p.Datacenter), p.Day,
-		html.EscapeString(p.Location))
-	b.WriteString("</body></html>\n")
-	return b.String()
-}
-
-// referenceRenderDesktopHTML renders the page as a desktop results document.
-func referenceRenderDesktopHTML(p *Page) string {
-	var b strings.Builder
-	b.Grow(4096)
-	b.WriteString("<!doctype html>\n<html><head><meta charset=\"utf-8\">")
-	fmt.Fprintf(&b, "<title>%s - Search</title></head>\n", html.EscapeString(p.Query))
-	b.WriteString(desktopMarker + "\n")
-	fmt.Fprintf(&b, "<div id=\"searchform\"><input value=\"%s\"></div>\n",
-		html.EscapeString(p.Query))
-	b.WriteString("<div id=\"res\">\n")
-	for i, c := range p.Cards {
-		switch c.Type {
-		case Maps:
-			fmt.Fprintf(&b, "<div class=\"onebox maps-onebox\" data-type=\"maps\" data-index=\"%d\">\n", i)
-			b.WriteString("  <div class=\"lu-map\"></div>\n  <table class=\"lu-results\">\n")
-			for _, r := range c.Results {
-				fmt.Fprintf(&b, "    <tr><td><a class=\"res-link\" href=\"%s\">%s</a></td></tr>\n",
-					html.EscapeString(r.URL), html.EscapeString(r.Title))
-			}
-			b.WriteString("  </table>\n</div><!--/onebox-->\n")
-		case News:
-			fmt.Fprintf(&b, "<div class=\"onebox news-onebox\" data-type=\"news\" data-index=\"%d\">\n", i)
-			b.WriteString("  <h3>In the news</h3>\n")
-			for _, r := range c.Results {
-				fmt.Fprintf(&b, "  <div class=\"news-row\"><a class=\"res-link\" href=\"%s\">%s</a></div>\n",
-					html.EscapeString(r.URL), html.EscapeString(r.Title))
-			}
-			b.WriteString("</div><!--/onebox-->\n")
-		default:
-			fmt.Fprintf(&b, "<div class=\"g\" data-type=\"organic\" data-index=\"%d\">\n", i)
-			for _, r := range c.Results {
-				fmt.Fprintf(&b, "  <h3><a class=\"res-link\" href=\"%s\">%s</a></h3>\n",
-					html.EscapeString(r.URL), html.EscapeString(r.Title))
-			}
-			b.WriteString("</div><!--/g-->\n")
-		}
-	}
-	b.WriteString("</div>\n")
-	fmt.Fprintf(&b, "<div id=\"foot\" data-location=\"%s\" data-datacenter=\"%s\" data-day=\"%d\">Location used: %s</div>\n",
 		html.EscapeString(p.Location), html.EscapeString(p.Datacenter), p.Day,
 		html.EscapeString(p.Location))
 	b.WriteString("</body></html>\n")

@@ -34,26 +34,16 @@ func studyPages(tb testing.TB) []*serp.Page {
 // appenders must extend it and leave it as it was.
 const renderPrefix = "HTTP/1.1 200 OK\r\n\r\n"
 
-// checkRender requires both surfaces, appended after renderPrefix and
-// rendered to a string, to be the fmt oracle's bytes.
+// checkRender requires the page, appended after renderPrefix and rendered
+// to a string, to be the fmt oracle's bytes.
 func checkRender(tb testing.TB, p *serp.Page) {
 	tb.Helper()
-	for _, s := range []struct {
-		name   string
-		append func([]byte, *serp.Page) []byte
-		render func(*serp.Page) string
-		oracle func(*serp.Page) string
-	}{
-		{"mobile", serp.AppendHTML, serp.RenderHTML, serp.ReferenceRenderHTML},
-		{"desktop", serp.AppendDesktopHTML, serp.RenderDesktopHTML, serp.ReferenceRenderDesktopHTML},
-	} {
-		want := s.oracle(p)
-		if got := string(s.append([]byte(renderPrefix), p)); got != renderPrefix+want {
-			tb.Fatalf("%s: appended page differs from the fmt renderer's\n got %q\nwant %q", s.name, got, renderPrefix+want)
-		}
-		if got := s.render(p); got != want {
-			tb.Fatalf("%s: rendered page differs from the fmt renderer's\n got %q\nwant %q", s.name, got, want)
-		}
+	want := serp.ReferenceRenderHTML(p)
+	if got := string(serp.AppendHTML([]byte(renderPrefix), p)); got != renderPrefix+want {
+		tb.Fatalf("appended page differs from the fmt renderer's\n got %q\nwant %q", got, renderPrefix+want)
+	}
+	if got := serp.RenderHTML(p); got != want {
+		tb.Fatalf("rendered page differs from the fmt renderer's\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -88,10 +78,10 @@ func shapeOf(p *serp.Page) byte {
 	return shape
 }
 
-// FuzzRenderHTML holds the append renderers to the fmt renderers they
+// FuzzRenderHTML holds the append renderer to the fmt renderer it
 // replaced: for any query, location, datacenter, day and card stack, with
 // URLs and titles carrying the five escaped bytes, NUL or invalid UTF-8,
-// both surfaces must produce the oracle's bytes. The seeds check each
+// it must produce the oracle's bytes. The seeds check each
 // study page whole, then add its fields and card mix as a fuzz input.
 func FuzzRenderHTML(f *testing.F) {
 	for _, p := range studyPages(f) {

@@ -117,13 +117,21 @@ func TestUnmarshalPageErrors(t *testing.T) {
 }
 
 func TestHTMLRoundTrip(t *testing.T) {
-	p := samplePage()
-	doc := RenderHTML(p)
-	got, err := ParseHTML(doc)
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, doc)
+	// A query with no results renders an empty results container, which
+	// must parse back to a page with no cards.
+	for _, p := range []*Page{samplePage(), emptyPage()} {
+		doc := RenderHTML(p)
+		got, err := ParseHTML(doc)
+		if err != nil {
+			t.Fatalf("parse: %v\n%s", err, doc)
+		}
+		assertPagesEqual(t, p, got)
 	}
-	assertPagesEqual(t, p, got)
+}
+
+// emptyPage is the page of a query with no results.
+func emptyPage() *Page {
+	return &Page{Query: "zzzzqqqxx", Location: "41.499300,-81.694400", Datacenter: "dc-1", Day: 2}
 }
 
 func assertPagesEqual(t *testing.T, want, got *Page) {
@@ -200,10 +208,21 @@ func htmlRejects() map[string]string {
 		"bad card type":      "<title>x - Search</title><footer id=\"geo-footer\" data-location=\"\" data-datacenter=\"\" data-day=\"0\">f</footer><div class=\"card\" data-type=\"mystery\"><a class=\"serp-link\" href=\"u\">t</a></div><!--/card-->",
 		"unterminated":       "<title>x - Search</title><footer id=\"geo-footer\" data-location=\"\" data-datacenter=\"\" data-day=\"0\">f</footer><div class=\"card\" data-type=\"organic\"><a class=\"serp-link\" href=\"u\">t</a>",
 		"card without links": "<title>x - Search</title><footer id=\"geo-footer\" data-location=\"\" data-datacenter=\"\" data-day=\"0\">f</footer><div class=\"card\" data-type=\"organic\"></div><!--/card-->",
+		"unclosed title":     "<title>x - Search",
+		"unclosed footer":    "<title>x - Search</title><footer id=\"geo-footer\" data-location=\"\" data-datacenter=\"\" data-day=\"0\"",
 	}
 	for name, attrs := range badFooters {
 		cases[name] = `<title>x - Search</title><footer id="geo-footer" ` + attrs + `>f</footer>` +
 			`<div class="card" data-type="organic"><a class="serp-link" href="u">t</a></div><!--/card-->`
+	}
+	// Cards that close but whose opener or anchor is broken.
+	for name, card := range map[string]string{
+		"unclosed card opener": `<div class="card" data-type="organic"</div><!--/card-->`,
+		"unterminated anchor":  `<div class="card" data-type="organic"><a class="serp-link" href="u">t</div><!--/card-->`,
+		"anchor without href":  `<div class="card" data-type="organic"><a class="serp-link">t</a></div><!--/card-->`,
+		"unclosed anchor tag":  `<div class="card" data-type="organic"><a class="serp-link" href="u"</a></div><!--/card-->`,
+	} {
+		cases[name] = `<title>x - Search</title><footer id="geo-footer" data-location="" data-datacenter="" data-day="0">f</footer>` + card
 	}
 	return cases
 }

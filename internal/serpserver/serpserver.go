@@ -9,7 +9,8 @@
 // personalization), honours X-Datacenter pinning (the study's static DNS
 // mapping), attributes the request to a client IP (X-Forwarded-For from
 // the crawl machines, else the socket address), and returns the mobile
-// card HTML — or 429 when the per-IP rate limiter trips.
+// card HTML to every client, whatever its User-Agent — or 429 when the
+// per-IP rate limiter trips.
 package serpserver
 
 import (
@@ -69,8 +70,7 @@ type Handler struct {
 	inst httpInstruments
 }
 
-// pageBufSize is a fresh page buffer's capacity: a study page is 3–3.5 KB
-// on either surface.
+// pageBufSize is a fresh page buffer's capacity: a study page is 3–3.5 KB.
 const pageBufSize = 4 << 10
 
 // maxPooledPage bounds the page-buffer pool: a buffer grown past it by an
@@ -263,19 +263,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// isDesktopUA conservatively detects desktop browsers: a known desktop
-// platform token without a mobile token. Unknown or ambiguous user agents
-// get the mobile surface (the study's default).
-func isDesktopUA(ua string) bool {
-	if strings.Contains(ua, "Mobile") || strings.Contains(ua, "iPhone") ||
-		strings.Contains(ua, "Android") || strings.Contains(ua, "iPad") {
-		return false
-	}
-	return strings.Contains(ua, "Windows NT") ||
-		strings.Contains(ua, "Macintosh") ||
-		strings.Contains(ua, "X11")
-}
-
 // clientIP attributes the request to a source address: the first
 // X-Forwarded-For hop when present (the crawl machines identify themselves
 // this way), otherwise the socket's remote host.
@@ -302,14 +289,12 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The ll parameter models the coordinate the MOBILE page obtains from
-	// the JavaScript Geolocation API. The desktop surface has no such
-	// pathway — its only location signal is the IP address — which is
-	// precisely why the study targeted mobile (§2.2) while prior work,
-	// limited to desktop, could only study IP geolocation.
-	desktop := isDesktopUA(r.UserAgent())
+	// The ll parameter models the coordinate the mobile page obtains from
+	// the JavaScript Geolocation API — the pathway the study fed spoofed
+	// coordinates through (§2.2). Every client gets the mobile page, so
+	// every client's ll is honoured; without one, the IP locates it.
 	var gps *geo.Point
-	if ll := query.Get("ll"); ll != "" && !desktop {
+	if ll := query.Get("ll"); ll != "" {
 		pt, err := geo.ParsePoint(ll)
 		if err != nil {
 			h.inst.errors.Inc()
@@ -337,7 +322,6 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 		ClientIP:   clientIP(r),
 		SessionID:  session,
 		Datacenter: r.Header.Get(httpheader.Datacenter),
-		UserAgent:  r.UserAgent(),
 		TraceID:    telemetry.TraceID(r.Context()),
 		Span:       telemetry.SpanFrom(r.Context()),
 		Deadline:   httpheader.Deadline(r.Header),
@@ -403,12 +387,7 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// The page is appended into a pooled buffer and written once with its
 	// Content-Length, so net/http sends it unchunked.
 	buf := h.pagePool.Get().(*[]byte)
-	page := (*buf)[:0]
-	if desktop {
-		page = serp.AppendDesktopHTML(page, resp.Page)
-	} else {
-		page = serp.AppendHTML(page, resp.Page)
-	}
+	page := serp.AppendHTML((*buf)[:0], resp.Page)
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.Header().Set("Content-Length", strconv.Itoa(len(page)))
 	// A failed write means the client has gone: there is no one to tell.

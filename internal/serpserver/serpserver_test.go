@@ -114,6 +114,67 @@ func TestNoGPSFallsBackToIP(t *testing.T) {
 	}
 }
 
+const mobileUA = "Mozilla/5.0 (iPhone; CPU iPhone OS 8_0 like Mac OS X) Safari/600.1.4"
+
+// parsePage parses a served results page, which must be the rendering of
+// what it parses to.
+func parsePage(t *testing.T, doc string) *serp.Page {
+	t.Helper()
+	page, err := serp.ParseHTML(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc != serp.RenderHTML(page) {
+		t.Fatalf("page is not the rendering of what it parses to:\n%s", doc)
+	}
+	return page
+}
+
+func TestMobileSurfaceHonoursGPS(t *testing.T) {
+	h := testHandler(t, nil)
+	w := get(t, h, "/search?q=Coffee&ll=41.4993,-81.6944",
+		map[string]string{"User-Agent": mobileUA})
+	if page := parsePage(t, w.Body.String()); !strings.HasPrefix(page.Location, "41.4993") {
+		t.Fatalf("mobile page ignored the Geolocation coordinate: %s", page.Location)
+	}
+}
+
+// Every client gets the one mobile page with its ll= honoured, whatever its
+// User-Agent: the same query, coordinate, session and trace get the same
+// bytes from a mobile, a desktop, Go's default and an empty User-Agent.
+// Browser and platform do not personalize, as the study found.
+func TestEveryUserAgentGetsOnePage(t *testing.T) {
+	const target = "/search?q=Coffee&ll=41.4993,-81.6944"
+	var want string
+	for _, ua := range []string{
+		mobileUA,
+		"Mozilla/5.0 (X11; Linux x86_64; rv:38.0) Gecko/20100101 Firefox/38.0",
+		"Mozilla/5.0 (Windows NT 6.1) AppleWebKit/537.36 Chrome/43.0 Safari/537.36",
+		"Mozilla/5.0 (Macintosh; Intel Mac OS X 10_10) Safari/600.5.17",
+		"Go-http-client/1.1",
+		"",
+	} {
+		// A fresh handler per client, so each search is its session's first.
+		w := get(t, testHandler(t, nil), target, map[string]string{
+			"User-Agent":       ua,
+			"Cookie":           SessionCookie + "=sid-ua",
+			httpheader.TraceID: "0123456789abcdef",
+		})
+		if w.Code != http.StatusOK {
+			t.Fatalf("User-Agent %q: status = %d", ua, w.Code)
+		}
+		page := parsePage(t, w.Body.String())
+		if !strings.HasPrefix(page.Location, "41.4993") {
+			t.Fatalf("User-Agent %q: page ignored the Geolocation coordinate: %s", ua, page.Location)
+		}
+		if want == "" {
+			want = w.Body.String()
+		} else if got := w.Body.String(); got != want {
+			t.Fatalf("User-Agent %q got another page than %q:\n got %s\nwant %s", ua, mobileUA, got, want)
+		}
+	}
+}
+
 func TestXForwardedForAttribution(t *testing.T) {
 	h := testHandler(t, func(cfg *engine.Config) {
 		cfg.RateBurst = 2
@@ -200,9 +261,9 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
-// TestRealServerOverTCP serves a mobile and a desktop page through a real
-// server. Each is written once with its length, so it arrives unchunked
-// with a Content-Length equal to the body's.
+// TestRealServerOverTCP serves a page through a real server. It is
+// written once with its length, so it arrives unchunked with a
+// Content-Length equal to the body's.
 func TestRealServerOverTCP(t *testing.T) {
 	h := testHandler(t, nil)
 	srv, err := Listen("127.0.0.1:0", h)
@@ -218,35 +279,29 @@ func TestRealServerOverTCP(t *testing.T) {
 		}
 	}()
 
-	for _, ua := range []string{mobileUA, desktopUA} {
-		req, err := http.NewRequest("GET", srv.URL()+"/search?q=Hospital&ll=41.4993,-81.6944", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("User-Agent", ua)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status = %d", ua, resp.StatusCode)
-		}
-		page, desktop := parseSurface(t, string(body))
-		if desktop != (ua == desktopUA) {
-			t.Fatalf("%s: served the wrong surface", ua)
-		}
-		if page.Query != "Hospital" {
-			t.Fatalf("%s: query = %q", ua, page.Query)
-		}
-		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
-			t.Errorf("%s: ContentLength = %d, TransferEncoding = %q for a %d B page; want the page's length, unchunked",
-				ua, resp.ContentLength, resp.TransferEncoding, len(body))
-		}
+	req, err := http.NewRequest("GET", srv.URL()+"/search?q=Hospital&ll=41.4993,-81.6944", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("User-Agent", mobileUA)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	if page := parsePage(t, string(body)); page.Query != "Hospital" {
+		t.Fatalf("query = %q", page.Query)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("ContentLength = %d, TransferEncoding = %q for a %d B page; want the page's length, unchunked",
+			resp.ContentLength, resp.TransferEncoding, len(body))
 	}
 }
 

@@ -25,7 +25,7 @@ type Web struct {
 	seed    uint64
 	regions []Region
 	byTopic map[string][]Doc
-	byURL   map[string]Doc
+	size    int
 }
 
 // NewWeb generates the static web for the given query corpus and regions.
@@ -34,7 +34,6 @@ func NewWeb(seed uint64, corpus *queries.Corpus, regions []Region) *Web {
 		seed:    seed,
 		regions: regions,
 		byTopic: make(map[string][]Doc),
-		byURL:   make(map[string]Doc),
 	}
 	for _, q := range corpus.All() {
 		var docs []Doc
@@ -55,9 +54,7 @@ func NewWeb(seed uint64, corpus *queries.Corpus, regions []Region) *Web {
 			return docs[i].URL < docs[j].URL
 		})
 		w.byTopic[q.ID()] = docs
-		for _, d := range docs {
-			w.byURL[d.URL] = d
-		}
+		w.size += len(docs)
 	}
 	return w
 }
@@ -65,12 +62,6 @@ func NewWeb(seed uint64, corpus *queries.Corpus, regions []Region) *Web {
 // Docs returns the static documents about the given topic (a query ID),
 // sorted by authority descending. The slice must not be mutated.
 func (w *Web) Docs(topic string) []Doc { return w.byTopic[topic] }
-
-// ByURL looks a document up by URL.
-func (w *Web) ByURL(url string) (Doc, bool) {
-	d, ok := w.byURL[url]
-	return d, ok
-}
 
 // Topics returns all topics with documents, sorted.
 func (w *Web) Topics() []string {
@@ -83,7 +74,7 @@ func (w *Web) Topics() []string {
 }
 
 // Size returns the total number of documents.
-func (w *Web) Size() int { return len(w.byURL) }
+func (w *Web) Size() int { return w.size }
 
 // add constructs a Doc with templated snippet text that mentions the topic
 // term (so the inverted index retrieves it for the query's tokens).

@@ -122,18 +122,6 @@ func TestWebPoliticianScopeAuthority(t *testing.T) {
 	}
 }
 
-func TestWebByURL(t *testing.T) {
-	w := testWeb(t)
-	d := w.Docs("coffee")[0]
-	got, ok := w.ByURL(d.URL)
-	if !ok || got.URL != d.URL {
-		t.Fatalf("ByURL round-trip failed for %s", d.URL)
-	}
-	if _, ok := w.ByURL("https://nope.example/"); ok {
-		t.Fatal("ByURL ok for missing URL")
-	}
-}
-
 func TestWebDeterministic(t *testing.T) {
 	a := NewWeb(7, queries.StudyCorpus(), DefaultRegions())
 	b := NewWeb(7, queries.StudyCorpus(), DefaultRegions())
