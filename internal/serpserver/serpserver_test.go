@@ -139,6 +139,20 @@ func TestMobileSurfaceHonoursGPS(t *testing.T) {
 	}
 }
 
+// A User-Agent that names no browser, such as Go's default, gets the mobile
+// page with its ll= honoured.
+func TestUnknownUADefaultsToMobile(t *testing.T) {
+	h := testHandler(t, nil)
+	w := get(t, h, "/search?q=Coffee&ll=41.4993,-81.6944",
+		map[string]string{"User-Agent": "Go-http-client/1.1"})
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d", w.Code)
+	}
+	if page := parsePage(t, w.Body.String()); !strings.HasPrefix(page.Location, "41.4993") {
+		t.Fatalf("page ignored the Geolocation coordinate: %s", page.Location)
+	}
+}
+
 // Every client gets the one mobile page with its ll= honoured, whatever its
 // User-Agent: the same query, coordinate, session and trace get the same
 // bytes from a mobile, a desktop, Go's default and an empty User-Agent.
